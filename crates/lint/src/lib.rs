@@ -7,8 +7,8 @@
 //! guards must not straddle blocking calls. This crate walks every
 //! workspace source file with a hand-rolled lexer ([`lexer`]) and enforces
 //! those rules ([`rules`]), reporting findings as `file:line: rule:
-//! message`. A committed baseline ([`baseline`]) grandfathers triaged
-//! findings so CI only fails on *new* violations.
+//! message`. Any finding fails CI; a deliberate exception is waived at the
+//! site with a `LINT-ALLOW(rule): reason` comment.
 //!
 //! Dependency-free by design — the same offline-vendoring discipline as
 //! `crates/obs`. No `syn`, no `proc-macro2`, no clippy internals.
@@ -16,7 +16,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -31,9 +30,6 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// Whitespace-normalized source line, used as the baseline key so
-    /// unrelated edits above a grandfathered finding don't invalidate it.
-    pub snippet: String,
 }
 
 impl fmt::Display for Finding {
@@ -51,8 +47,6 @@ impl fmt::Display for Finding {
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
-    /// Raw source lines (for snippets).
-    pub lines: Vec<String>,
     /// Token stream and comment trivia.
     pub lexed: lexer::Lexed,
     /// Token index ranges (inclusive) covered by `#[test]` / `#[cfg(test)]`.
@@ -66,7 +60,6 @@ impl SourceFile {
         let test_regions = find_test_regions(&lexed.tokens);
         SourceFile {
             rel,
-            lines: src.lines().map(str::to_owned).collect(),
             lexed,
             test_regions,
         }
@@ -105,22 +98,13 @@ impl SourceFile {
         })
     }
 
-    /// Whitespace-normalized text of `line` (1-based).
-    pub fn snippet(&self, line: u32) -> String {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
-            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
-            .unwrap_or_default()
-    }
-
-    /// Builds a [`Finding`] for this file, filling in the snippet.
+    /// Builds a [`Finding`] for this file.
     pub fn finding(&self, line: u32, rule: &'static str, message: String) -> Finding {
         Finding {
             file: self.rel.clone(),
             line,
             rule,
             message,
-            snippet: self.snippet(line),
         }
     }
 
@@ -359,12 +343,5 @@ mod tests {
         assert!(f.waived("panic-path", 3));
         assert!(!f.waived("panic-path", 4));
         assert!(!f.waived("unsafe-audit", 2));
-    }
-
-    #[test]
-    fn snippets_normalize_whitespace() {
-        let f = SourceFile::parse("x.rs".into(), "   let   x =\t1;\n");
-        assert_eq!(f.snippet(1), "let x = 1;");
-        assert_eq!(f.snippet(99), "");
     }
 }

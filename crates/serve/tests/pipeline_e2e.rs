@@ -171,7 +171,7 @@ fn v1_untagged_requests_stay_in_order_on_a_pipelining_server() {
     server.shutdown();
 }
 
-/// Acceptance criterion: one pipelined connection issuing 16 distinct plan
+/// Acceptance check: one pipelined connection issuing 16 distinct plan
 /// requests completes within 2× the wall-clock of 16 parallel connections
 /// issuing the same requests. Each phase gets a fresh server so the second
 /// phase cannot ride the first phase's cache.
