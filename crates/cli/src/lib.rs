@@ -30,7 +30,7 @@ use qsdnn_serve::protocol::{
     EventMsg, EventsResponse, HistogramMsg, MetricValue, MetricsResponse, PlanRequest,
     PlanResponse, ProfileRequest, TasksResponse, TraceInfo, TransferMode,
 };
-use qsdnn_serve::{EvictionPolicy, IoModel, PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{EvictionPolicy, PlanClient, PlanServer, ServerConfig};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,11 +129,11 @@ pub fn usage() -> String {
      qsdnn-cli report --lut <lut.json> --report <report.json>\n  \
      qsdnn-cli serve [--addr host:port] [--threads N] [--spill <dir>] [--repeats N]\n            \
      [--cache-shards N] [--eviction lru|cost] [--cache-entries N] [--max-in-flight N]\n            \
-     [--transfer auto|off] [--index-entries N] [--io threads|epoll] [--dispatchers N]\n            \
+     [--transfer auto|off] [--index-entries N] [--dispatchers N]\n            \
      [--metrics-addr host:port] [--slow-ms N] [--platform <name>]\n            \
      [--platform-dir <dir>]\n            \
-     (--io defaults to epoll on Linux: one readiness loop serves thousands of\n            \
-     connections; threads elsewhere. --metrics-addr serves Prometheus text at\n            \
+     (the connection layer follows the build target: one epoll readiness loop\n            \
+     on Linux, a blocking pump elsewhere. --metrics-addr serves Prometheus text at\n            \
      /metrics; requests slower than --slow-ms are logged with a stage breakdown\n            \
      and journaled as flight-recorder exemplars; SIGTERM or a handler panic\n            \
      flushes the recorder to a post-mortem dump under --spill;\n            \
@@ -214,15 +214,6 @@ pub fn parse_eviction(s: &str) -> Result<EvictionPolicy, String> {
 ///
 /// Returns a message for unknown modes.
 pub fn parse_transfer(s: &str) -> Result<TransferMode, String> {
-    s.parse()
-}
-
-/// Parses the `--io` option (`threads`, `epoll`).
-///
-/// # Errors
-///
-/// Returns a message for unknown connection layers.
-pub fn parse_io(s: &str) -> Result<IoModel, String> {
     s.parse()
 }
 
@@ -680,7 +671,6 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             "max-in-flight",
             "transfer",
             "index-entries",
-            "io",
             "dispatchers",
             "metrics-addr",
             "slow-ms",
@@ -693,7 +683,6 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         .get("addr")
         .map_or("127.0.0.1:7878", String::as_str)
         .to_string();
-    let default_io = IoModel::platform_default();
     let config = ServerConfig {
         addr,
         threads: opt_parse(args, "threads", 0usize)?,
@@ -705,10 +694,6 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         max_in_flight: opt_parse(args, "max-in-flight", 0usize)?,
         transfer: parse_transfer(args.options.get("transfer").map_or("auto", String::as_str))?,
         index_entries: opt_parse(args, "index-entries", 0usize)?,
-        io: match args.options.get("io") {
-            Some(s) => parse_io(s)?,
-            None => default_io,
-        },
         dispatchers: opt_parse(args, "dispatchers", 0usize)?,
         metrics_addr: args.options.get("metrics-addr").cloned(),
         slow_ms: opt_parse(args, "slow-ms", qsdnn_serve::DEFAULT_SLOW_MS)?,
@@ -1312,16 +1297,6 @@ mod tests {
         // A bad eviction policy is a clean error, not a started server.
         let err = run(&parse_args(&argv(&["serve", "--eviction", "fifo"])).unwrap()).unwrap_err();
         assert!(err.contains("unknown eviction policy"), "{err}");
-    }
-
-    #[test]
-    fn io_model_parsing() {
-        assert_eq!(parse_io("threads").unwrap(), IoModel::Threads);
-        assert_eq!(parse_io("epoll").unwrap(), IoModel::Epoll);
-        assert!(parse_io("uring").is_err());
-        // A bad io model is a clean error, not a started server.
-        let err = run(&parse_args(&argv(&["serve", "--io", "uring"])).unwrap()).unwrap_err();
-        assert!(err.contains("unknown io model"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Marco et al.'s *Adaptive Model Selection* setting: many networks, many
 //! objectives, many clients, one warm server.
 //!
-//! Four mechanisms do the work:
+//! Five mechanisms do the work:
 //!
 //! * **Search portfolio** ([`run_portfolio_parallel`]) — every request
 //!   races multi-seed QS-DNN against the baselines (random, annealing,
@@ -34,15 +34,16 @@
 //!   over one connection; the server replies out of order as searches
 //!   finish, so a single connection can saturate the whole worker pool
 //!   ([`PlanClient::submit`]/[`PlanClient::wait`]/[`PlanClient::plan_many`]).
-//! * **Epoll connection layer** ([`IoModel`]) — on Linux (the default),
-//!   one reactor thread holds *every* connection through a readiness
-//!   loop (direct `extern "C"` epoll FFI over `std::os::fd`): nonblocking
-//!   reads feed per-connection frame buffers, replies queue in outboxes
-//!   with partial-write resumption, and a bounded dispatcher pool runs
-//!   the requests — thousands of pipelined clients cost
-//!   O(workers + dispatchers) threads, not O(connections). The
-//!   thread-per-connection layer survives behind `--io threads` and
-//!   answers byte-identically.
+//! * **One connection state machine, two drivers** ([`IoModel`]) — the
+//!   wire contract (handshake, v1 in-order pause, v2/v3 in-flight cap,
+//!   JSON → binary switch, error and backpressure rules) is one
+//!   socket-free type; every request runs on one bounded dispatcher
+//!   pool. On Linux a single reactor thread drives every connection
+//!   through an epoll readiness loop (direct `extern "C"` FFI over
+//!   `std::os::fd`), so thousands of pipelined clients cost
+//!   O(workers + dispatchers) threads, not O(connections); elsewhere a
+//!   small blocking pump (two threads per connection) drives the same
+//!   state machine. The build target chooses — there is no switch.
 //!
 //! # Quickstart
 //!
@@ -82,11 +83,13 @@
 
 mod cache;
 mod client;
+mod conn;
 mod exposition;
 mod metrics;
 mod pool;
 mod portfolio;
 pub mod protocol;
+mod pump;
 #[cfg(target_os = "linux")]
 mod reactor;
 mod server;

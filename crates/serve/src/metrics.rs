@@ -244,7 +244,7 @@ pub(crate) struct ServeMetrics {
     pub(crate) outbox_high_water_bytes: Arc<Gauge>,
     /// Search-pool gauges, handed to the `WorkerPool`.
     pub(crate) search_pool: crate::pool::PoolGauges,
-    /// Dispatcher gauges (epoll dispatch pool / threaded v2 threads).
+    /// Dispatcher-pool gauges, handed to the `qsdnn-dispatch` pool.
     pub(crate) dispatch_pool: crate::pool::PoolGauges,
 }
 

@@ -974,8 +974,8 @@ pub fn read_message<T: serde::Deserialize>(r: &mut impl BufRead) -> Result<Optio
 /// out mid-line, the bytes received so far stay in `partial` and the next
 /// call resumes the same line, so framing survives `WouldBlock`/`TimedOut`
 /// errors. Blank keepalive lines are skipped; `Ok(None)` is a clean EOF.
-/// Both the server's connection handlers and [`crate::PlanClient`] frame
-/// their reads through this.
+/// [`crate::PlanClient`] frames its reads through this; the server's
+/// bounded equivalent is [`FrameBuffer`].
 ///
 /// # Errors
 ///
@@ -1004,16 +1004,17 @@ pub fn read_line_resumable(
     }
 }
 
-/// Incremental JSON-lines splitter for nonblocking readers.
+/// Incremental JSON-lines splitter for the server's connection state
+/// machine.
 ///
-/// The epoll connection layer reads whatever bytes the socket has and
-/// pushes them here; [`FrameBuffer::next_frame`] hands back complete
+/// The connection layer reads whatever bytes the socket has and pushes
+/// them here; [`FrameBuffer::next_frame`] hands back complete
 /// `\n`-terminated lines one at a time, whatever the fragmentation — a
 /// frame split mid-byte of a UTF-8 multibyte sequence, or right across the
 /// terminator, reassembles identically because splitting happens on raw
 /// bytes and UTF-8 validation happens per complete frame. Blank
 /// (whitespace-only) lines are skipped, matching
-/// [`read_line_resumable`]'s keepalive behavior on the threaded path.
+/// [`read_line_resumable`]'s keepalive behavior on the client side.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -1068,7 +1069,7 @@ impl FrameBuffer {
             let rel = pending.iter().position(|&b| b == b'\n')?;
             let line = pending.get(..rel).unwrap_or(&[]);
             // Strip an optional carriage return so `nc -C`-style clients
-            // work, mirroring the `trim()` on the threaded path.
+            // work, mirroring the `trim()` in `parse_request_frame`.
             let line = line.strip_suffix(b"\r").unwrap_or(line);
             let blank = line.iter().all(|b| b.is_ascii_whitespace());
             let frame = if blank { None } else { Some(line.to_vec()) };
@@ -1080,11 +1081,9 @@ impl FrameBuffer {
         }
     }
 
-    /// At EOF: takes a trailing unterminated line, if any. The threaded
-    /// path's [`read_line_resumable`] hands over a partial line when the
-    /// peer closes without a final `\n`; this is the nonblocking
-    /// equivalent, so half-close clients get their last request answered
-    /// on either connection layer.
+    /// At EOF: takes a trailing unterminated line, if any, so a client
+    /// that half-closes without a final `\n` still gets its last request
+    /// answered (as [`read_line_resumable`] does for blocking readers).
     pub fn take_partial(&mut self) -> Option<Vec<u8>> {
         let tail = self.buf.get(self.start..).unwrap_or(&[]);
         let tail = tail.strip_suffix(b"\r").unwrap_or(tail);

@@ -1,30 +1,25 @@
 //! The epoll connection layer: one readiness loop owns every socket.
 //!
-//! The threaded layer spends a thread per connection; this layer spends
-//! one — a reactor thread running `epoll_wait` over the listener, a
-//! wakeup pipe and every client socket (all nonblocking). Connections are
-//! per-socket state machines:
+//! The blocking pump spends two threads per connection; this layer spends
+//! one in total — a reactor thread running `epoll_wait` over the
+//! listener, a wakeup pipe and every client socket (all nonblocking). The
+//! wire contract lives in [`Connection`]; this module only moves bytes:
 //!
-//! * **read** — readable bytes land in a [`FrameBuffer`], which splits
-//!   them into JSON lines whatever the fragmentation; complete frames are
-//!   parsed and handed to a bounded dispatcher pool.
-//! * **dispatch** — dispatchers run the request (fanning portfolio members
-//!   onto the shared search [`WorkerPool`]), serialize the reply and push
-//!   it onto a completion queue, then write one byte into the wakeup pipe
-//!   so the loop picks it up. Dispatchers never touch sockets.
-//! * **write** — replies queue in a per-connection outbox; the loop writes
-//!   as much as the socket accepts, resumes partial writes on `EPOLLOUT`,
-//!   and never blocks on a slow reader.
+//! * **read** — readable bytes are pushed into the connection's state
+//!   machine; every [`Connection::next_job`] it yields goes to the bounded
+//!   dispatcher pool.
+//! * **dispatch** — dispatchers run the job (fanning portfolio members
+//!   onto the shared search [`WorkerPool`]), push the rendered reply onto
+//!   a completion queue, then write one byte into the wakeup pipe so the
+//!   loop picks it up. Dispatchers never touch sockets.
+//! * **write** — the loop writes as much pending output as the socket
+//!   accepts, resumes partial writes on `EPOLLOUT`, and never blocks on a
+//!   slow reader.
 //!
-//! Backpressure falls out of interest management: a connection at its
-//! tagged in-flight cap, mid-v1-request, or with an over-full outbox
-//! simply stops being registered for `EPOLLIN`, so TCP flow control
-//! pushes back on the client while every other connection proceeds.
-//!
-//! Protocol semantics are identical to the threaded layer: bare (v1)
-//! requests are answered in order one at a time (the state machine pauses
-//! frame parsing until the reply is queued), tagged (v2) requests pipeline
-//! up to the per-connection cap and complete out of order.
+//! Backpressure is interest management: a connection whose state machine
+//! does not [`Connection::wants_read`] simply stops being registered for
+//! `EPOLLIN`, so TCP flow control pushes back on the client while every
+//! other connection proceeds.
 //!
 //! The epoll binding is direct `extern "C"` FFI over `std::os::fd` — this
 //! build is offline, and the four syscalls involved don't justify a
@@ -32,7 +27,7 @@
 
 #![allow(unsafe_code)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -43,14 +38,9 @@ use std::time::{Duration, Instant};
 
 use qsdnn_obs::EventKind;
 
-use crate::metrics::{RequestSpan, Stage, TASK_KIND_DISPATCH_JOB};
-use crate::pool::{PoolRecorder, WorkerPool};
-use crate::protocol::{
-    binary_error_frame, negotiates_binary, parse_binary_request, parse_request_frame,
-    write_message, BinaryFrame, BinaryFrameStatus, FrameBuffer, Request, RequestFrame, Response,
-    TaggedResponse, WireMode, BINARY_FRAME_OVERHEAD,
-};
-use crate::server::{ServiceState, ACCEPT_BACKOFF_MAX, ACCEPT_BACKOFF_MIN, POOL_ID_DISPATCH};
+use crate::conn::{Connection, Job, Reply};
+use crate::pool::WorkerPool;
+use crate::server::{ServiceState, ACCEPT_BACKOFF_MAX, ACCEPT_BACKOFF_MIN, SHUTDOWN_DRAIN};
 use crate::ServeError;
 
 /// Raw Linux epoll/pipe bindings. Constants match the kernel UAPI headers
@@ -96,34 +86,12 @@ mod sys {
     }
 }
 
-/// Hard bound on one request line. A line that exceeds this without a
-/// terminator is hostile (or a broken client); the connection gets one
-/// untagged error reply and is closed — there is no way to resync framing
-/// inside an unbounded line. The threaded layer reads lines unboundedly;
-/// this bound exists exactly because the epoll layer is the
-/// thousands-of-untrusted-clients layer.
-pub(crate) const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
-
-// The codec layer publishes the same bound for clients and the threaded
-// layer; the two must never drift apart.
-const _: () = assert!(MAX_FRAME_BYTES == crate::protocol::MAX_FRAME_BYTES);
-
-/// Outbox high-water mark: a connection whose peer refuses to read its
-/// replies stops being read once this many reply bytes queue, so its
-/// memory footprint is bounded and nothing else stalls.
-pub(crate) const MAX_OUTBOX_BYTES: usize = 8 * 1024 * 1024;
-
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Idle `epoll_wait` tick: bounds how stale the accept back-off and
 /// shutdown checks can get even if a wakeup is lost.
 const TICK: Duration = Duration::from_millis(100);
-
-/// How long shutdown waits for in-flight requests to finish and queued
-/// replies to flush before abandoning the remaining connections. Keeps a
-/// never-reading client from wedging [`crate::PlanServer::shutdown`].
-const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
 /// A reactor work phase (everything between two `epoll_wait`s) longer
 /// than this journals a `reactor_stall` flight-recorder event: the loop
@@ -242,27 +210,15 @@ impl Waker {
     }
 }
 
-/// One finished request on its way back from a dispatcher to the loop.
-struct Completion {
-    token: u64,
-    /// `true` for a bare (v1) reply: delivery unblocks the connection's
-    /// frame parser. `false` decrements the tagged in-flight count.
-    untagged: bool,
-    line: Vec<u8>,
-    /// The request's span (parse/queue/handler/serialize recorded by the
-    /// dispatcher); the loop adds the write stage and observes it once the
-    /// reply is fully on the wire.
-    span: Option<RequestSpan>,
-}
-
-/// Dispatcher → reactor handoff: a locked queue plus the wakeup pipe.
+/// Dispatcher → reactor handoff: finished requests by connection token in
+/// a locked queue, plus the wakeup pipe.
 pub(crate) struct Completions {
-    queue: Mutex<Vec<Completion>>,
+    queue: Mutex<Vec<(u64, Reply)>>,
     waker: Waker,
 }
 
 impl Completions {
-    fn push(&self, completion: Completion) {
+    fn push(&self, completion: (u64, Reply)) {
         self.queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -270,7 +226,7 @@ impl Completions {
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    fn drain(&self) -> Vec<(u64, Reply)> {
         std::mem::take(
             &mut *self
                 .queue
@@ -280,99 +236,21 @@ impl Completions {
     }
 }
 
-/// One reply line queued for a connection's socket, with the span it
-/// closes (observed when its last byte is handed to the kernel).
-struct OutLine {
-    line: Vec<u8>,
-    span: Option<RequestSpan>,
-    /// When the line entered the outbox: the write stage measures
-    /// queue-to-last-byte.
-    queued: Instant,
-}
-
-/// Per-connection state machine.
+/// One client socket and its protocol state.
 struct Conn {
     stream: TcpStream,
-    frames: FrameBuffer,
-    /// Serialized reply lines awaiting the socket; `front_written` bytes
-    /// of the front line are already on the wire (partial-write resume).
-    outbox: VecDeque<OutLine>,
-    front_written: usize,
-    outbox_bytes: usize,
-    /// Tagged (v2) requests dispatched but not yet completed.
-    in_flight: usize,
-    /// A bare (v1) request is being handled; parsing is paused so its
-    /// reply stays in order, exactly like the threaded layer's inline
-    /// handling.
-    v1_busy: bool,
-    /// EOF (or half-close) observed on the read side.
-    read_closed: bool,
-    /// Fatal framing violation: flush the outbox, then close.
-    closing: bool,
+    machine: Connection,
     /// Interest mask currently installed in the epoll set.
     registered: u32,
-    /// Wire framing currently active: every connection starts as JSON
-    /// lines; a bare v3 ping flips it to binary at pong delivery.
-    mode: WireMode,
-    /// A bare v3 ping was dispatched; its pong completion flips `mode`.
-    /// `v1_busy` already pauses parsing meanwhile, so no bytes the
-    /// client sends after its ping are misparsed under the old framing.
-    upgrade_pending: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, registered: u32) -> Conn {
-        Conn {
-            stream,
-            frames: FrameBuffer::new(),
-            outbox: VecDeque::new(),
-            front_written: 0,
-            outbox_bytes: 0,
-            in_flight: 0,
-            v1_busy: false,
-            read_closed: false,
-            closing: false,
-            registered,
-            mode: WireMode::Json,
-            upgrade_pending: false,
-        }
-    }
-
-    /// Read/parse cutoff for this connection's framing. A binary frame's
-    /// body is bounded at [`MAX_FRAME_BYTES`] like a JSON line, but the
-    /// frame additionally carries its fixed-size header — without the
-    /// slack, an exactly-at-the-bound body could never finish buffering
-    /// and the connection would wedge unreadable.
-    fn frame_bound(&self) -> usize {
-        match self.mode {
-            WireMode::Json => MAX_FRAME_BYTES,
-            WireMode::Binary => MAX_FRAME_BYTES + BINARY_FRAME_OVERHEAD,
-        }
-    }
-
-    fn queue_line(&mut self, line: Vec<u8>, span: Option<RequestSpan>) {
-        self.outbox_bytes += line.len();
-        self.outbox.push_back(OutLine {
-            line,
-            span,
-            queued: Instant::now(),
-        });
-    }
-
-    /// No request in any stage — safe to close once the read side is done
-    /// (or the server is draining).
-    fn idle(&self) -> bool {
-        self.in_flight == 0 && !self.v1_busy && self.outbox.is_empty()
-    }
 }
 
 /// Starts the epoll connection layer on `listener`. Returns the reactor's
-/// join handle, a waker for shutdown, and the dispatcher pool (the caller
-/// holds one `Arc` so it can drain the pool after joining the reactor).
+/// join handle and a waker for shutdown. The reactor thread owns the
+/// dispatcher pool, so joining it also drains the dispatchers.
 pub(crate) fn start(
     listener: TcpListener,
     state: Arc<ServiceState>,
-) -> Result<(JoinHandle<()>, Waker, Arc<WorkerPool>), ServeError> {
+) -> Result<(JoinHandle<()>, Waker), ServeError> {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     let mut pipe_fds = [0i32; 2];
@@ -392,21 +270,6 @@ pub(crate) fn start(
     };
     epoll.add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
     epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKER)?;
-    let dispatcher_count = state.config.dispatcher_count(state.pool.threads());
-    let dispatchers = Arc::new(WorkerPool::named_observed(
-        "qsdnn-dispatch",
-        dispatcher_count,
-        state
-            .config
-            .instrument
-            .then(|| state.metrics.dispatch_pool.clone()),
-        state.metrics.recorder().enabled().then(|| PoolRecorder {
-            recorder: Arc::clone(state.metrics.recorder()),
-            task_kind: TASK_KIND_DISPATCH_JOB,
-            pool_id: POOL_ID_DISPATCH,
-            saturation_threshold: (dispatcher_count * 2) as i64,
-        }),
-    ));
     let completions = Arc::new(Completions {
         queue: Mutex::new(Vec::new()),
         waker: waker.clone(),
@@ -420,15 +283,15 @@ pub(crate) fn start(
         wake_rx,
         conns: HashMap::new(),
         next_token: TOKEN_FIRST_CONN,
+        dispatchers: state.dispatcher_pool(),
         state,
-        dispatchers: Arc::clone(&dispatchers),
         completions,
         drain_deadline: None,
     };
     let handle = std::thread::Builder::new()
         .name("qsdnn-reactor".into())
         .spawn(move || reactor.run())?;
-    Ok((handle, waker, dispatchers))
+    Ok((handle, waker))
 }
 
 struct Reactor {
@@ -444,7 +307,7 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     state: Arc<ServiceState>,
-    dispatchers: Arc<WorkerPool>,
+    dispatchers: WorkerPool,
     completions: Arc<Completions>,
     /// Set when shutdown begins: how long to keep flushing before
     /// abandoning whatever is left.
@@ -487,8 +350,8 @@ impl Reactor {
             }
             // Completions are drained every turn, not only on waker
             // readiness: a wake can coalesce with one already pending.
-            for completion in self.completions.drain() {
-                self.deliver(completion);
+            for (token, reply) in self.completions.drain() {
+                self.deliver(token, reply);
             }
             let worked = work_start.elapsed();
             if instrumented {
@@ -529,7 +392,7 @@ impl Reactor {
         timeout.max(Duration::from_millis(1))
     }
 
-    /// First call: stop accepting and reading, close idle connections,
+    /// First call: stop accepting and parsing, close idle connections,
     /// start the drain clock. Later calls: report whether the drain is
     /// done (everything idle-and-closed, or deadline passed).
     fn begin_or_check_drain(&mut self) -> bool {
@@ -538,8 +401,10 @@ impl Reactor {
             self.arm_listener(false);
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
             for token in tokens {
-                self.update_interest(token);
-                self.maybe_close(token);
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.machine.drain();
+                }
+                self.service(token);
             }
         }
         let deadline = *self
@@ -597,7 +462,15 @@ impl Reactor {
                         continue;
                     }
                     self.state.metrics.connections.inc();
-                    self.conns.insert(token, Conn::new(stream, interest));
+                    let machine = Connection::new(self.state.config.in_flight_cap());
+                    self.conns.insert(
+                        token,
+                        Conn {
+                            stream,
+                            machine,
+                            registered: interest,
+                        },
+                    );
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -628,41 +501,32 @@ impl Reactor {
         if bits & sys::EPOLLOUT != 0 && !self.flush(token) {
             return;
         }
-        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
-            self.read_ready(token);
+        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !self.read_ready(token) {
             return;
         }
-        // EPOLLOUT-only wakeup: draining the outbox below its high-water
-        // mark is one of the conditions that unpauses parsing, and the
-        // unparsed frames already sit in the FrameBuffer — no further
-        // EPOLLIN will announce them, so parse here or never.
-        self.process_frames(token);
-        self.update_interest(token);
-        self.maybe_close(token);
+        // Also on an EPOLLOUT-only wakeup: draining the outbox below its
+        // high-water mark unpauses parsing, and the unparsed frames already
+        // sit in the state machine — no further EPOLLIN will announce
+        // them, so parse here or never.
+        self.service(token);
     }
 
-    fn read_ready(&mut self, token: u64) {
+    /// Moves readable bytes into the state machine. Returns `false` when
+    /// the connection was closed by a read failure.
+    fn read_ready(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return false;
         };
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
+        // `wants_read` bounds the bytes taken per readiness round at the
+        // frame bound, so one firehose connection cannot starve the loop;
+        // level triggering re-reports the rest next turn.
+        while conn.machine.wants_read() {
             match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
+                Ok(0) => conn.machine.read_eof(),
                 Ok(n) => {
-                    if let Some(bytes) = chunk.get(..n) {
-                        conn.frames.push(bytes);
-                    }
+                    conn.machine.push_bytes(chunk.get(..n).unwrap_or(&[]));
                     if n < chunk.len() {
-                        break;
-                    }
-                    // Bound the bytes taken per readiness round so one
-                    // firehose connection cannot starve the loop; level
-                    // triggering re-reports the rest next turn.
-                    if conn.frames.buffered() >= conn.frame_bound() {
                         break;
                     }
                 }
@@ -670,310 +534,68 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(token);
-                    return;
+                    return false;
                 }
             }
         }
-        self.process_frames(token);
+        true
+    }
+
+    /// One turn of a connection's crank, after anything that may have
+    /// changed its state (bytes read, output flushed, a completion
+    /// delivered, shutdown): dispatch every request the state machine
+    /// releases, re-arm interest (`EPOLLOUT` picks up any error reply
+    /// just queued), close if done.
+    fn service(&mut self, token: u64) {
+        while let Some(job) = self
+            .conns
+            .get_mut(&token)
+            .and_then(|conn| conn.machine.next_job(&self.state.metrics))
+        {
+            self.dispatch(token, job);
+        }
         self.update_interest(token);
-        self.maybe_close(token);
-    }
-
-    /// Parses as many buffered frames as the connection's state machine
-    /// allows and dispatches them. Called after reads and after every
-    /// completion delivery (a completion can unpause parsing with bytes
-    /// already buffered and no new readiness coming).
-    fn process_frames(&mut self, token: u64) {
-        // Once shutdown draining starts, no new requests are accepted —
-        // buffered-but-unparsed bytes are dropped, exactly like the
-        // threaded reader returning on the shutdown flag.
-        if self.drain_deadline.is_some() {
-            return;
-        }
-        loop {
-            let cap = self.state.config.in_flight_cap();
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.closing
-                || conn.v1_busy
-                || conn.in_flight >= cap
-                || conn.outbox_bytes > MAX_OUTBOX_BYTES
-            {
-                return;
-            }
-            if conn.mode == WireMode::Binary {
-                match conn.frames.next_binary_frame(MAX_FRAME_BYTES) {
-                    BinaryFrameStatus::Frame(frame) => {
-                        self.handle_binary_frame(token, frame);
-                        continue;
-                    }
-                    BinaryFrameStatus::Corrupt(message) => {
-                        // Header violation (bad magic/kind, or a declared
-                        // length beyond the bound — rejected from the
-                        // 6-byte header alone): one error frame, then
-                        // close. Without a trustworthy length prefix the
-                        // stream cannot resync.
-                        conn.queue_line(binary_error_frame(None, &message), None);
-                        conn.closing = true;
-                        self.flush(token);
-                        return;
-                    }
-                    BinaryFrameStatus::NeedMore => {
-                        if conn.read_closed && conn.frames.buffered() > 0 {
-                            // EOF mid-frame: explicit lengths make a torn
-                            // tail corruption, not a final request —
-                            // unlike the JSON layer's unterminated line.
-                            conn.queue_line(
-                                binary_error_frame(None, "connection closed mid-frame"),
-                                None,
-                            );
-                            conn.closing = true;
-                            self.flush(token);
-                        }
-                        return;
-                    }
-                }
-            }
-            let line = match conn.frames.next_frame() {
-                Some(line) => line,
-                // `>=`, matching the read cutoff exactly: reading stops at
-                // the bound, so a line that *reaches* it can never grow a
-                // terminator — treating only `>` as hostile would strand
-                // an exactly-at-the-bound connection unreadable forever.
-                None if conn.frames.buffered() >= MAX_FRAME_BYTES => {
-                    // A single line at the frame bound: hostile. One
-                    // untagged error, then close — framing cannot be
-                    // resynced inside an unbounded line.
-                    let resp = Response::Error {
-                        message: format!(
-                            "protocol error: request line exceeds the \
-                             {MAX_FRAME_BYTES}-byte frame bound"
-                        ),
-                    };
-                    conn.queue_line(serialize_line(&resp), None);
-                    conn.closing = true;
-                    self.flush(token);
-                    return;
-                }
-                None if conn.read_closed => {
-                    // EOF with a trailing unterminated line: answer it,
-                    // matching the threaded layer's `read_line_resumable`.
-                    match conn.frames.take_partial() {
-                        Some(tail) => tail,
-                        None => return,
-                    }
-                }
-                None => return,
-            };
-            self.handle_frame(token, line);
+        if self
+            .conns
+            .get(&token)
+            .is_some_and(|conn| conn.machine.finished())
+        {
+            self.close(token);
         }
     }
 
-    fn handle_frame(&mut self, token: u64, line: Vec<u8>) {
-        // The span opens at frame receipt as kind `error`; a parsed
-        // request re-labels it in `dispatch_spanned`.
-        let mut span = self.state.metrics.span("error");
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let parsed = span.time(Stage::Parse, || {
-            String::from_utf8(line)
-                .map_err(|_| "request line is not valid UTF-8".to_string())
-                .and_then(|text| {
-                    parse_request_frame(&text).map_err(|e| match e {
-                        ServeError::Protocol(message) => message,
-                        other => other.to_string(),
-                    })
-                })
+    fn dispatch(&self, token: u64, job: Job) {
+        let state = Arc::clone(&self.state);
+        let completions = Arc::clone(&self.completions);
+        self.dispatchers.execute(move || {
+            completions.push((token, state.run_job(job)));
         });
-        match parsed {
-            Err(message) => {
-                // Malformed line (or not UTF-8): report (untagged — no id
-                // survived the wreckage) and keep the connection, exactly
-                // like the threaded layer.
-                let resp = Response::Error { message };
-                conn.queue_line(serialize_line(&resp), Some(span));
-            }
-            Ok(RequestFrame::Untagged(req)) => {
-                // v1 contract: at most one bare request runs at a time and
-                // its reply stays in order — parsing pauses until the
-                // completion comes back.
-                conn.v1_busy = true;
-                // A *bare* in-range v3 ping negotiates the binary framing
-                // (the handler always answers it with a pong). The flip
-                // happens when that pong is delivered, so it goes out as
-                // this connection's last JSON line.
-                if matches!(&req, Request::Ping { version } if negotiates_binary(*version)) {
-                    conn.upgrade_pending = true;
+    }
+
+    fn deliver(&mut self, token: u64, reply: Reply) {
+        match self.conns.get_mut(&token) {
+            Some(conn) => {
+                conn.machine.complete(reply, &self.state.metrics);
+                if self.flush(token) {
+                    self.service(token);
                 }
-                let state = Arc::clone(&self.state);
-                let completions = Arc::clone(&self.completions);
-                let enqueued = Instant::now();
-                self.dispatchers.execute(move || {
-                    span.record(Stage::Queue, enqueued.elapsed());
-                    let resp = state.dispatch_spanned(req, &mut span);
-                    let line = span.time(Stage::Serialize, || serialize_line(&resp));
-                    completions.push(Completion {
-                        token,
-                        untagged: true,
-                        line,
-                        span: Some(span),
-                    });
-                });
             }
-            Ok(RequestFrame::Tagged(tagged)) => {
-                conn.in_flight += 1;
-                let depth = conn.in_flight;
-                self.state.note_in_flight(depth);
-                self.state.pipelined.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::clone(&self.state);
-                let completions = Arc::clone(&self.completions);
-                let enqueued = Instant::now();
-                self.dispatchers.execute(move || {
-                    span.record(Stage::Queue, enqueued.elapsed());
-                    let resp = state.dispatch_spanned(tagged.req, &mut span);
-                    let line = span.time(Stage::Serialize, || {
-                        serialize_line(&TaggedResponse {
-                            id: tagged.id,
-                            resp,
-                        })
-                    });
-                    completions.push(Completion {
-                        token,
-                        untagged: false,
-                        line,
-                        span: Some(span),
-                    });
-                });
-            }
-        }
-    }
-
-    /// [`Reactor::handle_frame`] for a binary-mode connection. Same
-    /// v1/v2 dispatch contract; the dispatcher serializes through
-    /// [`ServiceState::render_binary_frame`], which rides the cached
-    /// wire body on eligible plan-cache hits. A body that fails to
-    /// decode answers under its header id (when tagged) and the
-    /// connection lives — the length prefix already resynced the stream.
-    fn handle_binary_frame(&mut self, token: u64, frame: BinaryFrame) {
-        let mut span = self.state.metrics.span("error");
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let parsed = span.time(Stage::Parse, || parse_binary_request(&frame));
-        match parsed {
-            Err(e) => {
-                let message = match e {
-                    ServeError::Protocol(message) => message,
-                    other => other.to_string(),
-                };
-                conn.queue_line(binary_error_frame(frame.id, &message), Some(span));
-            }
-            Ok(RequestFrame::Untagged(req)) => {
-                conn.v1_busy = true;
-                let state = Arc::clone(&self.state);
-                let completions = Arc::clone(&self.completions);
-                let enqueued = Instant::now();
-                self.dispatchers.execute(move || {
-                    span.record(Stage::Queue, enqueued.elapsed());
-                    let resp = state.dispatch_spanned(req, &mut span);
-                    let line =
-                        span.time(Stage::Serialize, || state.render_binary_frame(None, &resp));
-                    completions.push(Completion {
-                        token,
-                        untagged: true,
-                        line,
-                        span: Some(span),
-                    });
-                });
-            }
-            Ok(RequestFrame::Tagged(tagged)) => {
-                conn.in_flight += 1;
-                let depth = conn.in_flight;
-                self.state.note_in_flight(depth);
-                self.state.pipelined.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::clone(&self.state);
-                let completions = Arc::clone(&self.completions);
-                let enqueued = Instant::now();
-                self.dispatchers.execute(move || {
-                    span.record(Stage::Queue, enqueued.elapsed());
-                    let resp = state.dispatch_spanned(tagged.req, &mut span);
-                    let line = span.time(Stage::Serialize, || {
-                        state.render_binary_frame(Some(tagged.id), &resp)
-                    });
-                    completions.push(Completion {
-                        token,
-                        untagged: false,
-                        line,
-                        span: Some(span),
-                    });
-                });
-            }
-        }
-    }
-
-    fn deliver(&mut self, completion: Completion) {
-        let Some(conn) = self.conns.get_mut(&completion.token) else {
             // The connection died while its request ran: the reply is
             // undeliverable, but the work still happened — observe the
             // span without a write stage.
-            if let Some(span) = &completion.span {
-                self.state.metrics.observe(span);
-            }
-            return;
-        };
-        if completion.untagged {
-            conn.v1_busy = false;
-            if conn.upgrade_pending {
-                // The queued line is the negotiation pong — the last
-                // JSON this connection sees. Parsing was paused the
-                // whole time (`v1_busy`), so every byte still buffered
-                // parses under the new framing, never the old.
-                conn.upgrade_pending = false;
-                conn.mode = WireMode::Binary;
-            }
-        } else {
-            conn.in_flight = conn.in_flight.saturating_sub(1);
+            None => self.state.metrics.observe(&reply.span),
         }
-        conn.queue_line(completion.line, completion.span);
-        self.state
-            .metrics
-            .outbox_high_water_bytes
-            .set_max(conn.outbox_bytes as i64);
-        let token = completion.token;
-        if !self.flush(token) {
-            return;
-        }
-        self.process_frames(token);
-        self.update_interest(token);
-        self.maybe_close(token);
     }
 
-    /// Writes as much of the outbox as the socket accepts. Returns `false`
-    /// when the connection was closed by a write failure.
+    /// Writes as much pending output as the socket accepts. Returns
+    /// `false` when the connection is gone (closed by a write failure).
     fn flush(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        while let Some(front) = conn.outbox.front() {
-            let pending = front.line.get(conn.front_written..).unwrap_or(&[]);
-            match conn.stream.write(pending) {
-                Ok(n) => {
-                    conn.front_written += n;
-                    conn.outbox_bytes = conn.outbox_bytes.saturating_sub(n);
-                    if conn.front_written >= front.line.len() {
-                        conn.front_written = 0;
-                        // The reply is fully handed to the kernel: close
-                        // out its span with the write stage.
-                        if let Some(done) = conn.outbox.pop_front() {
-                            if let Some(mut span) = done.span {
-                                span.record(Stage::Write, done.queued.elapsed());
-                                self.state.metrics.observe(&span);
-                            }
-                        }
-                    }
-                }
+        while !conn.machine.pending_output().is_empty() {
+            match conn.stream.write(conn.machine.pending_output()) {
+                Ok(n) => conn.machine.advance(n, &self.state.metrics),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -988,30 +610,21 @@ impl Reactor {
     }
 
     /// Reconciles the epoll interest mask with the connection's state:
-    /// `EPOLLIN` while the state machine is willing to parse, `EPOLLOUT`
-    /// while the outbox holds unflushed bytes.
+    /// `EPOLLIN` while the state machine wants bytes, `EPOLLOUT` while it
+    /// holds unflushed output.
     fn update_interest(&mut self, token: u64) {
-        let cap = self.state.config.in_flight_cap();
-        let draining = self.drain_deadline.is_some();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let readable = !conn.read_closed
-            && !conn.closing
-            && !draining
-            && !conn.v1_busy
-            && conn.in_flight < cap
-            && conn.outbox_bytes <= MAX_OUTBOX_BYTES
-            && conn.frames.buffered() < conn.frame_bound();
         // EPOLLRDHUP rides with EPOLLIN, never alone: once the read side
         // is done (or paused), a half-closed socket would otherwise
         // re-report RDHUP on every single epoll_wait — a busy loop that
         // burns the core until the connection drains.
         let mut want = 0;
-        if readable {
+        if conn.machine.wants_read() {
             want |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
-        if !conn.outbox.is_empty() {
+        if !conn.machine.pending_output().is_empty() {
             want |= sys::EPOLLOUT;
         }
         if want != conn.registered
@@ -1024,45 +637,12 @@ impl Reactor {
         }
     }
 
-    /// Closes a connection whose useful life is over: the read side is
-    /// done (or the connection is condemned / the server draining) and no
-    /// request or reply remains in any stage.
-    fn maybe_close(&mut self, token: u64) {
-        let draining = self.drain_deadline.is_some();
-        let Some(conn) = self.conns.get(&token) else {
-            return;
-        };
-        if (conn.read_closed || conn.closing || draining) && conn.idle() {
-            self.close(token);
-        }
-    }
-
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
+        if let Some(mut conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             self.state.metrics.connections.dec();
-            // Replies stranded in the outbox never reach the wire, but
-            // their requests did run — observe their spans sans write.
-            for entry in conn.outbox {
-                if let Some(span) = entry.span {
-                    self.state.metrics.observe(&span);
-                }
-            }
+            conn.machine.abort(&self.state.metrics);
             // Dropping the stream closes the fd.
         }
     }
-}
-
-/// Serializes one reply as a JSON line. Serialization of our own response
-/// types cannot fail in practice; if it ever does, the client still gets
-/// a well-formed error line rather than silence or a torn frame.
-fn serialize_line(resp: &impl serde::Serialize) -> Vec<u8> {
-    let mut line = Vec::new();
-    if write_message(&mut line, resp).is_err() {
-        line.clear();
-        line.extend_from_slice(
-            b"{\"Error\":{\"message\":\"internal error: reply serialization failed\"}}\n",
-        );
-    }
-    line
 }

@@ -1,34 +1,25 @@
 //! The plan-compilation TCP server.
 //!
-//! One acceptor thread; one lightweight handler thread per connection
-//! (connections mostly block on I/O); all search work fans onto the shared
-//! [`WorkerPool`]. Plans and profiles are content-addressed in
-//! [`PlanCache`]s, so concurrent identical requests coalesce into one
-//! search regardless of which connection they arrive on.
+//! [`ServiceState`] is the service proper: `Request → Response`, with
+//! plans and profiles content-addressed in [`PlanCache`]s so concurrent
+//! identical requests coalesce into one search regardless of which
+//! connection they arrive on, and all search work fanned onto the shared
+//! [`WorkerPool`]. [`PlanServer`] puts it behind a TCP listener through
+//! one of two connection layers ([`IoModel`]) that both drive the same
+//! socket-free [`crate::conn::Connection`] and run every request as a
+//! [`ServiceState::run_job`] on one bounded dispatcher pool.
 //!
-//! # Pipelining
-//!
-//! A connection handler is a *reader*: it parses frames continuously.
-//! Bare (v1) requests are handled inline, one at a time, so their replies
-//! stay in order. Tagged (v2) requests are dispatched to a bounded
-//! dispatcher thread each, which runs the request — fanning its portfolio
-//! onto the shared [`WorkerPool`] — and writes the tagged reply under the
-//! connection's write-side mutex whenever it finishes, out of order. The
-//! per-connection in-flight cap bounds dispatcher threads and provides
-//! backpressure: at the cap the reader simply stops parsing, so TCP flow
-//! control pushes back on the client.
-//!
-//! Dispatchers deliberately do **not** run as [`WorkerPool`] jobs: a
-//! request job blocks on its portfolio members, which are themselves pool
-//! jobs, so enough concurrent requests would occupy every worker with
-//! blocked parents and deadlock the pool (the classic nested-pool trap).
+//! Dispatchers are deliberately a **separate** pool from the search
+//! workers: a request job blocks on its portfolio members, which are
+//! themselves search-pool jobs, so enough concurrent requests sharing one
+//! pool would occupy every worker with blocked parents and deadlock it
+//! (the classic nested-pool trap).
 
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,28 +32,29 @@ use qsdnn::{Portfolio, PortfolioOutcome, QTable, TransferMapping};
 use qsdnn_obs::{EventKind, FlightRecorder};
 
 use crate::cache::{plan_key_on, warm_plan_key_on, CacheValue, EvictionPolicy, PlanCache};
+use crate::conn::{json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
     families_from_snapshot, kind_index, request_kind, trace_requested, RequestSpan, Stage, KINDS,
+    TASK_KIND_DISPATCH_JOB,
 };
 use crate::pool::{PoolRecorder, WorkerPool};
 use crate::portfolio::{run_portfolio_parallel, run_portfolio_parallel_with, WarmStart};
 use crate::protocol::{
-    default_episodes, encode_binary_frame, encode_body, negotiates_binary, parse_binary_request,
-    parse_request_frame, read_binary_frame_resumable, read_line_resumable, write_message, EventMsg,
-    EventsResponse, ExemplarMsg, FrameBuffer, MetricsResponse, PlanRequest, PlanResponse,
-    PlatformInfo, PlatformsResponse, PostmortemDump, ProfileRequest, ProfileResponse, Request,
-    RequestFrame, Response, SearchRequest, StageTiming, StatsResponse, TaggedResponse, TaskMsg,
-    TasksResponse, TransferMode, WarmStartInfo, MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
+    default_episodes, encode_binary_frame, encode_body, EventMsg, EventsResponse, ExemplarMsg,
+    MetricsResponse, PlanRequest, PlanResponse, PlatformInfo, PlatformsResponse, PostmortemDump,
+    ProfileRequest, ProfileResponse, Request, Response, SearchRequest, StageTiming, StatsResponse,
+    TaskMsg, TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
 use crate::transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_DONOR_CANDIDATES};
 use crate::ServeError;
 
-/// How long a connection handler blocks in `read` before re-checking the
-/// shutdown flag. Bounds both shutdown latency and the join in
-/// [`PlanServer::shutdown`].
-const HANDLER_READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long shutdown waits for in-flight requests to finish and queued
+/// replies to flush before abandoning the remaining connections. Keeps a
+/// never-reading client from wedging [`PlanServer::shutdown`] on either
+/// connection layer.
+pub(crate) const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
 /// First back-off after a transient `accept()` failure (EMFILE & friends).
 /// Doubles per consecutive failure up to [`ACCEPT_BACKOFF_MAX`], resets on
@@ -71,7 +63,7 @@ const HANDLER_READ_TIMEOUT: Duration = Duration::from_millis(100);
 pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 
 /// Ceiling on the acceptor back-off; also bounds the extra shutdown
-/// latency a backed-off threaded acceptor can add.
+/// latency a backed-off blocking acceptor can add.
 pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 /// Cache id carried in cache flight-recorder events (`a` payload).
@@ -80,22 +72,21 @@ pub(crate) const CACHE_ID_PLAN: u64 = 0;
 pub(crate) const CACHE_ID_PROFILE: u64 = 1;
 /// Pool id carried in `PoolSaturated` events (`a` payload).
 pub(crate) const POOL_ID_SEARCH: u64 = 0;
-/// Pool id of the epoll dispatcher pool in `PoolSaturated` events.
-pub(crate) const POOL_ID_DISPATCH: u64 = 1;
+/// Pool id of the dispatcher pool in `PoolSaturated` events.
+const POOL_ID_DISPATCH: u64 = 1;
 
-/// Which connection layer carries accept/read/write traffic. Search work
-/// always runs on the synchronous [`WorkerPool`] either way — the I/O
-/// model only decides how bytes move between sockets and dispatch.
+/// Which driver moves bytes between sockets and the per-connection
+/// protocol state machine. The wire contract, the dispatcher pool and the
+/// search [`WorkerPool`] are the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoModel {
-    /// One handler thread per connection (the original layer). Fine for
-    /// dozens of clients; threads scale O(connections).
+    /// The portable blocking pump: a reader and a writer thread per
+    /// connection. Fine for dozens of clients; threads scale
+    /// O(connections).
     Threads,
-    /// A single epoll readiness loop owns every socket (Linux only):
-    /// nonblocking reads into per-connection frame buffers, write queues
-    /// with partial-write resumption, requests fanned onto a bounded
-    /// dispatcher pool. Threads scale O(workers + dispatchers), so
-    /// thousands of idle-ish connections cost one loop.
+    /// A single epoll readiness loop owns every socket (Linux only).
+    /// Threads scale O(workers + dispatchers), so thousands of idle-ish
+    /// connections cost one loop.
     Epoll,
 }
 
@@ -108,43 +99,14 @@ impl IoModel {
         }
     }
 
-    /// The default for this build target: `epoll` on Linux, `threads`
-    /// elsewhere. The `QSDNN_SERVE_IO` environment variable (values
-    /// `threads`/`epoll`) overrides it, which is how CI runs the whole
-    /// e2e suite once per connection layer without touching every test.
-    ///
-    /// # Panics
-    ///
-    /// On an unparseable `QSDNN_SERVE_IO` value. The variable exists
-    /// solely to select the layer under test; silently falling back to
-    /// the platform default would run one layer twice while claiming
-    /// both-layer coverage.
+    /// The layer for this build target: `epoll` on Linux, `threads`
+    /// elsewhere. No workload prefers the pump where epoll exists, so the
+    /// target decides and nothing at run time overrides it.
     pub fn platform_default() -> IoModel {
-        if let Ok(v) = std::env::var("QSDNN_SERVE_IO") {
-            match v.parse() {
-                Ok(io) => return io,
-                // LINT-ALLOW(panic-path): process startup, before any
-                // listener or connection exists; see `# Panics` above for
-                // why silently falling back would fake test coverage.
-                Err(e) => panic!("invalid QSDNN_SERVE_IO: {e}"),
-            }
-        }
         if cfg!(target_os = "linux") {
             IoModel::Epoll
         } else {
             IoModel::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(IoModel::Threads),
-            "epoll" => Ok(IoModel::Epoll),
-            other => Err(format!("unknown io model `{other}` (threads|epoll)")),
         }
     }
 }
@@ -197,15 +159,14 @@ pub struct ServerConfig {
     /// Bound on the scenario-transfer index
     /// (0 = [`crate::transfer::DEFAULT_INDEX_ENTRIES`]).
     pub index_entries: usize,
-    /// Connection layer ([`IoModel::platform_default`] by default:
-    /// `epoll` on Linux, `threads` elsewhere, `QSDNN_SERVE_IO` overrides).
+    /// Connection layer ([`IoModel::platform_default`]: `epoll` on Linux,
+    /// `threads` elsewhere). Settable so a Linux test can start the
+    /// portable pump; deployments leave it alone.
     pub io: IoModel,
-    /// Dispatcher threads for the epoll layer (0 = one per search worker,
-    /// at least 4). Dispatchers run whole requests — blocking on cache
-    /// single-flight waits and portfolio fan-in — and are deliberately a
-    /// *separate* pool from the search workers (the nested-pool trap).
-    /// Unused by the threaded layer, which spawns dispatchers per tagged
-    /// request.
+    /// Dispatcher threads (0 = one per search worker, at least 4).
+    /// Dispatchers run whole requests — blocking on cache single-flight
+    /// waits and portfolio fan-in — and are deliberately a *separate*
+    /// pool from the search workers (the nested-pool trap).
     pub dispatchers: usize,
     /// Optional Prometheus text-exposition endpoint: `Some(addr)` binds a
     /// tiny HTTP listener serving `GET /metrics` (port 0 picks an
@@ -285,8 +246,8 @@ impl ServerConfig {
         }
     }
 
-    /// The effective epoll dispatcher-pool size, given the search pool.
-    pub(crate) fn dispatcher_count(&self, workers: usize) -> usize {
+    /// The effective dispatcher-pool size, given the search pool.
+    fn dispatcher_count(&self, workers: usize) -> usize {
         if self.dispatchers == 0 {
             workers.max(4)
         } else {
@@ -318,16 +279,12 @@ pub(crate) struct ServiceState {
     /// `(sum, count)` of donor distances over transfer hits.
     donor_distance: Mutex<(f64, u64)>,
     /// Tagged (v2) requests dispatched.
-    pub(crate) pipelined: AtomicU64,
+    pipelined: AtomicU64,
     /// Highest per-connection in-flight depth observed.
     in_flight_peak: AtomicU64,
     /// Transient `accept()` failures; each one backs the acceptor off.
     pub(crate) accept_errors: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
-    /// Live connection-handler threads, joined on shutdown so no handler
-    /// outlives the server (each observes `shutting_down` within
-    /// [`HANDLER_READ_TIMEOUT`]).
-    handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Request-level memo for the zoo-plan hot path: a cheap fingerprint
     /// of the request parameters → the derived plan key plus the response
     /// scalars no cache entry carries. A repeat scenario skips the
@@ -446,7 +403,6 @@ impl ServiceState {
             in_flight_peak: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            handlers: Mutex::new(Vec::new()),
             hot_plans: Mutex::new(HashMap::new()),
         }))
     }
@@ -1280,11 +1236,57 @@ impl ServiceState {
         Ok(Arc::new(encode_body(resp)?))
     }
 
+    /// Runs one parsed request end to end on the calling (dispatcher)
+    /// thread: queue stage → [`ServiceState::dispatch_spanned`] → reply
+    /// rendered for the framing and id the request arrived with. The one
+    /// place requests become reply bytes, whichever layer carries them.
+    pub(crate) fn run_job(&self, job: Job) -> Reply {
+        let Job {
+            req,
+            id,
+            mode,
+            mut span,
+            enqueued,
+            depth,
+        } = job;
+        span.record(Stage::Queue, enqueued.elapsed());
+        if id.is_some() {
+            self.in_flight_peak
+                .fetch_max(depth as u64, Ordering::Relaxed);
+            self.pipelined.fetch_add(1, Ordering::Relaxed);
+        }
+        let resp = self.dispatch_spanned(req, &mut span);
+        let bytes = span.time(Stage::Serialize, || match mode {
+            WireMode::Json => json_line(id, resp),
+            WireMode::Binary => self.render_binary_frame(id, &resp),
+        });
+        Reply { id, bytes, span }
+    }
+
+    /// The bounded pool both connection layers run [`Job`]s on. Never the
+    /// search pool — see the module docs.
+    pub(crate) fn dispatcher_pool(&self) -> WorkerPool {
+        let threads = self.config.dispatcher_count(self.pool.threads());
+        WorkerPool::named_observed(
+            "qsdnn-dispatch",
+            threads,
+            self.config
+                .instrument
+                .then(|| self.metrics.dispatch_pool.clone()),
+            self.metrics.recorder().enabled().then(|| PoolRecorder {
+                recorder: Arc::clone(self.metrics.recorder()),
+                task_kind: TASK_KIND_DISPATCH_JOB,
+                pool_id: POOL_ID_DISPATCH,
+                saturation_threshold: (threads * 2) as i64,
+            }),
+        )
+    }
+
     /// [`ServiceState::render_binary_body`] wrapped in a frame header,
     /// ready for the socket. Infallible from the caller's view: a codec
     /// failure (unreachable for well-formed responses — guarded depths
     /// and `u32` lengths) degrades to an error frame naming it.
-    pub(crate) fn render_binary_frame(&self, id: Option<u64>, resp: &Response) -> Vec<u8> {
+    fn render_binary_frame(&self, id: Option<u64>, resp: &Response) -> Vec<u8> {
         match self
             .render_binary_body(resp)
             .and_then(|body| encode_binary_frame(id, &body))
@@ -1507,11 +1509,6 @@ impl ServiceState {
     pub(crate) fn metrics_text(&self) -> String {
         self.metrics_snapshot().to_prometheus()
     }
-
-    pub(crate) fn note_in_flight(&self, depth: usize) {
-        self.in_flight_peak
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
 }
 
 /// Formats a packed plan key for the wire (empty when there is none).
@@ -1687,17 +1684,15 @@ fn donor_qtable(entry: &ScenarioEntry, outcome: &PortfolioOutcome) -> Option<QTa
 
 /// The connection layer actually running behind a [`PlanServer`].
 enum IoRuntime {
-    /// Threaded layer: one acceptor thread; per-connection handlers are
-    /// tracked in [`ServiceState::handlers`].
+    /// Blocking pump: the acceptor thread owns the per-connection threads
+    /// and the dispatcher pool, and joins them all before it exits.
     Threads { acceptor: JoinHandle<()> },
-    /// Epoll layer: one reactor thread owns every socket; `waker` pokes
-    /// its wakeup pipe; `dispatchers` is the bounded request pool, drained
-    /// on shutdown after the reactor joins.
+    /// Epoll layer: one reactor thread owns every socket and the
+    /// dispatcher pool; `waker` pokes its wakeup pipe.
     #[cfg(target_os = "linux")]
     Epoll {
         reactor: JoinHandle<()>,
         waker: crate::reactor::Waker,
-        dispatchers: Arc<WorkerPool>,
     },
 }
 
@@ -1722,22 +1717,13 @@ impl PlanServer {
         let io = config.io;
         let state = ServiceState::new(config)?;
         let runtime = match io {
-            IoModel::Threads => {
-                let acceptor_state = Arc::clone(&state);
-                let acceptor = std::thread::Builder::new()
-                    .name("qsdnn-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &acceptor_state))?;
-                IoRuntime::Threads { acceptor }
-            }
+            IoModel::Threads => IoRuntime::Threads {
+                acceptor: crate::pump::start(listener, Arc::clone(&state))?,
+            },
             #[cfg(target_os = "linux")]
             IoModel::Epoll => {
-                let (reactor, waker, dispatchers) =
-                    crate::reactor::start(listener, Arc::clone(&state))?;
-                IoRuntime::Epoll {
-                    reactor,
-                    waker,
-                    dispatchers,
-                }
+                let (reactor, waker) = crate::reactor::start(listener, Arc::clone(&state))?;
+                IoRuntime::Epoll { reactor, waker }
             }
             #[cfg(not(target_os = "linux"))]
             IoModel::Epoll => {
@@ -1797,15 +1783,11 @@ impl PlanServer {
         move |reason| state.write_postmortem(reason)
     }
 
-    /// Stops accepting and joins the connection layer.
-    ///
-    /// Threaded layer: wakes the acceptor, joins it, then joins every
-    /// connection handler — handlers blocked in `read` observe the flag
-    /// within `HANDLER_READ_TIMEOUT` (100 ms), finish any in-flight
-    /// request and exit. Epoll layer: wakes the reactor, which drains
-    /// in-flight requests and queued replies (bounded by its drain
-    /// deadline), joins it, then drains the dispatcher pool. Either way,
-    /// no server thread outlives this call.
+    /// Stops accepting and joins the connection layer. Either layer stops
+    /// parsing new requests, lets in-flight ones finish and flushes their
+    /// replies — for at most `SHUTDOWN_DRAIN` (5 s), after which whatever
+    /// a stalled peer has not read is abandoned — then drains the
+    /// dispatcher pool. No server thread outlives this call.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -1827,28 +1809,11 @@ impl PlanServer {
                 // Poke the blocking accept() so the loop observes the flag.
                 let _ = TcpStream::connect(self.addr);
                 let _ = acceptor.join();
-                let handlers = std::mem::take(
-                    &mut *self
-                        .state
-                        .handlers
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
-                for h in handlers {
-                    let _ = h.join();
-                }
             }
             #[cfg(target_os = "linux")]
-            IoRuntime::Epoll {
-                reactor,
-                waker,
-                dispatchers,
-            } => {
+            IoRuntime::Epoll { reactor, waker } => {
                 waker.wake();
                 let _ = reactor.join();
-                // The reactor's own Arc dropped when its thread ended;
-                // dropping ours drains and joins the dispatcher threads.
-                drop(dispatchers);
             }
         }
     }
@@ -1857,463 +1822,6 @@ impl PlanServer {
 impl Drop for PlanServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) {
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    loop {
-        let stream = listener.accept();
-        // SeqCst: pairs with the store in `PlanServer::stop` — the
-        // accept that `stop` pokes us with must observe the flag.
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match stream {
-            Ok((stream, _)) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                stream
-            }
-            // A peer that completed the handshake and reset before we
-            // accepted killed one queued connection, nothing more — the
-            // conventional response is an immediate retry, not a pause
-            // that delays every legitimate client behind it.
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
-            Err(_) => {
-                // Resource exhaustion (EMFILE, ENFILE, ENOBUFS, ENOMEM…):
-                // count it and back off instead of spinning — retrying
-                // instantly fails the same way and pins a core.
-                state.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                continue;
-            }
-        };
-        let conn_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("qsdnn-conn".into())
-            .spawn(move || {
-                let _ = serve_connection(stream, &conn_state);
-            });
-        let Ok(handle) = spawned else { continue };
-        // Reap handlers whose connections already closed so a long-lived
-        // server doesn't accumulate one JoinHandle per past connection.
-        // The joins happen after the lock is released: even a finished
-        // thread's join is a blocking call, and the handler list is
-        // contended by `stop`.
-        let mut finished = Vec::new();
-        {
-            let mut handlers = state
-                .handlers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut live = Vec::with_capacity(handlers.len() + 1);
-            for h in handlers.drain(..) {
-                if h.is_finished() {
-                    finished.push(h);
-                } else {
-                    live.push(h);
-                }
-            }
-            live.push(handle);
-            *handlers = live;
-        }
-        for h in finished {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Per-connection state shared between the reader and its dispatcher
-/// threads: the write side (one mutex serializes interleaved tagged and
-/// untagged replies — `write_message` emits a whole line per call, so a
-/// reply is never torn) and the in-flight permit count.
-struct ConnShared {
-    writer: Mutex<TcpStream>,
-    in_flight: Mutex<usize>,
-    /// Signalled whenever a dispatcher finishes: wakes the reader blocked
-    /// at the cap and the drain wait at connection teardown.
-    done: Condvar,
-}
-
-impl ConnShared {
-    fn write(&self, resp: &impl serde::Serialize) -> Result<(), ServeError> {
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // LINT-ALLOW(lock-discipline): writing under the writer lock is
-        // the design — it is what keeps interleaved tagged replies from
-        // tearing mid-line.
-        write_message(&mut *w, resp)
-    }
-
-    /// Writes an already-serialized single-line JSON document, so the
-    /// caller can time serialization and the socket write separately.
-    fn write_rendered(&self, json: &str) -> Result<(), ServeError> {
-        use std::io::Write;
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // LINT-ALLOW(lock-discipline): as in `write` — the lock exists
-        // to serialize exactly these socket writes.
-        w.write_all(json.as_bytes())?;
-        // LINT-ALLOW(lock-discipline): same serialized write.
-        w.write_all(b"\n")?;
-        // LINT-ALLOW(lock-discipline): same serialized write.
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Writes one already-encoded binary frame. The writer lock keeps
-    /// interleaved tagged frames from tearing, exactly as it keeps JSON
-    /// lines whole; an empty frame (the unreachable fallback of
-    /// [`crate::protocol::binary_error_frame`]) writes nothing.
-    fn write_frame(&self, frame: &[u8]) -> Result<(), ServeError> {
-        use std::io::Write;
-        if frame.is_empty() {
-            return Ok(());
-        }
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // LINT-ALLOW(lock-discipline): as in `write` — the lock exists
-        // to serialize exactly these socket writes.
-        w.write_all(frame)?;
-        // LINT-ALLOW(lock-discipline): same serialized write.
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Blocks until every dispatched request has written its reply.
-    fn drain(&self) {
-        let mut n = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *n > 0 {
-            n = match self.done.wait(n) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, state: &Arc<ServiceState>) -> Result<(), ServeError> {
-    // A bounded read timeout lets the handler re-check `shutting_down`
-    // while idle, so `PlanServer::shutdown` can join it instead of leaking
-    // a thread blocked in `read` forever.
-    stream.set_read_timeout(Some(HANDLER_READ_TIMEOUT))?;
-    let shared = Arc::new(ConnShared {
-        writer: Mutex::new(stream.try_clone()?),
-        in_flight: Mutex::new(0),
-        done: Condvar::new(),
-    });
-    let mut reader = BufReader::new(stream);
-    let mut partial = String::new();
-    state.metrics.connections.inc();
-    let result = read_loop(&mut reader, &mut partial, &shared, state);
-    // Whatever ended the read side (EOF, shutdown, I/O error), every
-    // dispatched request still in flight gets to write its reply before
-    // the handler exits — replies are never abandoned.
-    shared.drain();
-    state.metrics.connections.dec();
-    result
-}
-
-fn read_loop(
-    reader: &mut BufReader<TcpStream>,
-    partial: &mut String,
-    shared: &Arc<ConnShared>,
-    state: &Arc<ServiceState>,
-) -> Result<(), ServeError> {
-    let cap = state.config.in_flight_cap();
-    loop {
-        // SeqCst: pairs with the store in `PlanServer::stop`; the read
-        // timeout brings us back here so shutdown can join this thread.
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let line = match read_line_resumable(reader, partial) {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()), // clean EOF
-            Err(ServeError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle timeout: any half-received line stays in `partial`;
-                // loop around to re-check the shutdown flag.
-                continue;
-            }
-            Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // A line that is not valid UTF-8 cannot be parsed, but
-                // `read_line` consumed it through its terminator, so
-                // framing resyncs at the next line. `read_line` only
-                // truncates the *newly appended* bytes on failure — a
-                // valid prefix carried in `partial` across an earlier
-                // read timeout would otherwise prepend itself to the next
-                // request, so the whole offending line is discarded here.
-                // Answer and keep the connection — the identical contract
-                // (and message) as the epoll layer, pinned by the
-                // io-equivalence test.
-                partial.clear();
-                shared.write(&Response::Error {
-                    message: "request line is not valid UTF-8".to_string(),
-                })?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        // The span opens at frame receipt as kind `error`; parsing a
-        // request re-labels it.
-        let mut span = state.metrics.span("error");
-        match span.time(Stage::Parse, || parse_request_frame(&line)) {
-            Err(ServeError::Protocol(message)) => {
-                // Malformed line: report (untagged — no id survived the
-                // wreckage) and keep the connection.
-                shared.write(&Response::Error { message })?;
-                state.metrics.observe(&span);
-            }
-            Err(e) => return Err(e),
-            Ok(RequestFrame::Untagged(req)) => {
-                // Only a *bare* ping negotiates the binary framing: a
-                // tagged ping is an ordinary pipelined request, and out
-                // of range versions still get the JSON mismatch error.
-                let upgrade = matches!(
-                    &req,
-                    Request::Ping { version } if negotiates_binary(*version)
-                );
-                // v1 contract: handled inline, so replies on this
-                // connection stay in request order and at most one
-                // untagged request runs at a time.
-                let resp = state.dispatch_spanned(req, &mut span);
-                let json = span
-                    .time(Stage::Serialize, || serde_json::to_string(&resp))
-                    .map_err(|e| ServeError::Protocol(e.to_string()))?;
-                span.time(Stage::Write, || shared.write_rendered(&json))?;
-                state.metrics.observe(&span);
-                if upgrade && matches!(resp, Response::Pong { .. }) {
-                    // That pong was this connection's last JSON line:
-                    // both directions speak length-prefixed binary
-                    // frames from here on.
-                    return binary_read_loop(reader, shared, state);
-                }
-            }
-            Ok(RequestFrame::Tagged(tagged)) => {
-                // Backpressure: stop parsing while the connection is at
-                // its cap; dispatchers wake us as they finish.
-                let depth = {
-                    let mut n = shared
-                        .in_flight
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    while *n >= cap {
-                        n = match shared.done.wait(n) {
-                            Ok(guard) => guard,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                    }
-                    *n += 1;
-                    *n
-                };
-                state.note_in_flight(depth);
-                state.pipelined.fetch_add(1, Ordering::Relaxed);
-                let id = tagged.id;
-                let conn = Arc::clone(shared);
-                let dispatch_state = Arc::clone(state);
-                // The queue stage covers spawn-to-start: how long the
-                // request waited for a dispatcher to pick it up.
-                dispatch_state.metrics.dispatch_pool.queue_depth.inc();
-                let queued = Instant::now();
-                let mut span = span;
-                let spawned = std::thread::Builder::new()
-                    .name("qsdnn-dispatch".into())
-                    .spawn(move || {
-                        let metrics = &dispatch_state.metrics;
-                        metrics.dispatch_pool.queue_depth.dec();
-                        metrics.dispatch_pool.busy.inc();
-                        span.record(Stage::Queue, queued.elapsed());
-                        let resp = dispatch_state.dispatch_spanned(tagged.req, &mut span);
-                        let reply = TaggedResponse {
-                            id: tagged.id,
-                            resp,
-                        };
-                        // A failed write means the client is gone; the
-                        // reader will observe that on its side.
-                        if let Ok(json) =
-                            span.time(Stage::Serialize, || serde_json::to_string(&reply))
-                        {
-                            let _ = span.time(Stage::Write, || conn.write_rendered(&json));
-                        }
-                        metrics.observe(&span);
-                        metrics.dispatch_pool.busy.dec();
-                        let mut n = conn
-                            .in_flight
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *n = n.saturating_sub(1);
-                        drop(n);
-                        conn.done.notify_all();
-                    });
-                if spawned.is_err() {
-                    state.metrics.dispatch_pool.queue_depth.dec();
-                    // Could not spawn a dispatcher (the request was
-                    // consumed by the failed spawn): return the permit and
-                    // answer the id with an error so the client's ticket
-                    // resolves instead of hanging.
-                    {
-                        let mut n = shared
-                            .in_flight
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *n = n.saturating_sub(1);
-                    }
-                    shared.done.notify_all();
-                    shared.write(&TaggedResponse {
-                        id,
-                        resp: Response::Error {
-                            message: "server out of dispatcher threads".into(),
-                        },
-                    })?;
-                }
-            }
-        }
-    }
-}
-
-/// [`read_loop`] for a connection upgraded to protocol v3: the same
-/// shutdown polling, v1-inline / v2-spawned dispatch contract, and
-/// in-flight backpressure, over length-prefixed binary frames instead
-/// of JSON lines.
-///
-/// Error contract (mirrored by the epoll layer and pinned by the
-/// hostile-client suite): a body that fails to decode answers with an
-/// error frame — tagged when the header id survived — and the
-/// connection lives, because the length prefix already resynced the
-/// stream. A header violation (bad magic, unknown kind, body length
-/// beyond the bound) or a torn stream answers once and closes: there is
-/// no trustworthy prefix to resync from.
-fn binary_read_loop(
-    reader: &mut BufReader<TcpStream>,
-    shared: &Arc<ConnShared>,
-    state: &Arc<ServiceState>,
-) -> Result<(), ServeError> {
-    let cap = state.config.in_flight_cap();
-    let mut frames = FrameBuffer::default();
-    loop {
-        // SeqCst: pairs with the store in `PlanServer::stop`, exactly as
-        // in the JSON loop.
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let frame = match read_binary_frame_resumable(reader, &mut frames, MAX_FRAME_BYTES) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // clean EOF on a frame boundary
-            Err(ServeError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle timeout: a half-received frame stays buffered;
-                // loop around to re-check the shutdown flag.
-                continue;
-            }
-            Err(ServeError::Protocol(message)) => {
-                // Unsyncable stream (bad header or EOF mid-frame):
-                // best-effort error frame, then close.
-                let _ = shared.write_frame(&crate::protocol::binary_error_frame(None, &message));
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let mut span = state.metrics.span("error");
-        match span.time(Stage::Parse, || parse_binary_request(&frame)) {
-            Err(ServeError::Protocol(message)) => {
-                // Malformed body: answer under the request's id if the
-                // header carried one, and keep the connection.
-                span.time(Stage::Write, || {
-                    shared.write_frame(&crate::protocol::binary_error_frame(frame.id, &message))
-                })?;
-                state.metrics.observe(&span);
-            }
-            Err(e) => return Err(e),
-            Ok(RequestFrame::Untagged(req)) => {
-                let resp = state.dispatch_spanned(req, &mut span);
-                let out = span.time(Stage::Serialize, || state.render_binary_frame(None, &resp));
-                span.time(Stage::Write, || shared.write_frame(&out))?;
-                state.metrics.observe(&span);
-            }
-            Ok(RequestFrame::Tagged(tagged)) => {
-                // Backpressure: identical permit scheme to the JSON loop.
-                let depth = {
-                    let mut n = shared
-                        .in_flight
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    while *n >= cap {
-                        n = match shared.done.wait(n) {
-                            Ok(guard) => guard,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                    }
-                    *n += 1;
-                    *n
-                };
-                state.note_in_flight(depth);
-                state.pipelined.fetch_add(1, Ordering::Relaxed);
-                let id = tagged.id;
-                let conn = Arc::clone(shared);
-                let dispatch_state = Arc::clone(state);
-                dispatch_state.metrics.dispatch_pool.queue_depth.inc();
-                let queued = Instant::now();
-                let mut span = span;
-                let spawned = std::thread::Builder::new()
-                    .name("qsdnn-dispatch".into())
-                    .spawn(move || {
-                        let metrics = &dispatch_state.metrics;
-                        metrics.dispatch_pool.queue_depth.dec();
-                        metrics.dispatch_pool.busy.inc();
-                        span.record(Stage::Queue, queued.elapsed());
-                        let resp = dispatch_state.dispatch_spanned(tagged.req, &mut span);
-                        let out = span.time(Stage::Serialize, || {
-                            dispatch_state.render_binary_frame(Some(id), &resp)
-                        });
-                        // A failed write means the client is gone; the
-                        // reader will observe that on its side.
-                        let _ = span.time(Stage::Write, || conn.write_frame(&out));
-                        metrics.observe(&span);
-                        metrics.dispatch_pool.busy.dec();
-                        let mut n = conn
-                            .in_flight
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *n = n.saturating_sub(1);
-                        drop(n);
-                        conn.done.notify_all();
-                    });
-                if spawned.is_err() {
-                    state.metrics.dispatch_pool.queue_depth.dec();
-                    {
-                        let mut n = shared
-                            .in_flight
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *n = n.saturating_sub(1);
-                    }
-                    shared.done.notify_all();
-                    shared.write_frame(&crate::protocol::binary_error_frame(
-                        Some(id),
-                        "server out of dispatcher threads",
-                    ))?;
-                }
-            }
-        }
     }
 }
 

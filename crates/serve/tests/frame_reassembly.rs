@@ -1,9 +1,9 @@
-//! Property test of the epoll layer's frame reassembly: a valid mixed
+//! Property test of the connection layer's frame reassembly: a valid mixed
 //! v1/v2 request stream, fragmented at *arbitrary* byte boundaries —
 //! including inside UTF-8 multibyte sequences and straddling the `\n`
 //! terminator — always reassembles into exactly the original request
-//! sequence. This pins the [`FrameBuffer`] the reactor feeds every
-//! socket's bytes through; a fragmentation-sensitive bug here silently
+//! sequence. This pins the [`FrameBuffer`] every socket's bytes go
+//! through; a fragmentation-sensitive bug here silently
 //! corrupts requests under real-world packet boundaries.
 
 use proptest::prelude::*;
@@ -178,8 +178,8 @@ proptest! {
 
     /// A stream whose last frame lost its terminator (half-close client):
     /// everything terminated reassembles normally and the EOF hand-over
-    /// recovers the final request, matching the threaded layer's
-    /// `read_line_resumable` EOF contract.
+    /// recovers the final request, matching `read_line_resumable`'s EOF
+    /// contract.
     #[test]
     fn unterminated_tail_is_recovered_at_eof(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);

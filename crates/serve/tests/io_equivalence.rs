@@ -1,10 +1,12 @@
-//! Acceptance: the epoll connection layer is a transport swap, not a
-//! semantics change. One request script runs against a threaded server
-//! and an epoll server with identical configs; every response must match
-//! bit for bit — modulo wall-clock and host-sizing fields
+//! Acceptance: the connection layer is a transport swap, not a semantics
+//! change. One request script runs against a server on the blocking pump
+//! and one on the epoll reactor with identical configs; every response
+//! must match bit for bit — modulo wall-clock and host-sizing fields
 //! (`wall_time_ms`, `uptime_ms`, `workers`, `in_flight_peak`), which no
 //! transport can reproduce deterministically; those are range-checked
-//! and then canonicalized before comparison.
+//! and then canonicalized before comparison. Both layers drive one
+//! protocol state machine, so on Linux this is also the pump's end-to-end
+//! coverage: nothing else starts it there.
 
 #![cfg(target_os = "linux")]
 
@@ -15,8 +17,8 @@ use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
 use qsdnn::nn::zoo;
 use qsdnn_serve::protocol::{
     parse_binary_response, read_binary_frame_resumable, write_binary_message, write_message,
-    FrameBuffer, PlanRequest, PlanResponse, Request, Response, ResponseFrame, SearchRequest,
-    StatsResponse, TransferMode, MAX_FRAME_BYTES,
+    FrameBuffer, MetricValue, PlanRequest, PlanResponse, Request, Response, ResponseFrame,
+    SearchRequest, StatsResponse, TransferMode, MAX_FRAME_BYTES,
 };
 use qsdnn_serve::{IoModel, PlanClient, PlanServer, ServerConfig};
 
@@ -125,10 +127,10 @@ fn run_script(io: IoModel) -> Vec<String> {
     // connection usable (the next step reuses it).
     out.push(send_recv(&mut raw, &mut reader, b"\"Stats\xff\xfe\"\n"));
     out.push(send_recv(&mut raw, &mut reader, &ping));
-    // The same, but with a valid prefix stalled across the threaded
-    // layer's 100 ms read timeout before the invalid bytes arrive: the
-    // whole line must be discarded — a stale prefix must not prepend
-    // itself to the next (valid) request on either layer.
+    // The same, but with a valid prefix stalled across the pump's
+    // 100 ms read timeout before the invalid bytes arrive: the whole
+    // line must be discarded — a stale prefix must not prepend itself to
+    // the next (valid) request on either layer.
     raw.write_all(b"\"Sta").expect("valid prefix");
     raw.flush().expect("flush");
     std::thread::sleep(std::time::Duration::from_millis(250));
@@ -222,6 +224,48 @@ fn run_script(io: IoModel) -> Vec<String> {
     //    covered by default.
     let stats = client.stats().expect("stats");
     out.push(format!("{:?}", canonical_stats(stats)));
+
+    // 6. One dispatcher pool behind both layers: every request — bare
+    //    ones included — runs on a `qsdnn-dispatch-N` thread, so the pool
+    //    gauges and the task table read the same whichever layer asked.
+    let metrics = client.metrics().expect("metrics");
+    for family in ["qsdnn_pool_busy_workers", "qsdnn_pool_queue_depth"] {
+        let dispatch = metrics
+            .family(family)
+            .and_then(|f| {
+                f.samples.iter().find(|s| {
+                    s.labels
+                        .contains(&("pool".to_string(), "dispatch".to_string()))
+                })
+            })
+            .unwrap_or_else(|| panic!("{io}: no {family}{{pool=\"dispatch\"}} sample"));
+        if family == "qsdnn_pool_busy_workers" {
+            assert!(
+                matches!(dispatch.value, MetricValue::Gauge(busy) if busy >= 1),
+                "{io}: the dispatcher answering `metrics` is not counted busy: {dispatch:?}"
+            );
+        }
+        out.push(format!("{family} {:?}", dispatch.labels));
+    }
+    let tasks = client.tasks().expect("tasks");
+    let role = |thread: &str| thread.trim_end_matches(char::is_numeric).to_string();
+    // The threads that move bytes differ by design (`qsdnn-reactor` vs
+    // `qsdnn-conn-tx`); the pools that do the work must not.
+    let mut pools: Vec<String> = tasks
+        .tasks
+        .iter()
+        .map(|t| role(&t.thread))
+        .filter(|r| r.ends_with('-'))
+        .collect();
+    pools.sort();
+    pools.dedup();
+    out.push(format!("task table pools {pools:?}"));
+    let answering = tasks
+        .tasks
+        .iter()
+        .find(|t| t.state == "tasks")
+        .unwrap_or_else(|| panic!("{io}: no thread admits to answering `tasks`"));
+    out.push(format!("tasks answered on {}", role(&answering.thread)));
 
     server.shutdown();
     out
