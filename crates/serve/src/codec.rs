@@ -1,0 +1,863 @@
+//! Body codec of the binary framing (protocol v3).
+//!
+//! A v3 body is one self-describing value: a tag byte, then the payload
+//! (little-endian throughout; lengths and counts are `u32`):
+//!
+//! ```text
+//! 0x00 null   0x01 false   0x02 true
+//! 0x03 i64    0x04 u64     0x05 f64 (raw IEEE-754 bits)
+//! 0x06 string  len, UTF-8 bytes
+//! 0x07 array   count, values
+//! 0x08 object  count, (key len, key bytes, value)*
+//! ```
+//!
+//! Two codecs speak it, one per message, never both:
+//!
+//! * **The tree codec** ([`encode_body`]/[`decode_body`]) goes through the
+//!   vendored `serde::Value` — the tree the JSON framing writes — so any
+//!   `Serialize` type rides the wire without per-type code. Requests and
+//!   the control-plane replies (`Stats`, `Metrics`, `Events`, `Tasks`,
+//!   `Platforms`, `Profile`, `Pong`, `Error`) use it.
+//! * **The typed codec** ([`encode_response`]/[`decode_response`] on a
+//!   `Response::Plan`) reads and writes [`PlanResponse`] and the six
+//!   structs inside it straight against the bytes. A default plan reply
+//!   carries a 2000-episode learning curve; through the tree that is one
+//!   `String` per key and one `Vec` per object, ≈ 10k allocations a reply.
+//!
+//! **The byte-identity rule.** The typed codec is an implementation of
+//! the same wire, not a second format: typed encode emits exactly the
+//! bytes `encode_body(&Response::Plan(..))` emits (derive field order,
+//! same tags, floats as raw bits), and typed decode accepts exactly what
+//! the tree path accepts and produces `==` values — fields in any order,
+//! unknown fields skipped (but still validated: tags, counts, UTF-8,
+//! depth), a missing `#[serde(default)]` field defaulted, the first of a
+//! duplicated key winning, numbers coerced as the shim's `as_f64` /
+//! `as_u64` do, `Option` from `null`. The tree codec is the oracle the
+//! typed one is tested against (`tests/codec_differential.rs`), and v3
+//! peers on either side of this split interoperate.
+
+use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
+use serde::{Serialize, Value};
+
+use crate::protocol::{PlanResponse, Response, StageTiming, TraceInfo, WarmStartInfo};
+use crate::ServeError;
+
+/// Depth bound for both codecs, matching the JSON parser's nesting guard
+/// so neither framing accepts what the other would refuse.
+pub(crate) const MAX_BINARY_DEPTH: usize = 128;
+
+pub(crate) const TAG_NULL: u8 = 0x00;
+pub(crate) const TAG_FALSE: u8 = 0x01;
+pub(crate) const TAG_TRUE: u8 = 0x02;
+pub(crate) const TAG_INT: u8 = 0x03;
+pub(crate) const TAG_UINT: u8 = 0x04;
+pub(crate) const TAG_FLOAT: u8 = 0x05;
+pub(crate) const TAG_STRING: u8 = 0x06;
+pub(crate) const TAG_ARRAY: u8 = 0x07;
+pub(crate) const TAG_OBJECT: u8 = 0x08;
+
+/// Bytes of an array or object header: the tag and the `u32` count.
+const HEADER_WIRE: usize = 5;
+/// Fewest bytes one object field occupies: a 4-byte key length plus a
+/// 1-byte value tag.
+const MIN_FIELD_WIRE: usize = 5;
+
+const KEY_NOT_UTF8: &str = "object key is not valid UTF-8";
+
+fn encode_len(len: usize, out: &mut Vec<u8>) -> Result<(), ServeError> {
+    let n = u32::try_from(len)
+        .map_err(|_| ServeError::Protocol("binary codec: length exceeds u32".to_string()))?;
+    out.extend_from_slice(&n.to_le_bytes());
+    Ok(())
+}
+
+/// A length-prefixed run of UTF-8: an object key, or a string's payload
+/// after its tag.
+fn encode_str(s: &str, out: &mut Vec<u8>) -> Result<(), ServeError> {
+    encode_len(s.len(), out)?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+pub(crate) fn encode_value_into(
+    v: &Value,
+    out: &mut Vec<u8>,
+    depth: usize,
+) -> Result<(), ServeError> {
+    if depth > MAX_BINARY_DEPTH {
+        return Err(ServeError::Protocol(
+            "binary codec: nesting too deep".to_string(),
+        ));
+    }
+    match v {
+        Value::Null => out.push(TAG_NULL),
+        Value::Bool(b) => b.encode(out)?,
+        Value::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::UInt(u) => {
+            out.push(TAG_UINT);
+            out.extend_from_slice(&u.to_le_bytes());
+        }
+        Value::Float(f) => f.encode(out)?,
+        Value::String(s) => s.encode(out)?,
+        Value::Array(items) => {
+            out.push(TAG_ARRAY);
+            encode_len(items.len(), out)?;
+            for item in items {
+                encode_value_into(item, out, depth + 1)?;
+            }
+        }
+        Value::Object(fields) => {
+            out.push(TAG_OBJECT);
+            encode_len(fields.len(), out)?;
+            for (k, val) in fields {
+                encode_str(k, out)?;
+                encode_value_into(val, out, depth + 1)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Pull reader over one body. Every rule about what bytes are acceptable
+/// — truncation, count-vs-remaining, UTF-8, depth, trailing bytes — lives
+/// in these helpers, so the tree decoder, the typed decoders and
+/// [`BinReader::skip_value`] cannot disagree on them.
+pub(crate) struct BinReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> BinReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        BinReader { bytes, pos: 0 }
+    }
+
+    fn err(&self, msg: &str) -> ServeError {
+        ServeError::Protocol(format!("binary codec error at byte {}: {msg}", self.pos))
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or_else(|| self.err("length overflow"))?;
+        let slice = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("truncated payload"))?;
+        self.pos = end;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, ServeError> {
+        let b = *self
+            .bytes
+            .get(self.pos)
+            .ok_or_else(|| self.err("truncated payload"))?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32, ServeError> {
+        let bytes = self.take(4)?;
+        let arr = <[u8; 4]>::try_from(bytes).map_err(|_| self.err("truncated u32"))?;
+        Ok(u32::from_le_bytes(arr))
+    }
+
+    fn u64(&mut self) -> Result<u64, ServeError> {
+        let bytes = self.take(8)?;
+        let arr = <[u8; 8]>::try_from(bytes).map_err(|_| self.err("truncated u64"))?;
+        Ok(u64::from_le_bytes(arr))
+    }
+
+    /// The next value's tag, left unconsumed.
+    fn peek_tag(&self) -> Result<u8, ServeError> {
+        self.bytes
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| self.err("truncated payload"))
+    }
+
+    /// A length-prefixed run of bytes, borrowed from the body.
+    fn run(&mut self) -> Result<&'a [u8], ServeError> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    fn utf8(&self, run: &'a [u8], invalid: &str) -> Result<&'a str, ServeError> {
+        std::str::from_utf8(run).map_err(|_| self.err(invalid))
+    }
+
+    /// A string's payload, its tag already consumed.
+    fn string(&mut self) -> Result<&'a str, ServeError> {
+        let run = self.run()?;
+        self.utf8(run, "string is not valid UTF-8")
+    }
+
+    /// An object field's key.
+    fn key(&mut self) -> Result<&'a str, ServeError> {
+        let run = self.run()?;
+        self.utf8(run, KEY_NOT_UTF8)
+    }
+
+    /// Skips a field whose key — read with [`BinReader::run`] — is none
+    /// the typed decoder knows. Only here is the key checked for UTF-8:
+    /// the known keys are ASCII, so one that matched is valid without the
+    /// check, which made 8000 times over a default reply's learning curve
+    /// costs more than the rest of the decode.
+    fn skip_unknown_field(&mut self, key: &'a [u8], depth: usize) -> Result<(), ServeError> {
+        self.utf8(key, KEY_NOT_UTF8)?;
+        self.skip_value(depth)
+    }
+
+    /// An array's element count, its tag already consumed. Every element
+    /// costs at least its tag byte, so a count beyond the remaining
+    /// payload is hostile — rejected before anything is reserved for it.
+    fn array_len(&mut self) -> Result<usize, ServeError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(self.err("array count exceeds payload"));
+        }
+        Ok(n)
+    }
+
+    /// An object's field count, its tag already consumed, bounded like
+    /// [`BinReader::array_len`] by what the fields must occupy.
+    fn object_len(&mut self) -> Result<usize, ServeError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(MIN_FIELD_WIRE) > self.remaining() {
+            return Err(self.err("field count exceeds payload"));
+        }
+        Ok(n)
+    }
+
+    /// Consumes one value of any shape without building it, holding it to
+    /// everything the tree decoder would: a field the typed decoder does
+    /// not know must still be well-formed. Recursion is bounded by the
+    /// depth guard and nothing is allocated.
+    fn skip_value(&mut self, depth: usize) -> Result<(), ServeError> {
+        if depth > MAX_BINARY_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.u8()? {
+            TAG_NULL | TAG_FALSE | TAG_TRUE => {}
+            TAG_INT | TAG_UINT | TAG_FLOAT => {
+                self.take(8)?;
+            }
+            TAG_STRING => {
+                self.string()?;
+            }
+            TAG_ARRAY => {
+                for _ in 0..self.array_len()? {
+                    self.skip_value(depth + 1)?;
+                }
+            }
+            TAG_OBJECT => {
+                for _ in 0..self.object_len()? {
+                    self.key()?;
+                    self.skip_value(depth + 1)?;
+                }
+            }
+            other => return Err(self.err(&format!("unknown value tag 0x{other:02x}"))),
+        }
+        Ok(())
+    }
+
+    /// The whole body must be one value.
+    fn finish(&self) -> Result<(), ServeError> {
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing bytes after value"));
+        }
+        Ok(())
+    }
+}
+
+fn decode_value_inner(r: &mut BinReader<'_>, depth: usize) -> Result<Value, ServeError> {
+    if depth > MAX_BINARY_DEPTH {
+        return Err(r.err("nesting too deep"));
+    }
+    match r.u8()? {
+        TAG_NULL => Ok(Value::Null),
+        TAG_FALSE => Ok(Value::Bool(false)),
+        TAG_TRUE => Ok(Value::Bool(true)),
+        TAG_INT => Ok(Value::Int(r.u64()? as i64)),
+        TAG_UINT => Ok(Value::UInt(r.u64()?)),
+        TAG_FLOAT => Ok(Value::Float(f64::from_bits(r.u64()?))),
+        TAG_STRING => Ok(Value::String(r.string()?.to_string())),
+        TAG_ARRAY => {
+            let n = r.array_len()?;
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                items.push(decode_value_inner(r, depth + 1)?);
+            }
+            Ok(Value::Array(items))
+        }
+        TAG_OBJECT => {
+            let n = r.object_len()?;
+            let mut fields = Vec::with_capacity(n);
+            for _ in 0..n {
+                let key = r.key()?.to_string();
+                fields.push((key, decode_value_inner(r, depth + 1)?));
+            }
+            Ok(Value::Object(fields))
+        }
+        other => Err(r.err(&format!("unknown value tag 0x{other:02x}"))),
+    }
+}
+
+/// Decodes one codec payload into a [`Value`] tree, requiring the whole
+/// slice to be consumed.
+///
+/// # Errors
+///
+/// Returns an error describing the first framing/codec violation.
+pub fn decode_value(bytes: &[u8]) -> Result<Value, ServeError> {
+    let mut r = BinReader::new(bytes);
+    let v = decode_value_inner(&mut r, 0)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// Encodes a message as a binary-codec body (no frame header) through
+/// the tree codec.
+///
+/// # Errors
+///
+/// Fails on a value the codec cannot represent (nesting beyond the
+/// depth guard, or a string/collection length beyond `u32`).
+pub fn encode_body<T: Serialize + ?Sized>(msg: &T) -> Result<Vec<u8>, ServeError> {
+    let mut out = Vec::with_capacity(64);
+    encode_value_into(&msg.serialize(), &mut out, 0)?;
+    Ok(out)
+}
+
+/// Decodes a binary-codec body into a typed message through the tree
+/// codec.
+///
+/// # Errors
+///
+/// Fails on codec violations or a shape mismatch.
+pub fn decode_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
+    T::deserialize(&decode_value(bytes)?).map_err(|e| ServeError::Protocol(e.to_string()))
+}
+
+// ---------------------------------------------------------------------------
+// Typed codec: plan replies
+// ---------------------------------------------------------------------------
+
+/// Writes `self` as the bytes the tree codec writes for
+/// `self.serialize()`.
+trait WireEncode {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError>;
+}
+
+/// Reads `Self` from whatever the tree codec followed by
+/// `Self::deserialize` would accept, to the same value.
+trait WireDecode: Sized {
+    /// Fewest bytes an accepted encoding occupies. A collection reserves
+    /// for no more elements than the rest of the body could hold, so a
+    /// claimed count never allocates more than the frame that carried it.
+    const MIN_WIRE: usize;
+
+    /// `depth` is the value's nesting depth in the body, carried so that a
+    /// skipped unknown field trips the depth guard where the tree decoder
+    /// would.
+    fn decode(r: &mut BinReader<'_>, depth: usize) -> Result<Self, ServeError>;
+}
+
+impl WireEncode for bool {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        out.push(if *self { TAG_TRUE } else { TAG_FALSE });
+        Ok(())
+    }
+}
+
+impl WireDecode for bool {
+    const MIN_WIRE: usize = 1;
+
+    fn decode(r: &mut BinReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        match r.u8()? {
+            TAG_FALSE => Ok(false),
+            TAG_TRUE => Ok(true),
+            _ => Err(r.err("expected bool")),
+        }
+    }
+}
+
+impl WireEncode for usize {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        out.push(TAG_UINT);
+        out.extend_from_slice(&(*self as u64).to_le_bytes());
+        Ok(())
+    }
+}
+
+impl WireDecode for usize {
+    const MIN_WIRE: usize = 9;
+
+    /// Any non-negative integral number, as `Value::as_u64` reads one.
+    fn decode(r: &mut BinReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        let u = match r.u8()? {
+            TAG_INT => u64::try_from(r.u64()? as i64).ok(),
+            TAG_UINT => Some(r.u64()?),
+            TAG_FLOAT => Some(f64::from_bits(r.u64()?))
+                .filter(|f| *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64)
+                .map(|f| f as u64),
+            _ => None,
+        };
+        let u = u.ok_or_else(|| r.err("expected usize"))?;
+        usize::try_from(u).map_err(|_| r.err("out of range for usize"))
+    }
+}
+
+impl WireEncode for f64 {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        out.push(TAG_FLOAT);
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+        Ok(())
+    }
+}
+
+impl WireDecode for f64 {
+    const MIN_WIRE: usize = 9;
+
+    /// Any number, as `Value::as_f64` reads one.
+    fn decode(r: &mut BinReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        match r.u8()? {
+            TAG_INT => Ok(r.u64()? as i64 as f64),
+            TAG_UINT => Ok(r.u64()? as f64),
+            TAG_FLOAT => Ok(f64::from_bits(r.u64()?)),
+            _ => Err(r.err("expected f64")),
+        }
+    }
+}
+
+impl WireEncode for String {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        out.push(TAG_STRING);
+        encode_str(self, out)
+    }
+}
+
+impl WireDecode for String {
+    const MIN_WIRE: usize = HEADER_WIRE;
+
+    fn decode(r: &mut BinReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        match r.u8()? {
+            TAG_STRING => Ok(r.string()?.to_string()),
+            _ => Err(r.err("expected string")),
+        }
+    }
+}
+
+impl<T: WireEncode> WireEncode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        match self {
+            Some(v) => v.encode(out),
+            None => {
+                out.push(TAG_NULL);
+                Ok(())
+            }
+        }
+    }
+}
+
+impl<T: WireDecode> WireDecode for Option<T> {
+    const MIN_WIRE: usize = 1;
+
+    fn decode(r: &mut BinReader<'_>, depth: usize) -> Result<Self, ServeError> {
+        if r.peek_tag()? == TAG_NULL {
+            r.u8()?;
+            return Ok(None);
+        }
+        T::decode(r, depth).map(Some)
+    }
+}
+
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+        out.push(TAG_ARRAY);
+        encode_len(self.len(), out)?;
+        self.iter().try_for_each(|item| item.encode(out))
+    }
+}
+
+/// Slots to reserve for a claimed count of `T` with `remaining` bytes of
+/// body left: no more elements than those bytes could encode, and never
+/// more memory than those bytes — the tree path's 32-byte `Value` per
+/// claimed 1-byte element is the amplification this bound exists to avoid.
+fn reservation<T: WireDecode>(claimed: usize, remaining: usize) -> usize {
+    let per_item = T::MIN_WIRE.max(std::mem::size_of::<T>()).max(1);
+    claimed.min(remaining / per_item)
+}
+
+impl<T: WireDecode> WireDecode for Vec<T> {
+    const MIN_WIRE: usize = HEADER_WIRE;
+
+    fn decode(r: &mut BinReader<'_>, depth: usize) -> Result<Self, ServeError> {
+        if r.u8()? != TAG_ARRAY {
+            return Err(r.err("expected array"));
+        }
+        let n = r.array_len()?;
+        let mut items = Vec::with_capacity(reservation::<T>(n, r.remaining()));
+        for _ in 0..n {
+            items.push(T::decode(r, depth + 1)?);
+        }
+        Ok(items)
+    }
+}
+
+/// The typed codec of one derive-serialized struct, from its field list:
+/// every field in declaration order, its type, and whether the derive
+/// treats its absence as `Default::default()` (`default`, i.e.
+/// `#[serde(default)]`) or as an error (`required`). A field added to the
+/// struct but not here fails to compile (decode) and fails
+/// `typed_field_lists_match_the_derives` (encode).
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty = $kind:ident),+ $(,)? }) => {
+        impl WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
+                out.push(TAG_OBJECT);
+                encode_len([$(stringify!($field)),+].len(), out)?;
+                $(
+                    encode_str(stringify!($field), out)?;
+                    self.$field.encode(out)?;
+                )+
+                Ok(())
+            }
+        }
+
+        impl WireDecode for $ty {
+            const MIN_WIRE: usize = HEADER_WIRE $(+ wire_struct!(@min $kind $field: $fty))+;
+
+            fn decode(r: &mut BinReader<'_>, depth: usize) -> Result<Self, ServeError> {
+                if r.u8()? != TAG_OBJECT {
+                    return Err(r.err(concat!("expected object for ", stringify!($ty))));
+                }
+                $(let mut $field: Option<$fty> = None;)+
+                'fields: for _ in 0..r.object_len()? {
+                    let key = r.run()?;
+                    $(
+                        // The first of a duplicated key wins, as in
+                        // `Value::get_field`; later ones are skipped.
+                        if key == stringify!($field).as_bytes() && $field.is_none() {
+                            $field = Some(WireDecode::decode(r, depth + 1)?);
+                            continue 'fields;
+                        }
+                    )+
+                    r.skip_unknown_field(key, depth + 1)?;
+                }
+                Ok($ty {
+                    $($field: wire_struct!(@finish $kind $field in $ty, r),)+
+                })
+            }
+        }
+    };
+    (@min default $field:ident: $fty:ty) => { 0 };
+    (@min required $field:ident: $fty:ty) => {
+        4 + stringify!($field).len() + <$fty as WireDecode>::MIN_WIRE
+    };
+    (@finish default $field:ident in $ty:ident, $r:ident) => { $field.unwrap_or_default() };
+    (@finish required $field:ident in $ty:ident, $r:ident) => {
+        match $field {
+            Some(value) => value,
+            None => {
+                return Err($r.err(concat!(
+                    "missing field `", stringify!($field), "` in ", stringify!($ty)
+                )))
+            }
+        }
+    };
+}
+
+wire_struct!(EpisodeRecord {
+    episode: usize = required,
+    epsilon: f64 = required,
+    cost_ms: f64 = required,
+    best_so_far_ms: f64 = required,
+});
+
+wire_struct!(SearchReport {
+    method: String = required,
+    network: String = required,
+    best_assignment: Vec<usize> = required,
+    best_cost_ms: f64 = required,
+    episodes: usize = required,
+    curve: Vec<EpisodeRecord> = required,
+    wall_time_ms: f64 = required,
+});
+
+wire_struct!(MemberSummary {
+    label: String = required,
+    best_cost_ms: Option<f64> = required,
+    episodes: usize = default,
+    wall_time_ms: f64 = required,
+});
+
+wire_struct!(WarmStartInfo {
+    donor_key: String = default,
+    donor_network: String = default,
+    donor_distance: f64 = default,
+    transferred_states: usize = default,
+    episodes: usize = default,
+});
+
+wire_struct!(StageTiming {
+    stage: String = default,
+    ms: f64 = default,
+});
+
+wire_struct!(TraceInfo {
+    stages: Vec<StageTiming> = default,
+    total_ms: f64 = default,
+});
+
+wire_struct!(PlanResponse {
+    network: String = default,
+    plan_key: String = default,
+    cache_hit: bool = default,
+    best: SearchReport = required,
+    winner: String = default,
+    members: Vec<MemberSummary> = default,
+    vanilla_cost_ms: f64 = default,
+    warm_start: Option<WarmStartInfo> = default,
+    trace: Option<TraceInfo> = default,
+});
+
+/// The key under which the externally-tagged [`Response`] carries a plan.
+const PLAN_VARIANT: &str = "Plan";
+
+/// Encodes a server → client message as a v3 body: a plan reply through
+/// the typed codec, every other variant through the tree codec. The
+/// bytes are those of [`encode_body`] either way.
+///
+/// # Errors
+///
+/// Fails on a string or collection longer than `u32` can declare.
+pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ServeError> {
+    let Response::Plan(plan) = resp else {
+        return encode_body(resp);
+    };
+    // Nearly all of a plan reply is its curve, whose records are all of
+    // one size: sized up front, the body is not regrown a dozen times and
+    // the copy attached to the cache entry carries no doubling slack.
+    let curve_wire = plan.best.curve.len() * <EpisodeRecord as WireDecode>::MIN_WIRE;
+    let mut out = Vec::with_capacity(512 + curve_wire);
+    out.push(TAG_OBJECT);
+    encode_len(1, &mut out)?;
+    encode_str(PLAN_VARIANT, &mut out)?;
+    plan.encode(&mut out)?;
+    Ok(out)
+}
+
+/// Decodes a v3 body as a server → client message: a body whose single
+/// variant key is `Plan` through the typed codec, every other through the
+/// tree codec. The value is that of [`decode_body`] either way.
+///
+/// # Errors
+///
+/// Fails on codec violations or a shape mismatch; a plan reply's failure
+/// always names the byte offset it was found at.
+pub fn decode_response(bytes: &[u8]) -> Result<Response, ServeError> {
+    let mut r = BinReader::new(bytes);
+    let is_plan = matches!(r.u8(), Ok(TAG_OBJECT))
+        && matches!(r.u32(), Ok(1))
+        && matches!(r.key(), Ok(PLAN_VARIANT));
+    if !is_plan {
+        return decode_body(bytes);
+    }
+    let plan = PlanResponse::decode(&mut r, 1)?;
+    r.finish()?;
+    Ok(Response::Plan(plan))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Deserialize;
+
+    fn sample_plan() -> PlanResponse {
+        PlanResponse {
+            network: "lenet5".into(),
+            plan_key: "00ff".into(),
+            cache_hit: true,
+            best: SearchReport {
+                method: "qs-dnn".into(),
+                network: "lenet5".into(),
+                best_assignment: vec![0, 1, 2],
+                best_cost_ms: 1.25,
+                episodes: 2,
+                curve: vec![
+                    EpisodeRecord {
+                        episode: 0,
+                        epsilon: 1.0,
+                        cost_ms: 2.5,
+                        best_so_far_ms: 2.5,
+                    },
+                    EpisodeRecord {
+                        episode: 1,
+                        epsilon: 0.5,
+                        cost_ms: 1.25,
+                        best_so_far_ms: 1.25,
+                    },
+                ],
+                wall_time_ms: 3.5,
+            },
+            winner: "qs-dnn(seed=0x1)".into(),
+            members: vec![MemberSummary {
+                label: "pbqp".into(),
+                best_cost_ms: Some(1.5),
+                episodes: 0,
+                wall_time_ms: 0.1,
+            }],
+            vanilla_cost_ms: 5.0,
+            warm_start: Some(WarmStartInfo {
+                donor_key: "00aa".into(),
+                donor_network: "lenet5".into(),
+                donor_distance: 0.5,
+                transferred_states: 42,
+                episodes: 250,
+            }),
+            trace: Some(TraceInfo {
+                stages: vec![StageTiming {
+                    stage: "search".into(),
+                    ms: 12.5,
+                }],
+                total_ms: 13.0,
+            }),
+        }
+    }
+
+    fn typed_decode<T: WireDecode>(bytes: &[u8]) -> Result<T, ServeError> {
+        let mut r = BinReader::new(bytes);
+        let value = T::decode(&mut r, 0)?;
+        r.finish()?;
+        Ok(value)
+    }
+
+    /// Holds one struct's `wire_struct!` field list against its derives:
+    /// the keys the typed encoder writes must be the derive's, in its
+    /// order, and dropping any one field must succeed or fail in the
+    /// typed decoder exactly as it does in the derive (`default` vs
+    /// `required`).
+    fn check_against_derive<T>(name: &str, sample: &T)
+    where
+        T: WireEncode + WireDecode + Serialize + Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let Value::Object(derived) = sample.serialize() else {
+            panic!("{name} does not serialize as an object");
+        };
+        let mut typed = Vec::new();
+        sample.encode(&mut typed).expect("typed encode");
+        let Value::Object(written) = decode_value(&typed).expect("typed bytes decode") else {
+            panic!("{name}: the typed encoder did not write an object");
+        };
+        let keys = |fields: &[(String, Value)]| -> Vec<String> {
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(
+            keys(&written),
+            keys(&derived),
+            "{name}: wire_struct! field list (left) differs from the struct's derive (right)"
+        );
+        assert_eq!(typed, encode_body(sample).expect("tree encode"), "{name}");
+        assert_eq!(&typed_decode::<T>(&typed).expect("typed decode"), sample);
+
+        for (i, (field, _)) in derived.iter().enumerate() {
+            let mut without = derived.clone();
+            without.remove(i);
+            let tree = T::deserialize(&Value::Object(without.clone()));
+            let bytes = encode_body(&Value::Object(without)).expect("encode");
+            match (typed_decode::<T>(&bytes), tree) {
+                (Ok(typed), Ok(tree)) => assert_eq!(typed, tree, "{name}.{field} dropped"),
+                (Err(_), Err(_)) => {}
+                (typed, tree) => panic!(
+                    "{name}.{field}: `default`/`required` in wire_struct! disagrees with the \
+                     derive — without it typed decode gives {typed:?}, the derive {tree:?}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn typed_field_lists_match_the_derives() {
+        let plan = sample_plan();
+        check_against_derive("EpisodeRecord", &plan.best.curve[0]);
+        check_against_derive("SearchReport", &plan.best);
+        check_against_derive("MemberSummary", &plan.members[0]);
+        check_against_derive("WarmStartInfo", plan.warm_start.as_ref().unwrap());
+        let trace = plan.trace.as_ref().unwrap();
+        check_against_derive("StageTiming", &trace.stages[0]);
+        check_against_derive("TraceInfo", trace);
+        check_against_derive("PlanResponse", &plan);
+    }
+
+    /// What a frame decodes into is never reserved larger than the frame,
+    /// whatever count it claims.
+    #[test]
+    fn a_claimed_count_reserves_no_more_than_the_payload_could_hold() {
+        assert_eq!(<EpisodeRecord as WireDecode>::MIN_WIRE, 92);
+        fn check<T: WireDecode>(name: &str) {
+            for remaining in [0, 1, 91, 92, 93_207, 8 * 1024 * 1024] {
+                let slots = reservation::<T>(u32::MAX as usize, remaining);
+                assert!(slots * T::MIN_WIRE <= remaining, "{name}: more than fit");
+                assert!(
+                    slots * std::mem::size_of::<T>() <= remaining,
+                    "{name}: {remaining} bytes reserve {slots} slots"
+                );
+            }
+            assert_eq!(reservation::<T>(3, usize::MAX), 3, "{name}");
+        }
+        check::<EpisodeRecord>("EpisodeRecord");
+        check::<MemberSummary>("MemberSummary");
+        check::<StageTiming>("StageTiming");
+        check::<usize>("usize");
+    }
+
+    #[test]
+    fn numbers_coerce_as_the_shim_does() {
+        let body = |v: Value| encode_body(&v).expect("encode");
+        for v in [
+            Value::Int(7),
+            Value::UInt(7),
+            Value::Float(7.0),
+            Value::Int(-7),
+            Value::Float(7.5),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(1e300),
+            Value::UInt(u64::MAX),
+            Value::Float(u64::MAX as f64),
+            Value::Bool(true),
+            Value::Null,
+        ] {
+            let bytes = body(v.clone());
+            assert_eq!(
+                typed_decode::<usize>(&bytes).ok(),
+                usize::deserialize(&v).ok(),
+                "usize from {v:?}"
+            );
+            assert_eq!(
+                typed_decode::<f64>(&bytes).ok().map(f64::to_bits),
+                f64::deserialize(&v).ok().map(f64::to_bits),
+                "f64 from {v:?}"
+            );
+            assert_eq!(
+                typed_decode::<Option<f64>>(&bytes)
+                    .ok()
+                    .map(|o| o.map(f64::to_bits)),
+                Option::<f64>::deserialize(&v)
+                    .ok()
+                    .map(|o| o.map(f64::to_bits)),
+                "Option<f64> from {v:?}"
+            );
+        }
+    }
+}

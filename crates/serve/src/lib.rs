@@ -83,6 +83,7 @@
 
 mod cache;
 mod client;
+mod codec;
 mod conn;
 mod exposition;
 mod metrics;

@@ -37,22 +37,35 @@
 //! `kind` 0x00 is a bare frame (no `id` field, v1 ordering semantics);
 //! `kind` 0x01 is a tagged frame whose `id` correlates request and reply
 //! exactly like the v2 JSON envelope — same in-flight cap, same
-//! out-of-order completion. The body is the message encoded with the
-//! self-describing value codec ([`encode_body`]/[`decode_body`]): the
-//! same [`Value`] tree the JSON framing serializes, so a decoded v3
-//! response is bit-identical to its v2 twin. A body that fails to decode
-//! is answered with an error frame (tagged when the id survived) and the
-//! connection lives on — the length prefix keeps framing in sync. A
-//! violated *header* (bad magic, unknown kind, body length beyond the
-//! frame bound) is unrecoverable: one error frame, then close.
+//! out-of-order completion. The body is the message as one
+//! self-describing value — the same [`Value`] tree the JSON framing
+//! serializes, so a decoded v3 response is bit-identical to its v2 twin.
+//! A body that fails to decode is answered with an error frame (tagged
+//! when the id survived) and the connection lives on — the length prefix
+//! keeps framing in sync. A violated *header* (bad magic, unknown kind,
+//! body length beyond the frame bound) is unrecoverable: one error frame,
+//! then close.
+//!
+//! Which code turns a message into that value's bytes depends on the
+//! message, and each message has exactly one: requests and the
+//! control-plane replies (`Stats`, `Metrics`, `Events`, `Tasks`,
+//! `Platforms`, `Profile`, `Pong`, `Error`) go through the `Value` tree
+//! ([`encode_body`]/[`decode_body`]); a plan reply — 93 KB at the median,
+//! nearly all of it the learning curve — is written and read straight
+//! against [`PlanResponse`] ([`encode_response`]/[`decode_response`]).
+//! The two are byte-identical on the wire by rule: the typed encoder
+//! emits what `encode_body` would, the typed decoder accepts what
+//! `decode_body` would, to `==` values. The tag table, both codecs and the
+//! rule's fine print live in `codec.rs`, re-exported here.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use qsdnn::engine::{CostLut, Mode, Objective};
 use qsdnn::{MemberSummary, SearchReport};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::{CacheStats, ShardStats};
+pub use crate::codec::{decode_body, decode_response, decode_value, encode_body, encode_response};
 use crate::ServeError;
 
 /// Protocol revision; servers accept handshakes from
@@ -86,10 +99,6 @@ pub const BINARY_FRAME_OVERHEAD: usize = 1 + 1 + 4 + 8;
 const FRAME_KIND_BARE: u8 = 0x00;
 /// `kind` byte of a tagged binary frame (pipelined, u64 id follows).
 const FRAME_KIND_TAGGED: u8 = 0x01;
-
-/// Depth bound for the binary value codec, matching the JSON parser's
-/// nesting guard so neither framing accepts what the other would refuse.
-const MAX_BINARY_DEPTH: usize = 128;
 
 /// Whether a handshake at `version` upgrades the connection to binary
 /// framing — true only when the server also accepts the version, which
@@ -1017,11 +1026,20 @@ pub fn read_line_resumable(
 /// [`read_line_resumable`]'s keepalive behavior on the client side.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// Received bytes are `buf[start..end]`. `buf[end..]` is initialized
+    /// spare room that only [`FrameBuffer::fill_from`] leaves behind, so
+    /// a blocking reader fills it in place with no zero-fill per read; a
+    /// buffer fed by [`FrameBuffer::push`] alone never has any.
     buf: Vec<u8>,
     /// Consumed prefix of `buf`; compacted lazily so `next_frame` never
     /// memmoves per frame.
     start: usize,
+    end: usize,
 }
+
+/// Least room [`FrameBuffer::fill_from`] offers one `read`: a default
+/// plan reply (93 KB at the median) arrives in two reads, not six.
+const FILL_BYTES: usize = 64 * 1024;
 
 impl FrameBuffer {
     /// An empty buffer.
@@ -1029,43 +1047,71 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends freshly read bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing, so a long-lived connection's buffer does
-        // not accumulate an unbounded consumed prefix. The prefix must
-        // also cover at least half the buffer: compacting a fixed-size
-        // prefix off a large parse backlog would memmove the whole tail
-        // over and over (O(n²) on the reactor thread); halving keeps the
-        // copy amortized O(1) per byte.
-        let compact = self.start == self.buf.len()
-            || (self.start >= 64 * 1024 && self.start * 2 >= self.buf.len());
-        if self.start > 0 && compact {
-            self.buf.drain(..self.start);
+    /// Drops the consumed prefix before the buffer grows, so a long-lived
+    /// connection's buffer does not accumulate an unbounded one. The
+    /// prefix must also cover at least half the received bytes:
+    /// compacting a fixed-size prefix off a large parse backlog would
+    /// memmove the whole tail over and over (O(n²) on the reactor
+    /// thread); halving keeps the copy amortized O(1) per byte.
+    fn compact(&mut self) {
+        let worthwhile =
+            self.start == self.end || (self.start >= 64 * 1024 && self.start * 2 >= self.end);
+        if self.start > 0 && worthwhile {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
+    }
+
+    /// The received, not yet consumed bytes.
+    fn pending(&self) -> &[u8] {
+        self.buf.get(self.start..self.end).unwrap_or(&[])
+    }
+
+    /// Appends freshly read bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// Appends what one `read` on `r` returns, read straight into the
+    /// buffer (at least 64 KiB of room, no intermediate chunk and
+    /// no copy). Returns that read's count — `Ok(0)` is EOF. An error,
+    /// a read timeout included, leaves the received bytes as they were.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the reader's error.
+    pub fn fill_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.compact();
+        if self.buf.len() - self.end < FILL_BYTES {
+            self.buf.resize(self.end + FILL_BYTES, 0);
+        }
+        let n = r.read(self.buf.get_mut(self.end..).unwrap_or(&mut []))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes received but not yet consumed as frames — the length of the
     /// (possibly still incomplete) data after the last extracted frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Whether the unconsumed bytes contain at least one line terminator
     /// (i.e. whether [`FrameBuffer::buffered`] growth is a single frame
     /// still in flight rather than a parse backlog).
     pub fn has_terminator(&self) -> bool {
-        self.buf
-            .get(self.start..)
-            .is_some_and(|pending| pending.contains(&b'\n'))
+        self.pending().contains(&b'\n')
     }
 
     /// Extracts the next complete, non-blank line (terminator stripped).
     /// Returns `None` when no complete line is buffered yet.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
         loop {
-            let pending = self.buf.get(self.start..)?;
+            let pending = self.buf.get(self.start..self.end)?;
             let rel = pending.iter().position(|&b| b == b'\n')?;
             let line = pending.get(..rel).unwrap_or(&[]);
             // Strip an optional carriage return so `nc -C`-style clients
@@ -1085,15 +1131,15 @@ impl FrameBuffer {
     /// that half-closes without a final `\n` still gets its last request
     /// answered (as [`read_line_resumable`] does for blocking readers).
     pub fn take_partial(&mut self) -> Option<Vec<u8>> {
-        let tail = self.buf.get(self.start..).unwrap_or(&[]);
+        let tail = self.pending();
         let tail = tail.strip_suffix(b"\r").unwrap_or(tail);
         let frame = if tail.iter().all(|b| b.is_ascii_whitespace()) {
             None
         } else {
             Some(tail.to_vec())
         };
-        self.buf.clear();
         self.start = 0;
+        self.end = 0;
         frame
     }
 
@@ -1104,9 +1150,7 @@ impl FrameBuffer {
     /// length, so a hostile length prefix is rejected before any body
     /// bytes are awaited (let alone buffered).
     pub fn next_binary_frame(&mut self, max_body: usize) -> BinaryFrameStatus {
-        let Some(pending) = self.buf.get(self.start..) else {
-            return BinaryFrameStatus::NeedMore;
-        };
+        let pending = self.pending();
         let Some(&magic) = pending.first() else {
             return BinaryFrameStatus::NeedMore;
         };
@@ -1188,215 +1232,6 @@ pub enum BinaryFrameStatus {
     Corrupt(String),
 }
 
-// Value-codec tags. The codec is self-describing over the vendored
-// `serde::Value` data model — the same tree the JSON framing writes — so
-// every request/response type serializes without per-type wire code, and
-// a decoded v3 message is field-for-field identical to its JSON twin
-// (floats ride as raw IEEE-754 bits, exactly what the JSON shim's
-// shortest-roundtrip text reproduces).
-const TAG_NULL: u8 = 0x00;
-const TAG_FALSE: u8 = 0x01;
-const TAG_TRUE: u8 = 0x02;
-const TAG_INT: u8 = 0x03;
-const TAG_UINT: u8 = 0x04;
-const TAG_FLOAT: u8 = 0x05;
-const TAG_STRING: u8 = 0x06;
-const TAG_ARRAY: u8 = 0x07;
-const TAG_OBJECT: u8 = 0x08;
-
-fn encode_len(len: usize, out: &mut Vec<u8>) -> Result<(), ServeError> {
-    let n = u32::try_from(len)
-        .map_err(|_| ServeError::Protocol("binary codec: length exceeds u32".to_string()))?;
-    out.extend_from_slice(&n.to_le_bytes());
-    Ok(())
-}
-
-fn encode_value_into(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<(), ServeError> {
-    if depth > MAX_BINARY_DEPTH {
-        return Err(ServeError::Protocol(
-            "binary codec: nesting too deep".to_string(),
-        ));
-    }
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::UInt(u) => {
-            out.push(TAG_UINT);
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            out.push(TAG_STRING);
-            encode_len(s.len(), out)?;
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            encode_len(items.len(), out)?;
-            for item in items {
-                encode_value_into(item, out, depth + 1)?;
-            }
-        }
-        Value::Object(fields) => {
-            out.push(TAG_OBJECT);
-            encode_len(fields.len(), out)?;
-            for (k, val) in fields {
-                encode_len(k.len(), out)?;
-                out.extend_from_slice(k.as_bytes());
-                encode_value_into(val, out, depth + 1)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-struct BinReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BinReader<'a> {
-    fn err(&self, msg: &str) -> ServeError {
-        ServeError::Protocol(format!("binary codec error at byte {}: {msg}", self.pos))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| self.err("length overflow"))?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.err("truncated payload"))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err("truncated payload"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        let bytes = self.take(4)?;
-        let arr = <[u8; 4]>::try_from(bytes).map_err(|_| self.err("truncated u32"))?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        let bytes = self.take(8)?;
-        let arr = <[u8; 8]>::try_from(bytes).map_err(|_| self.err("truncated u64"))?;
-        Ok(u64::from_le_bytes(arr))
-    }
-}
-
-fn decode_value_inner(r: &mut BinReader<'_>, depth: usize) -> Result<Value, ServeError> {
-    if depth > MAX_BINARY_DEPTH {
-        return Err(r.err("nesting too deep"));
-    }
-    match r.u8()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(r.u64()? as i64)),
-        TAG_UINT => Ok(Value::UInt(r.u64()?)),
-        TAG_FLOAT => Ok(Value::Float(f64::from_bits(r.u64()?))),
-        TAG_STRING => {
-            let n = r.u32()? as usize;
-            let bytes = r.take(n)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| r.err("string is not valid UTF-8"))?;
-            Ok(Value::String(s.to_string()))
-        }
-        TAG_ARRAY => {
-            let n = r.u32()? as usize;
-            // Every element costs at least its tag byte, so a count
-            // beyond the remaining payload is hostile — reject it before
-            // reserving a poisoned capacity.
-            if n > r.remaining() {
-                return Err(r.err("array count exceeds payload"));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value_inner(r, depth + 1)?);
-            }
-            Ok(Value::Array(items))
-        }
-        TAG_OBJECT => {
-            let n = r.u32()? as usize;
-            // Every field costs at least a 4-byte key length plus a
-            // 1-byte value tag.
-            if n.saturating_mul(5) > r.remaining() {
-                return Err(r.err("field count exceeds payload"));
-            }
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let klen = r.u32()? as usize;
-                let kbytes = r.take(klen)?;
-                let key = std::str::from_utf8(kbytes)
-                    .map_err(|_| r.err("object key is not valid UTF-8"))?
-                    .to_string();
-                let value = decode_value_inner(r, depth + 1)?;
-                fields.push((key, value));
-            }
-            Ok(Value::Object(fields))
-        }
-        other => Err(r.err(&format!("unknown value tag 0x{other:02x}"))),
-    }
-}
-
-/// Decodes one codec payload into a [`Value`] tree, requiring the whole
-/// slice to be consumed.
-///
-/// # Errors
-///
-/// Returns an error describing the first framing/codec violation.
-pub fn decode_value(bytes: &[u8]) -> Result<Value, ServeError> {
-    let mut r = BinReader { bytes, pos: 0 };
-    let v = decode_value_inner(&mut r, 0)?;
-    if r.pos != bytes.len() {
-        return Err(r.err("trailing bytes after value"));
-    }
-    Ok(v)
-}
-
-/// Encodes a message as a binary-codec body (no frame header).
-///
-/// # Errors
-///
-/// Fails on a value the codec cannot represent (nesting beyond the
-/// depth guard, or a string/collection length beyond `u32`).
-pub fn encode_body<T: Serialize + ?Sized>(msg: &T) -> Result<Vec<u8>, ServeError> {
-    let mut out = Vec::with_capacity(64);
-    encode_value_into(&msg.serialize(), &mut out, 0)?;
-    Ok(out)
-}
-
-/// Decodes a binary-codec body into a typed message.
-///
-/// # Errors
-///
-/// Fails on codec violations or a shape mismatch.
-pub fn decode_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
-    T::deserialize(&decode_value(bytes)?).map_err(|e| ServeError::Protocol(e.to_string()))
-}
-
 /// Wraps an encoded body in a binary frame header — the one copy a
 /// preserialized (cached) body pays on its way to the outbox.
 ///
@@ -1462,23 +1297,14 @@ pub fn read_binary_frame_resumable(
             BinaryFrameStatus::Corrupt(message) => return Err(ServeError::Protocol(message)),
             BinaryFrameStatus::NeedMore => {}
         }
-        let mut chunk = [0u8; 16 * 1024];
-        match r.read(&mut chunk) {
-            Ok(0) => {
-                return if frames.buffered() == 0 {
-                    Ok(None)
-                } else {
-                    Err(ServeError::Protocol(
-                        "connection closed mid-frame".to_string(),
-                    ))
-                };
-            }
-            Ok(n) => {
-                if let Some(bytes) = chunk.get(..n) {
-                    frames.push(bytes);
-                }
-            }
-            Err(e) => return Err(ServeError::Io(e)),
+        if frames.fill_from(r)? == 0 {
+            return if frames.buffered() == 0 {
+                Ok(None)
+            } else {
+                Err(ServeError::Protocol(
+                    "connection closed mid-frame".to_string(),
+                ))
+            };
         }
     }
 }
@@ -1510,13 +1336,14 @@ pub fn parse_binary_request(frame: &BinaryFrame) -> Result<RequestFrame, ServeEr
     })
 }
 
-/// Decodes a binary frame's body as a response, preserving the header id.
+/// Decodes a binary frame's body as a response ([`decode_response`]: a
+/// plan reply through the typed codec), preserving the header id.
 ///
 /// # Errors
 ///
 /// Fails on codec violations or an unknown response shape.
 pub fn parse_binary_response(frame: &BinaryFrame) -> Result<ResponseFrame, ServeError> {
-    let resp: Response = decode_body(&frame.body)?;
+    let resp = decode_response(&frame.body)?;
     Ok(match frame.id {
         Some(id) => ResponseFrame::Tagged(TaggedResponse { id, resp }),
         None => ResponseFrame::Untagged(resp),
@@ -1548,6 +1375,9 @@ pub fn read_message_resumable<T: serde::Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{
+        encode_value_into, MAX_BINARY_DEPTH, TAG_ARRAY, TAG_NULL, TAG_OBJECT, TAG_STRING,
+    };
     use qsdnn::engine::toy;
 
     #[test]
@@ -2112,6 +1942,152 @@ mod tests {
         assert!(decode_value(&[TAG_NULL, TAG_NULL]).is_err());
     }
 
+    /// A v3 plan reply with a `curve_len`-point curve, and the offset of
+    /// the curve's array tag in its body. Every record is the same size.
+    fn plan_reply_body(curve_len: usize) -> (Vec<u8>, usize) {
+        let point = |episode| qsdnn::EpisodeRecord {
+            episode,
+            epsilon: 0.5,
+            cost_ms: 2.0,
+            best_so_far_ms: 1.0,
+        };
+        let body = encode_response(&Response::Plan(PlanResponse {
+            network: "lenet5".into(),
+            plan_key: "00ff".into(),
+            cache_hit: true,
+            best: SearchReport {
+                method: "qs-dnn".into(),
+                network: "lenet5".into(),
+                best_assignment: vec![0, 1, 2],
+                best_cost_ms: 1.0,
+                episodes: curve_len,
+                curve: (0..curve_len).map(point).collect(),
+                wall_time_ms: 3.5,
+            },
+            winner: "qs-dnn(seed=0x1)".into(),
+            members: Vec::new(),
+            vanilla_cost_ms: 5.0,
+            warm_start: None,
+            trace: None,
+        }))
+        .unwrap();
+        let key = b"\x05\0\0\0curve";
+        let at = body.windows(key.len()).position(|w| w == key).unwrap();
+        (body, at + key.len())
+    }
+
+    /// Where `{"Plan": {..}}` keeps the plan object's field count: after
+    /// the outer tag, its count of 1, the 4-byte variant key and its own
+    /// tag. The plan's fields run to the end of the body, so appending
+    /// bytes and bumping this count appends a field.
+    const PLAN_FIELD_COUNT_AT: usize = 1 + 4 + (4 + 4) + 1;
+
+    fn with_extra_plan_field(mut body: Vec<u8>, key: &[u8], value: &[u8]) -> Vec<u8> {
+        let count = &mut body[PLAN_FIELD_COUNT_AT];
+        *count += 1;
+        body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        body.extend_from_slice(key);
+        body.extend_from_slice(value);
+        body
+    }
+
+    /// The client-side error contract: whatever a hostile server puts in
+    /// a plan reply, the typed decoder answers `ServeError::Protocol`
+    /// naming the byte, the class of outcome the tree decoder gave.
+    #[track_caller]
+    fn assert_plan_reply_rejected(body: Vec<u8>, why: &str) {
+        assert!(
+            decode_body::<Response>(&body).is_err(),
+            "the tree decoder accepts this body (expected: {why})"
+        );
+        match parse_binary_response(&BinaryFrame { id: Some(1), body }) {
+            Err(ServeError::Protocol(m)) => {
+                assert!(m.starts_with("binary codec error at byte "), "{m}");
+                assert!(m.contains(why), "expected `{why}`, got: {m}");
+            }
+            other => panic!("expected a protocol error ({why}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_plan_replies_are_protocol_errors_naming_the_byte() {
+        let (valid, curve_at) = plan_reply_body(2000);
+        assert_eq!(valid[PLAN_FIELD_COUNT_AT - 1], TAG_OBJECT);
+        assert_eq!(
+            valid[PLAN_FIELD_COUNT_AT], 9,
+            "PlanResponse has nine fields"
+        );
+        assert_eq!(valid[curve_at], TAG_ARRAY);
+        assert!(parse_binary_response(&BinaryFrame {
+            id: None,
+            body: valid.clone()
+        })
+        .is_ok());
+
+        // Array count larger than the remaining payload.
+        let mut body = valid.clone();
+        body[curve_at + 1..curve_at + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_plan_reply_rejected(body, "array count exceeds payload");
+
+        // Object field count whose minimal fields (5 bytes each) cannot
+        // fit in the payload.
+        let mut body = valid.clone();
+        let too_many = (valid.len() / 5 + 1) as u32;
+        body[PLAN_FIELD_COUNT_AT..PLAN_FIELD_COUNT_AT + 4].copy_from_slice(&too_many.to_le_bytes());
+        assert_plan_reply_rejected(body, "field count exceeds payload");
+
+        // A depth bomb inside a field the typed decoder does not know
+        // and so skips: the skip is held to the depth guard too.
+        let mut bomb = Vec::new();
+        for _ in 0..(MAX_BINARY_DEPTH + 10) {
+            bomb.push(TAG_ARRAY);
+            bomb.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bomb.push(TAG_NULL);
+        assert_plan_reply_rejected(
+            with_extra_plan_field(valid.clone(), b"future", &bomb),
+            "nesting too deep",
+        );
+        // ... while the same unknown field nested within the bound is
+        // skipped, and the reply decodes to what it did without it.
+        let shallow = &bomb[bomb.len() - 1 - 5 * 100..];
+        assert_eq!(
+            decode_response(&with_extra_plan_field(valid.clone(), b"future", shallow)).unwrap(),
+            decode_response(&valid).unwrap()
+        );
+
+        // A key that is not UTF-8.
+        assert_plan_reply_rejected(
+            with_extra_plan_field(valid.clone(), &[0xff, 0xfe], &[TAG_NULL]),
+            "object key is not valid UTF-8",
+        );
+
+        // Truncated inside the 1500th episode record.
+        let record = (valid.len() - curve_at - 5) / 2000;
+        let mut body = valid.clone();
+        body.truncate(curve_at + 5 + 1499 * record + record / 2);
+        assert_plan_reply_rejected(body, "truncated payload");
+
+        // Trailing bytes after the value.
+        let mut body = valid.clone();
+        body.push(TAG_NULL);
+        assert_plan_reply_rejected(body, "trailing bytes after value");
+
+        // `best` is mandatory: its absence is an error, not a defaulted
+        // empty assignment.
+        let Value::Object(mut outer) = decode_value(&valid).unwrap() else {
+            panic!("a response is an object");
+        };
+        let Value::Object(plan) = &mut outer[0].1 else {
+            panic!("a plan is an object");
+        };
+        plan.retain(|(k, _)| k != "best");
+        assert_plan_reply_rejected(
+            encode_body(&Value::Object(outer)).unwrap(),
+            "missing field `best` in PlanResponse",
+        );
+    }
+
     #[test]
     fn binary_request_roundtrips_match_json_decode() {
         let reqs = vec![
@@ -2246,6 +2222,84 @@ mod tests {
             BinaryFrameStatus::Frame(_)
         ));
         assert!(fb_json.next_frame().is_some());
+    }
+
+    #[test]
+    fn resumable_binary_read_survives_a_timeout_mid_frame() {
+        let resp = Response::Error {
+            message: "x".repeat(3000),
+        };
+        let frame = encode_binary_frame(Some(5), &encode_body(&resp).unwrap()).unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        let mut r = Stutter(
+            [head.to_vec(), Vec::new(), tail.to_vec()]
+                .into_iter()
+                .collect(),
+        );
+        let mut fb = FrameBuffer::new();
+        // Half the frame arrives, then the timeout fires: the half stays
+        // buffered, read in place by `fill_from`.
+        let err = read_binary_frame_resumable(&mut r, &mut fb, MAX_FRAME_BYTES)
+            .expect_err("timeout propagates");
+        assert!(matches!(
+            err,
+            ServeError::Io(ref e) if e.kind() == std::io::ErrorKind::WouldBlock
+        ));
+        assert_eq!(fb.buffered(), head.len(), "partial frame must be preserved");
+        let got = read_binary_frame_resumable(&mut r, &mut fb, MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(got.id, Some(5));
+        assert_eq!(decode_response(&got.body).unwrap(), resp);
+        assert_eq!(fb.buffered(), 0);
+    }
+
+    /// A reader that hands out at most `.1` bytes per `read`, like a
+    /// socket whose peer writes small segments.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(self.0.len()).min(buf.len());
+            let (now, later) = self.0.split_at(n);
+            buf[..n].copy_from_slice(now);
+            self.0 = later;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn fill_from_compacts_so_a_long_stream_reuses_one_bounded_buffer() {
+        // 300 frames of 40 KB through one buffer, 7000 bytes a read:
+        // consumed prefixes pass the 64 KiB compaction threshold with a
+        // partial frame behind them many times over.
+        let bodies: Vec<Vec<u8>> = (0..300usize)
+            .map(|i| (0..40_000).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        let stream: Vec<u8> = bodies
+            .iter()
+            .enumerate()
+            .flat_map(|(i, body)| encode_binary_frame(Some(i as u64), body).unwrap())
+            .collect();
+        let mut r = Trickle(&stream, 7000);
+        let mut fb = FrameBuffer::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let got = read_binary_frame_resumable(&mut r, &mut fb, MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+            assert_eq!(got.id, Some(i as u64));
+            assert!(got.body == *body, "frame {i} mangled");
+            assert!(
+                fb.buf.len() <= 4 * FILL_BYTES,
+                "frame {i}: buffer grew to {}",
+                fb.buf.len()
+            );
+        }
+        assert!(
+            read_binary_frame_resumable(&mut r, &mut fb, MAX_FRAME_BYTES)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::metrics::{
 use crate::pool::{PoolRecorder, WorkerPool};
 use crate::portfolio::{run_portfolio_parallel, run_portfolio_parallel_with, WarmStart};
 use crate::protocol::{
-    default_episodes, encode_binary_frame, encode_body, EventMsg, EventsResponse, ExemplarMsg,
+    default_episodes, encode_binary_frame, encode_response, EventMsg, EventsResponse, ExemplarMsg,
     MetricsResponse, PlanRequest, PlanResponse, PlatformInfo, PlatformsResponse, PostmortemDump,
     ProfileRequest, ProfileResponse, Request, Response, SearchRequest, StageTiming, StatsResponse,
     TaskMsg, TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION,
@@ -1224,7 +1224,7 @@ impl ServiceState {
                 if let Some(body) = self.plans.wire_body(&plan.plan_key) {
                     return Ok(body);
                 }
-                let body = Arc::new(encode_body(resp)?);
+                let body = Arc::new(encode_response(resp)?);
                 // Best-effort: if the entry was evicted between the hit
                 // and here, the attach is a no-op and the next residency
                 // rebuilds the body — never a stale one.
@@ -1233,7 +1233,7 @@ impl ServiceState {
                 return Ok(body);
             }
         }
-        Ok(Arc::new(encode_body(resp)?))
+        Ok(Arc::new(encode_response(resp)?))
     }
 
     /// Runs one parsed request end to end on the calling (dispatcher)

@@ -1,0 +1,655 @@
+//! Differential test of the typed v3 plan-reply codec against the tree
+//! codec, which is its oracle: the wire must not be able to tell them
+//! apart. For arbitrary plan replies the typed encoder's bytes are the
+//! tree encoder's bytes, and for valid bodies mutated in every way a
+//! peer built from another commit (or a hostile one) could produce —
+//! fields reordered, dropped, unknown, duplicated, numbers re-tagged,
+//! values swapped for junk, bytes flipped or cut — the two decoders
+//! return the same value or both refuse. CI also runs this file with
+//! `--release`, where the allocation pattern the typed path changes
+//! differs from the debug build's.
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use serde::{Serialize, Value};
+
+use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
+use qsdnn_serve::protocol::{
+    decode_body, decode_response, encode_body, encode_response, PlanResponse, Response,
+    StageTiming, TraceInfo, WarmStartInfo,
+};
+use qsdnn_serve::ServeError;
+
+const STRINGS: [&str; 7] = [
+    "",
+    "lenet5",
+    "möbilenet",
+    "ネット",
+    "net🔥v2",
+    "qs-dnn(seed=0x1)",
+    "a \"quoted\"\n\u{7}line",
+];
+
+/// Floats whose bits a lossy codec would not survive: both zeros,
+/// subnormals, the extremes, infinities. No NaN — replies are compared
+/// with `==` as well as by their bytes.
+const FLOATS: [f64; 10] = [
+    0.0,
+    -0.0,
+    5e-324,
+    f64::MIN_POSITIVE / 2.0,
+    1.25,
+    -17.5,
+    1e300,
+    f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+const COUNTS: [usize; 6] = [
+    0,
+    1,
+    2000,
+    u32::MAX as usize,
+    i64::MAX as usize + 1,
+    usize::MAX,
+];
+
+fn string(rng: &mut SmallRng) -> String {
+    STRINGS[rng.gen_range(0..STRINGS.len())].to_string()
+}
+
+fn float(rng: &mut SmallRng) -> f64 {
+    if rng.gen_bool(0.5) {
+        FLOATS[rng.gen_range(0..FLOATS.len())]
+    } else {
+        rng.gen_range(-1e6..1e6)
+    }
+}
+
+fn count(rng: &mut SmallRng) -> usize {
+    if rng.gen_bool(0.5) {
+        COUNTS[rng.gen_range(0..COUNTS.len())]
+    } else {
+        rng.gen_range(0..100_000)
+    }
+}
+
+fn random_plan(rng: &mut SmallRng, curve_len: usize) -> PlanResponse {
+    PlanResponse {
+        network: string(rng),
+        plan_key: string(rng),
+        cache_hit: rng.gen_bool(0.5),
+        best: SearchReport {
+            method: string(rng),
+            network: string(rng),
+            best_assignment: (0..rng.gen_range(0..12)).map(|_| count(rng)).collect(),
+            best_cost_ms: float(rng),
+            episodes: count(rng),
+            curve: (0..curve_len)
+                .map(|_| EpisodeRecord {
+                    episode: count(rng),
+                    epsilon: float(rng),
+                    cost_ms: float(rng),
+                    best_so_far_ms: float(rng),
+                })
+                .collect(),
+            wall_time_ms: float(rng),
+        },
+        winner: string(rng),
+        members: (0..rng.gen_range(0..4))
+            .map(|_| MemberSummary {
+                label: string(rng),
+                best_cost_ms: rng.gen_bool(0.7).then(|| float(rng)),
+                episodes: count(rng),
+                wall_time_ms: float(rng),
+            })
+            .collect(),
+        vanilla_cost_ms: float(rng),
+        warm_start: rng.gen_bool(0.5).then(|| WarmStartInfo {
+            donor_key: string(rng),
+            donor_network: string(rng),
+            donor_distance: float(rng),
+            transferred_states: count(rng),
+            episodes: count(rng),
+        }),
+        trace: rng.gen_bool(0.5).then(|| TraceInfo {
+            stages: (0..rng.gen_range(0..4))
+                .map(|_| StageTiming {
+                    stage: string(rng),
+                    ms: float(rng),
+                })
+                .collect(),
+            total_ms: float(rng),
+        }),
+    }
+}
+
+/// Both decoders on one body. `Ok` carries the decoded reply re-encoded
+/// by the tree codec: equal bytes are equal values down to the sign of a
+/// zero and the payload of a NaN, which `==` cannot see.
+fn both(body: &[u8]) -> (Result<Vec<u8>, ServeError>, Result<Vec<u8>, ServeError>) {
+    let bits = |resp: Response| encode_body(&resp).expect("a decoded reply encodes");
+    (
+        decode_response(body).map(bits),
+        decode_body::<Response>(body).map(bits),
+    )
+}
+
+/// Asserts the decoders agree on `body`; returns whether they accepted it.
+#[track_caller]
+fn assert_agree(body: &[u8], what: &str) -> bool {
+    match both(body) {
+        (Ok(typed), Ok(tree)) => {
+            assert!(
+                typed == tree,
+                "{what}: the decoders accept different values"
+            );
+            true
+        }
+        (Err(ServeError::Protocol(m)), Err(_)) => {
+            assert!(
+                !matches!(decode_response_variant(body), Some(true))
+                    || m.starts_with("binary codec error at byte "),
+                "{what}: a plan reply's error must name the byte: {m}"
+            );
+            false
+        }
+        (typed, tree) => panic!(
+            "{what}: typed decode gave {:?}, the tree {:?}",
+            typed.map(|b| b.len()),
+            tree.map(|b| b.len())
+        ),
+    }
+}
+
+/// Whether `body` opens as `{"Plan": ..}` (the typed decoder's route),
+/// if it is long enough to tell.
+fn decode_response_variant(body: &[u8]) -> Option<bool> {
+    let head = body.get(..13)?;
+    Some(head == b"\x08\x01\0\0\0\x04\0\0\0Plan")
+}
+
+fn junk(rng: &mut SmallRng, depth: usize) -> Value {
+    match rng.gen_range(0..if depth < 3 { 9 } else { 7 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Int(-rng.gen_range(1..1_000_000i64)),
+        3 => Value::UInt(count(rng) as u64),
+        4 => Value::Float(float(rng)),
+        5 => Value::Float(rng.gen_range(0..50u32) as f64),
+        6 => Value::String(string(rng)),
+        7 => Value::Array(
+            (0..rng.gen_range(0..4))
+                .map(|_| junk(rng, depth + 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0..4))
+                .map(|_| (string(rng), junk(rng, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The same number under another tag, where one exists: what a peer
+/// whose serializer picks tags differently would send.
+fn retag(v: &Value, rng: &mut SmallRng) -> Value {
+    match *v {
+        Value::UInt(u) if rng.gen_bool(0.5) => Value::Float(u as f64),
+        Value::UInt(u) => i64::try_from(u).map_or(Value::UInt(u), Value::Int),
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => {
+            if f >= 0.0 && rng.gen_bool(0.5) {
+                Value::UInt(f as u64)
+            } else {
+                Value::Int(f as i64)
+            }
+        }
+        Value::Float(f) => Value::Float(f),
+        ref other => other.clone(),
+    }
+}
+
+/// Walks the tree, applying each kind of mutation with probability `rate`
+/// per node it could apply to.
+fn mutate(v: &mut Value, rng: &mut SmallRng, rate: f64) {
+    if rng.gen_bool(rate / 4.0) {
+        *v = junk(rng, 0);
+        return;
+    }
+    match v {
+        Value::UInt(_) | Value::Float(_) if rng.gen_bool(rate) => *v = retag(v, rng),
+        Value::Array(items) => {
+            if !items.is_empty() && rng.gen_bool(rate / 2.0) {
+                items.remove(rng.gen_range(0..items.len()));
+            }
+            items.iter_mut().for_each(|item| mutate(item, rng, rate));
+        }
+        Value::Object(fields) => {
+            fields
+                .iter_mut()
+                .for_each(|(_, value)| mutate(value, rng, rate));
+            if rng.gen_bool(rate) {
+                // Permute: a Fisher-Yates shuffle.
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, rng.gen_range(0..i + 1));
+                }
+            }
+            if !fields.is_empty() && rng.gen_bool(rate) {
+                fields.remove(rng.gen_range(0..fields.len()));
+            }
+            if rng.gen_bool(rate) {
+                let at = rng.gen_range(0..fields.len() + 1);
+                fields.insert(at, (format!("x-{}", string(rng)), junk(rng, 0)));
+            }
+            if !fields.is_empty() && rng.gen_bool(rate) {
+                // Duplicate a key, before or after the original, with
+                // the same value or one of another shape.
+                let (key, value) = fields[rng.gen_range(0..fields.len())].clone();
+                let value = if rng.gen_bool(0.5) {
+                    value
+                } else {
+                    junk(rng, 0)
+                };
+                let at = rng.gen_range(0..fields.len() + 1);
+                fields.insert(at, (key, value));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Adds unknown fields (which the typed decoder skips rather than
+/// builds) to about one object in three, leaving the reply's value alone.
+fn add_unknown_fields(v: &mut Value, rng: &mut SmallRng) {
+    match v {
+        Value::Array(items) => items.iter_mut().for_each(|i| add_unknown_fields(i, rng)),
+        Value::Object(fields) => {
+            fields
+                .iter_mut()
+                .for_each(|(_, value)| add_unknown_fields(value, rng));
+            if rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..fields.len() + 1);
+                fields.insert(at, (format!("x-{}", string(rng)), junk(rng, 0)));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A plan as the `Value` object the derive serializes it to.
+fn plan_tree(plan: &PlanResponse) -> Value {
+    plan.serialize()
+}
+
+/// The body of `{"Plan": plan}`, through the tree encoder.
+fn wrap(plan: Value) -> Vec<u8> {
+    encode_body(&Value::Object(vec![("Plan".to_string(), plan)])).expect("encode")
+}
+
+/// The value at `path` under `v`: object keys, and indices into arrays.
+fn at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |v, step| match v {
+        Value::Object(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == step)
+            .map_or_else(|| panic!("no field {step}"), |(_, v)| v),
+        Value::Array(items) => &mut items[step.parse::<usize>().expect("array index")],
+        other => panic!("cannot step to {step} in {other:?}"),
+    })
+}
+
+/// The fields of the object at `path`.
+fn fields_at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Vec<(String, Value)> {
+    match at(v, path) {
+        Value::Object(fields) => fields,
+        other => panic!("{path:?} is {other:?}, not an object"),
+    }
+}
+
+/// One plan with every optional part present, so each targeted mutation
+/// below has a site.
+fn full_plan() -> PlanResponse {
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut plan = random_plan(&mut rng, 3);
+    plan.members = vec![MemberSummary {
+        label: "pbqp".into(),
+        best_cost_ms: Some(1.5),
+        episodes: 7,
+        wall_time_ms: 0.25,
+    }];
+    plan.warm_start = Some(WarmStartInfo {
+        donor_key: "00aa".into(),
+        donor_network: "lenet5".into(),
+        donor_distance: 0.5,
+        transferred_states: 42,
+        episodes: 250,
+    });
+    plan.trace = Some(TraceInfo {
+        stages: vec![StageTiming {
+            stage: "search".into(),
+            ms: 12.0,
+        }],
+        total_ms: 13.0,
+    });
+    plan
+}
+
+/// Every object in [`full_plan`]'s tree, one of each kind.
+const OBJECTS: [&[&str]; 7] = [
+    &[],
+    &["best"],
+    &["best", "curve", "2"],
+    &["members", "0"],
+    &["warm_start"],
+    &["trace"],
+    &["trace", "stages", "0"],
+];
+
+fn decoded(body: &[u8]) -> PlanResponse {
+    assert!(assert_agree(body, "targeted mutation"), "both must accept");
+    match decode_response(body).expect("accepted") {
+        Response::Plan(plan) => plan,
+        other => panic!("decoded as {other:?}"),
+    }
+}
+
+#[test]
+fn empty_and_5000_point_curves_are_byte_identical_and_roundtrip() {
+    let mut rng = SmallRng::seed_from_u64(5000);
+    for curve_len in [0, 1, 5000] {
+        let resp = Response::Plan(random_plan(&mut rng, curve_len));
+        let typed = encode_response(&resp).expect("typed encode");
+        assert!(typed == encode_body(&resp).expect("tree encode"));
+        assert_eq!(decode_response(&typed).expect("typed decode"), resp);
+        assert_eq!(decode_body::<Response>(&typed).expect("tree decode"), resp);
+    }
+}
+
+#[test]
+fn every_other_variant_still_rides_the_tree() {
+    for resp in [
+        Response::Pong { version: 3 },
+        Response::Error {
+            message: "nope".into(),
+        },
+    ] {
+        let body = encode_response(&resp).expect("encode");
+        assert_eq!(body, encode_body(&resp).expect("tree encode"));
+        assert_eq!(decode_response(&body).expect("decode"), resp);
+    }
+}
+
+#[test]
+fn fields_in_any_order_decode_to_the_same_reply() {
+    let plan = full_plan();
+    let mut tree = plan_tree(&plan);
+    for path in OBJECTS {
+        fields_at(&mut tree, path).reverse();
+    }
+    assert_eq!(decoded(&wrap(tree)), plan);
+}
+
+#[test]
+fn a_dropped_default_field_defaults_and_a_dropped_mandatory_one_refuses() {
+    let plan = full_plan();
+    // Per object, in `OBJECTS` order: its fields and whether the derive
+    // defaults each.
+    let fields: [&[(&str, bool)]; 7] = [
+        &[
+            ("network", true),
+            ("plan_key", true),
+            ("cache_hit", true),
+            ("best", false),
+            ("winner", true),
+            ("members", true),
+            ("vanilla_cost_ms", true),
+            ("warm_start", true),
+            ("trace", true),
+        ],
+        &[
+            ("method", false),
+            ("network", false),
+            ("best_assignment", false),
+            ("best_cost_ms", false),
+            ("episodes", false),
+            ("curve", false),
+            ("wall_time_ms", false),
+        ],
+        &[
+            ("episode", false),
+            ("epsilon", false),
+            ("cost_ms", false),
+            ("best_so_far_ms", false),
+        ],
+        &[
+            ("label", false),
+            ("best_cost_ms", false),
+            ("episodes", true),
+            ("wall_time_ms", false),
+        ],
+        &[
+            ("donor_key", true),
+            ("donor_network", true),
+            ("donor_distance", true),
+            ("transferred_states", true),
+            ("episodes", true),
+        ],
+        &[("stages", true), ("total_ms", true)],
+        &[("stage", true), ("ms", true)],
+    ];
+    for (path, fields) in OBJECTS.into_iter().zip(fields) {
+        assert_eq!(
+            fields_at(&mut plan_tree(&plan), path).len(),
+            fields.len(),
+            "{path:?}: this table is missing a field"
+        );
+        for (field, defaulted) in fields {
+            let mut tree = plan_tree(&plan);
+            fields_at(&mut tree, path).retain(|(k, _)| k != field);
+            let accepted = assert_agree(&wrap(tree), &format!("{path:?}.{field} dropped"));
+            assert_eq!(accepted, *defaulted, "{path:?}.{field} dropped");
+        }
+    }
+}
+
+/// `plan`'s tree with an unknown field of every tag added to each kind of
+/// object in it.
+fn with_unknown_fields_of_every_tag(plan: &PlanResponse) -> Value {
+    let unknown = [
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Int(-5),
+        Value::UInt(u64::MAX),
+        Value::Float(-0.0),
+        Value::String("ネット".into()),
+        Value::Array(vec![Value::Array(vec![]), Value::Int(1)]),
+        Value::Object(vec![("k".into(), Value::Object(vec![]))]),
+    ];
+    let mut tree = plan_tree(plan);
+    for path in OBJECTS {
+        let fields = fields_at(&mut tree, path);
+        for (i, value) in unknown.iter().enumerate() {
+            // Interleaved with the known fields, first and last included.
+            let at = (2 * i).min(fields.len());
+            fields.insert(at, (format!("future_{i}"), value.clone()));
+        }
+    }
+    tree
+}
+
+#[test]
+fn unknown_fields_of_every_tag_are_skipped() {
+    let plan = full_plan();
+    assert_eq!(
+        decoded(&wrap(with_unknown_fields_of_every_tag(&plan))),
+        plan
+    );
+}
+
+/// Exhaustive where the properties below are random: every byte of a
+/// small reply — known fields and skipped unknown ones alike — replaced
+/// by every tag value, a count-sized value, and two bytes that break
+/// UTF-8, and the body cut at every length.
+#[test]
+fn no_single_byte_corruption_or_cut_separates_the_decoders() {
+    let body = wrap(with_unknown_fields_of_every_tag(&full_plan()));
+    let (mut accepted, mut refused) = (0u32, 0u32);
+    let mut tally = |ok: bool| if ok { accepted += 1 } else { refused += 1 };
+    for at in 0..body.len() {
+        tally(assert_agree(&body[..at], &format!("cut at {at}")));
+        for byte in (0x00..=0x09).chain([0x40, 0x80, 0xff]) {
+            if body[at] != byte {
+                let mut damaged = body.clone();
+                damaged[at] = byte;
+                tally(assert_agree(&damaged, &format!("byte {at} = {byte:#04x}")));
+            }
+        }
+    }
+    assert!(accepted > 1000 && refused > 1000, "{accepted} / {refused}");
+}
+
+#[test]
+fn the_first_of_a_duplicated_key_wins() {
+    let plan = full_plan();
+    let with = |at_front: bool, key: &str, value: Value| {
+        let mut tree = plan_tree(&plan);
+        let fields = fields_at(&mut tree, &[]);
+        let at = if at_front { 0 } else { fields.len() };
+        fields.insert(at, (key.to_string(), value));
+        wrap(tree)
+    };
+    let impostor = || Value::String("impostor".into());
+    // A second, different value after the first is ignored, whatever its
+    // shape ...
+    assert_eq!(decoded(&with(false, "winner", impostor())), plan);
+    assert_eq!(decoded(&with(false, "best", Value::Null)), plan);
+    // ... and one before it is the one that counts.
+    assert_eq!(
+        decoded(&with(true, "winner", impostor())).winner,
+        "impostor"
+    );
+    assert_eq!(
+        decoded(&with(true, "warm_start", Value::Null)).warm_start,
+        None
+    );
+    // A first `best` of the wrong shape refuses the reply even though a
+    // well-formed one follows.
+    assert!(!assert_agree(
+        &with(true, "best", Value::Null),
+        "null best first"
+    ));
+}
+
+#[test]
+fn integral_numbers_decode_under_any_numeric_tag() {
+    let plan = full_plan();
+    let mut tree = plan_tree(&plan);
+    // usize fields as Int and as integral Float, f64 fields as Int/UInt.
+    *at(&mut tree, &["best", "curve", "0", "episode"]) = Value::Int(12);
+    *at(&mut tree, &["members", "0", "episodes"]) = Value::Float(7.0);
+    *at(&mut tree, &["trace", "total_ms"]) = Value::Int(-13);
+    *at(&mut tree, &["vanilla_cost_ms"]) = Value::UInt(u64::MAX);
+    *at(&mut tree, &["members", "0", "best_cost_ms"]) = Value::UInt(2);
+    let got = decoded(&wrap(tree));
+    assert_eq!(got.best.curve[0].episode, 12);
+    assert_eq!(got.members[0].episodes, 7);
+    assert_eq!(got.members[0].best_cost_ms, Some(2.0));
+    assert_eq!(got.trace.as_ref().map(|t| t.total_ms), Some(-13.0));
+    assert_eq!(got.vanilla_cost_ms, u64::MAX as f64);
+
+    // A count that is negative, fractional, or not a number refuses.
+    for bad in [
+        Value::Int(-1),
+        Value::Float(0.5),
+        Value::Float(-1.0),
+        Value::Float(f64::NAN),
+        Value::Float(1e300),
+        Value::String("7".into()),
+        Value::Null,
+    ] {
+        let mut tree = plan_tree(&plan);
+        *at(&mut tree, &["best", "episodes"]) = bad.clone();
+        assert!(!assert_agree(&wrap(tree), &format!("episodes = {bad:?}")));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Typed encode is the tree encode, byte for byte, and both decoders
+    /// give the reply back.
+    #[test]
+    fn arbitrary_plan_replies_are_byte_identical_and_roundtrip(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let curve_len = rng.gen_range(0..40);
+        let resp = Response::Plan(random_plan(&mut rng, curve_len));
+        let typed = encode_response(&resp).expect("typed encode");
+        prop_assert!(typed == encode_body(&resp).expect("tree encode"), "seed {}", seed);
+        prop_assert_eq!(&decode_response(&typed).expect("typed decode"), &resp);
+        prop_assert_eq!(&decode_body::<Response>(&typed).expect("tree decode"), &resp);
+    }
+
+    /// Valid replies mutated at the tree level — permuted, dropped,
+    /// unknown and duplicated fields, re-tagged numbers, junk values —
+    /// never separate the decoders.
+    #[test]
+    fn mutated_plan_replies_never_separate_the_decoders(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7EED_0000);
+        let curve_len = rng.gen_range(0..5);
+        let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
+        let rate = [0.01, 0.03, 0.1][rng.gen_range(0..3usize)];
+        mutate(&mut tree, &mut rng, rate);
+        assert_agree(&wrap(tree), &format!("seed {seed}"));
+    }
+
+    /// ... nor do bodies damaged at the byte level: flipped bytes (tags,
+    /// counts, lengths, UTF-8 — in fields the typed decoder builds and
+    /// in unknown ones it skips), cuts, and trailing garbage.
+    #[test]
+    fn damaged_plan_bodies_never_separate_the_decoders(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xDA3A_6ED0);
+        let curve_len = rng.gen_range(0..5);
+        let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
+        add_unknown_fields(&mut tree, &mut rng);
+        let mut body = wrap(tree);
+        prop_assert!(assert_agree(&body, "undamaged"), "unknown fields are skipped");
+        match rng.gen_range(0..4) {
+            0 => body.truncate(rng.gen_range(0..body.len())),
+            1 => body.extend((0..rng.gen_range(1..9)).map(|_| rng.gen_range(0..9u8))),
+            _ => {
+                for _ in 0..rng.gen_range(1..6) {
+                    let at = rng.gen_range(0..body.len());
+                    // Small values land on tags and counts; high ones
+                    // break UTF-8.
+                    body[at] = match rng.gen_range(0..3) {
+                        0 => rng.gen_range(0..10u8),
+                        1 => rng.gen_range(0x80..0x100u32) as u8,
+                        _ => rng.gen_range(0..0x100u32) as u8,
+                    };
+                }
+            }
+        }
+        assert_agree(&body, &format!("seed {seed}"));
+    }
+}
+
+/// The mutation property above means little if every mutant is refused:
+/// over the same generator, a fair share must be accepted too.
+#[test]
+fn the_mutation_generator_produces_both_verdicts() {
+    let (mut accepted, mut refused) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut tree = plan_tree(&random_plan(&mut rng, 3));
+        mutate(&mut tree, &mut rng, 0.03);
+        if assert_agree(&wrap(tree), &format!("seed {seed}")) {
+            accepted += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(accepted >= 40 && refused >= 40, "{accepted} / {refused}");
+}

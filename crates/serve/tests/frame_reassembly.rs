@@ -4,7 +4,10 @@
 //! terminator — always reassembles into exactly the original request
 //! sequence. This pins the [`FrameBuffer`] every socket's bytes go
 //! through; a fragmentation-sensitive bug here silently
-//! corrupts requests under real-world packet boundaries.
+//! corrupts requests under real-world packet boundaries. Every property
+//! runs once per way bytes enter the buffer: pushed (the server's
+//! connection layers), read in place by `fill_from` from a reader that
+//! yields one packet per `read` (the blocking client), and a mix of both.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -130,6 +133,37 @@ fn random_chunks<'a>(rng: &mut SmallRng, bytes: &'a [u8]) -> Vec<&'a [u8]> {
         .collect()
 }
 
+/// How a packet enters the buffer.
+#[derive(Debug, Clone, Copy)]
+enum Delivery {
+    Push,
+    Fill,
+    /// Either, per packet: `push` after `fill_from` drops the spare room
+    /// the fill left behind, and the next fill must rebuild it.
+    Mixed,
+}
+
+const DELIVERIES: [Delivery; 3] = [Delivery::Push, Delivery::Fill, Delivery::Mixed];
+
+fn deliver(fb: &mut FrameBuffer, how: Delivery, rng: &mut SmallRng, packet: &[u8]) {
+    let fill = match how {
+        Delivery::Push => false,
+        Delivery::Fill => true,
+        Delivery::Mixed => rng.gen_bool(0.5),
+    };
+    // To a reader a zero-length read is EOF, not an empty packet.
+    if !fill || packet.is_empty() {
+        return fb.push(packet);
+    }
+    let before = fb.buffered();
+    // A slice reads as a socket holding exactly this packet.
+    let mut reader = packet;
+    while !reader.is_empty() {
+        fb.fill_from(&mut reader).expect("slices do not fail");
+    }
+    assert_eq!(fb.buffered(), before + packet.len());
+}
+
 /// Drains every complete binary frame currently buffered.
 fn drain_binary(fb: &mut FrameBuffer, got: &mut Vec<RequestFrame>) {
     loop {
@@ -154,26 +188,21 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (expected, bytes) = random_stream(&mut rng);
 
-        // Random cut points (duplicates and 0/len included): every
-        // position is a legal packet boundary, multibyte chars included.
-        let mut cuts: Vec<usize> = (0..rng.gen_range(0..24))
-            .map(|_| rng.gen_range(0..bytes.len() + 1))
-            .collect();
-        cuts.push(0);
-        cuts.push(bytes.len());
-        cuts.sort_unstable();
-
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        for pair in cuts.windows(2) {
-            fb.push(&bytes[pair[0]..pair[1]]);
-            while let Some(frame) = fb.next_frame() {
-                let text = String::from_utf8(frame).expect("frames are valid UTF-8");
-                got.push(parse_request_frame(&text).expect("frames parse"));
+        for how in DELIVERIES {
+            // Random cut points (duplicates and 0/len included): every
+            // position is a legal packet boundary, multibyte chars included.
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            for packet in random_chunks(&mut rng, &bytes) {
+                deliver(&mut fb, how, &mut rng, packet);
+                while let Some(frame) = fb.next_frame() {
+                    let text = String::from_utf8(frame).expect("frames are valid UTF-8");
+                    got.push(parse_request_frame(&text).expect("frames parse"));
+                }
             }
+            prop_assert_eq!(&got, &expected, "seed {} mangled the stream ({:?})", seed, how);
+            prop_assert_eq!(fb.buffered(), 0, "no bytes may linger after a complete stream");
         }
-        prop_assert_eq!(&got, &expected, "seed {} mangled the stream", seed);
-        prop_assert_eq!(fb.buffered(), 0, "no bytes may linger after a complete stream");
     }
 
     /// A stream whose last frame lost its terminator (half-close client):
@@ -186,21 +215,24 @@ proptest! {
         let (expected, mut bytes) = random_stream(&mut rng);
         assert_eq!(bytes.pop(), Some(b'\n'));
 
-        // Byte-at-a-time: the most fragmented delivery possible.
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        for b in &bytes {
-            fb.push(std::slice::from_ref(b));
-            while let Some(frame) = fb.next_frame() {
-                let text = String::from_utf8(frame).expect("valid UTF-8");
-                got.push(parse_request_frame(&text).expect("frames parse"));
+        for how in DELIVERIES {
+            // Byte-at-a-time: the most fragmented delivery possible.
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            for b in &bytes {
+                deliver(&mut fb, how, &mut rng, std::slice::from_ref(b));
+                while let Some(frame) = fb.next_frame() {
+                    let text = String::from_utf8(frame).expect("valid UTF-8");
+                    got.push(parse_request_frame(&text).expect("frames parse"));
+                }
             }
+            prop_assert_eq!(got.len(), expected.len() - 1, "tail must still be pending");
+            let tail = fb.take_partial().expect("unterminated tail");
+            let text = String::from_utf8(tail).expect("valid UTF-8");
+            got.push(parse_request_frame(&text).expect("tail parses"));
+            prop_assert_eq!(&got, &expected, "{:?}", how);
+            prop_assert_eq!(fb.buffered(), 0);
         }
-        prop_assert_eq!(got.len(), expected.len() - 1, "tail must still be pending");
-        let tail = fb.take_partial().expect("unterminated tail");
-        let text = String::from_utf8(tail).expect("valid UTF-8");
-        got.push(parse_request_frame(&text).expect("tail parses"));
-        prop_assert_eq!(&got, &expected);
     }
 
     /// The v3 length-prefixed framing reassembles from arbitrary byte
@@ -211,14 +243,16 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xB3B3_0000);
         let (expected, bytes) = random_binary_stream(&mut rng);
 
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        for chunk in random_chunks(&mut rng, &bytes) {
-            fb.push(chunk);
-            drain_binary(&mut fb, &mut got);
+        for how in DELIVERIES {
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            for chunk in random_chunks(&mut rng, &bytes) {
+                deliver(&mut fb, how, &mut rng, chunk);
+                drain_binary(&mut fb, &mut got);
+            }
+            prop_assert_eq!(&got, &expected, "seed {} mangled the binary stream ({:?})", seed, how);
+            prop_assert_eq!(fb.buffered(), 0, "no bytes may linger after a complete stream");
         }
-        prop_assert_eq!(&got, &expected, "seed {} mangled the binary stream", seed);
-        prop_assert_eq!(fb.buffered(), 0, "no bytes may linger after a complete stream");
     }
 
     /// Adjacent connections speaking different framings: one JSON, one
@@ -232,6 +266,7 @@ proptest! {
         let (bin_expected, bin_bytes) = random_binary_stream(&mut rng);
         let json_chunks = random_chunks(&mut rng, &json_bytes);
         let bin_chunks = random_chunks(&mut rng, &bin_bytes);
+        let how = DELIVERIES[rng.gen_range(0..DELIVERIES.len())];
 
         let mut json_fb = FrameBuffer::new();
         let mut bin_fb = FrameBuffer::new();
@@ -242,14 +277,14 @@ proptest! {
             let take_json =
                 bi >= bin_chunks.len() || (ji < json_chunks.len() && rng.gen_bool(0.5));
             if take_json {
-                json_fb.push(json_chunks[ji]);
+                deliver(&mut json_fb, how, &mut rng, json_chunks[ji]);
                 ji += 1;
                 while let Some(frame) = json_fb.next_frame() {
                     let text = String::from_utf8(frame).expect("valid UTF-8");
                     json_got.push(parse_request_frame(&text).expect("frames parse"));
                 }
             } else {
-                bin_fb.push(bin_chunks[bi]);
+                deliver(&mut bin_fb, how, &mut rng, bin_chunks[bi]);
                 bi += 1;
                 drain_binary(&mut bin_fb, &mut bin_got);
             }

@@ -5,7 +5,7 @@
 //! one-at-a-time contract.
 
 use std::io::Write as _;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use qsdnn::engine::{Mode, Objective};
@@ -337,6 +337,23 @@ fn client_framing_survives_a_mid_response_timeout() {
     fake_server.join().expect("fake server");
 }
 
+/// A fake server's side of the v3 handshake: accepts one connection and
+/// answers its JSON ping, which upgrades both directions to binary frames.
+fn accept_v3(listener: &TcpListener) -> (TcpStream, std::io::BufReader<TcpStream>) {
+    let (mut stream, _) = listener.accept().expect("accept");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let ping: Request = read_message(&mut reader).expect("ping").expect("open");
+    assert!(matches!(ping, Request::Ping { version: 3 }));
+    write_message(
+        &mut stream,
+        &Response::Pong {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .expect("pong");
+    (stream, reader)
+}
+
 /// The binary twin of the mid-response-timeout test: a v3 frame split in
 /// two around a pause longer than the client's read timeout must resume
 /// from the buffered half, never desync.
@@ -350,18 +367,7 @@ fn client_binary_framing_survives_a_mid_frame_timeout() {
     let marker = "resumable-binary-framing-marker";
 
     let fake_server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        // JSON handshake; accepting the v3 ping upgrades both directions.
-        let ping: Request = read_message(&mut reader).expect("ping").expect("open");
-        assert!(matches!(ping, Request::Ping { version: 3 }));
-        write_message(
-            &mut stream,
-            &Response::Pong {
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .expect("pong");
+        let (mut stream, mut reader) = accept_v3(&listener);
         // One tagged *binary* request, answered in two halves with a
         // pause that outlives the client's read timeout.
         let mut frames = FrameBuffer::new();
@@ -414,5 +420,86 @@ fn client_binary_framing_survives_a_mid_frame_timeout() {
             message: marker.to_string()
         }
     );
+    fake_server.join().expect("fake server");
+}
+
+/// The client's side of the error contract for plan replies, which it
+/// decodes with the typed codec: a reply that is a well-formed frame
+/// around a body cut off inside its learning curve is a
+/// `ServeError::Protocol` naming the byte, and — the length prefix having
+/// kept the framing in sync — the next reply on the connection decodes.
+#[test]
+fn client_reports_a_torn_plan_reply_and_stays_in_sync() {
+    use qsdnn_serve::protocol::{
+        encode_binary_frame, encode_response, read_binary_frame_resumable, FrameBuffer,
+        PlanResponse, MAX_FRAME_BYTES,
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("addr");
+
+    let reply = Response::Plan(PlanResponse {
+        network: "lenet5".into(),
+        plan_key: "00ff".into(),
+        cache_hit: true,
+        best: qsdnn::SearchReport {
+            method: "qs-dnn".into(),
+            network: "lenet5".into(),
+            best_assignment: vec![0, 1, 2],
+            best_cost_ms: 1.0,
+            episodes: 2000,
+            curve: (0..2000)
+                .map(|episode| qsdnn::EpisodeRecord {
+                    episode,
+                    epsilon: 0.5,
+                    cost_ms: 2.0,
+                    best_so_far_ms: 1.0,
+                })
+                .collect(),
+            wall_time_ms: 3.5,
+        },
+        winner: "qs-dnn(seed=0x1)".into(),
+        members: Vec::new(),
+        vanilla_cost_ms: 5.0,
+        warm_start: None,
+        trace: None,
+    });
+
+    let served = reply.clone();
+    let fake_server = std::thread::spawn(move || {
+        let (mut stream, mut reader) = accept_v3(&listener);
+        let mut frames = FrameBuffer::new();
+        for _ in 0..2 {
+            read_binary_frame_resumable(&mut reader, &mut frames, MAX_FRAME_BYTES)
+                .expect("tagged request")
+                .expect("open");
+        }
+        let body = encode_response(&served).expect("encode");
+        let torn = &body[..body.len() * 3 / 4];
+        stream
+            .write_all(&encode_binary_frame(Some(0), torn).expect("frame"))
+            .expect("torn reply");
+        stream
+            .write_all(&encode_binary_frame(Some(1), &body).expect("frame"))
+            .expect("whole reply");
+        stream.flush().expect("flush");
+        // Keep the socket open until the client is done reading.
+        std::thread::sleep(Duration::from_millis(300));
+    });
+
+    let mut client = PlanClient::connect(addr).expect("handshake");
+    let _torn = client
+        .submit_plan(PlanRequest::latency("lenet5"))
+        .expect("submit");
+    let whole = client
+        .submit_plan(PlanRequest::latency("lenet5"))
+        .expect("submit");
+    match client.wait(whole).expect_err("the torn reply comes first") {
+        qsdnn_serve::ServeError::Protocol(m) => {
+            assert!(m.starts_with("binary codec error at byte "), "{m}");
+            assert!(m.contains("truncated"), "{m}");
+        }
+        other => panic!("expected a protocol error, got {other}"),
+    }
+    assert_eq!(client.wait(whole).expect("framing is still in sync"), reply);
     fake_server.join().expect("fake server");
 }
