@@ -276,6 +276,9 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// free; oldest entries are garbage-collected past this).
 pub const DEFAULT_MAX_DISK_ENTRIES: usize = 16384;
 
+/// A rendered protocol-v3 response body, shared by a cache entry and replies.
+pub type WireBody = Arc<Vec<u8>>;
+
 struct ReadyEntry<T> {
     value: Arc<T>,
     /// Shard generation at last access — larger is more recent.
@@ -644,6 +647,13 @@ impl<T: CacheValue> PlanCache<T> {
     /// thread's compute. Use [`PlanCache::is_pending`] to tell "being
     /// computed right now" apart from "gone from both tiers".
     pub fn peek(&self, key: &str) -> Option<Arc<T>> {
+        self.peek_with_body(key).map(|(value, _)| value)
+    }
+
+    /// [`PlanCache::peek`] that also hands back the wire body attached to
+    /// the resident entry, read under the same shard lock as the value. A
+    /// spill-tier load starts a fresh residency, so it never carries one.
+    pub fn peek_with_body(&self, key: &str) -> Option<(Arc<T>, Option<WireBody>)> {
         self.peek_inner(key, true)
     }
 
@@ -653,7 +663,7 @@ impl<T: CacheValue> PlanCache<T> {
     /// that `hits + misses + coalesced + spill_loads` counts only
     /// requests the cache answered for callers.
     pub fn peek_quiet(&self, key: &str) -> Option<Arc<T>> {
-        self.peek_inner(key, false)
+        self.peek_inner(key, false).map(|(value, _)| value)
     }
 
     /// Whether `key` currently holds an in-flight compute — some other
@@ -664,10 +674,9 @@ impl<T: CacheValue> PlanCache<T> {
         matches!(state.map.get(key), Some(Slot::InFlight))
     }
 
-    /// The preserialized wire body attached to `key`'s resident entry,
-    /// if any. Deliberately recency-neutral: the paired [`PlanCache::peek`]
-    /// on the hot path already refreshed LRU for this hit, and a body
-    /// fetch must not double-count it.
+    /// The preserialized wire body attached to `key`'s resident entry, if
+    /// any. Recency- and counter-neutral: a fetch of bytes, not a hit (a
+    /// hit gets value and body together from [`PlanCache::peek_with_body`]).
     pub fn wire_body(&self, key: &str) -> Option<Arc<Vec<u8>>> {
         let state = lock_recover(&self.shard_for(key).state);
         match state.map.get(key) {
@@ -688,7 +697,7 @@ impl<T: CacheValue> PlanCache<T> {
         }
     }
 
-    fn peek_inner(&self, key: &str, counted: bool) -> Option<Arc<T>> {
+    fn peek_inner(&self, key: &str, counted: bool) -> Option<(Arc<T>, Option<WireBody>)> {
         let shard = self.shard_for(key);
         {
             let mut state = lock_recover(&shard.state);
@@ -701,12 +710,12 @@ impl<T: CacheValue> PlanCache<T> {
                     st.counters.hits += 1;
                 }
                 entry.last_used = st.tick;
-                let value = Arc::clone(&entry.value);
+                let hit = (Arc::clone(&entry.value), entry.wire_body.clone());
                 drop(state);
                 if counted {
                     self.record(EventKind::CacheHit, key);
                 }
-                return Some(value);
+                return Some(hit);
             }
         }
         // Not resident: try the durable tier (outside the lock — disk I/O
@@ -738,7 +747,7 @@ impl<T: CacheValue> PlanCache<T> {
         if counted {
             self.record(EventKind::CacheSpillLoad, key);
         }
-        Some(value)
+        Some((value, None))
     }
 
     /// Looks up `key`, computing it with `compute` on a miss. Guarantees at

@@ -99,7 +99,7 @@ pub mod transfer;
 
 pub use cache::{
     plan_key, warm_plan_key, CacheStats, CacheValue, EvictionPolicy, PlanCache, ShardStats,
-    DEFAULT_MAX_DISK_ENTRIES, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS,
+    WireBody, DEFAULT_MAX_DISK_ENTRIES, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS,
 };
 pub use client::{PlanClient, Ticket, DEFAULT_CLIENT_WINDOW};
 pub use pool::{PoolGauges, PoolRecorder, WorkerPool};

@@ -162,11 +162,6 @@ impl RequestSpan {
         self.kind = kind;
     }
 
-    /// Whether this span records at all (instrumentation enabled).
-    pub(crate) fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Total duration accumulated into one stage so far.
     pub(crate) fn stage_total(&self, stage: Stage) -> Duration {
         self.stages[stage as usize]

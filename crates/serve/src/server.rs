@@ -9,6 +9,15 @@
 //! socket-free [`crate::conn::Connection`] and run every request as a
 //! [`ServiceState::run_job`] on one bounded dispatcher pool.
 //!
+//! A plan request forks once. [`ServiceState::plan_hit`] answers "is this
+//! a repeat, and where are its bytes" from the request's own fields — the
+//! same way in either `transfer` mode, since transfer is a policy for
+//! misses — and a v3 hit leaves as the body attached to its cache entry.
+//! Everything else takes the full path, [`ServiceState::search`]: profile,
+//! derive the [`Scenario`], exact hit → indexed plan → warm start → cold
+//! search, with the index steps skipped when transfer is off; its reply
+//! primes the front for the next repeat.
+//!
 //! Dispatchers are deliberately a **separate** pool from the search
 //! workers: a request job blocks on its portfolio members, which are
 //! themselves search-pool jobs, so enough concurrent requests sharing one
@@ -19,7 +28,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,7 +40,9 @@ use qsdnn::{Portfolio, PortfolioOutcome, QTable, TransferMapping};
 
 use qsdnn_obs::{EventKind, FlightRecorder};
 
-use crate::cache::{plan_key_on, warm_plan_key_on, CacheValue, EvictionPolicy, PlanCache};
+use crate::cache::{
+    plan_key_on, warm_plan_key_on, CacheValue, EvictionPolicy, PlanCache, WireBody,
+};
 use crate::conn::{json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
@@ -39,13 +50,12 @@ use crate::metrics::{
     TASK_KIND_DISPATCH_JOB,
 };
 use crate::pool::{PoolRecorder, WorkerPool};
-use crate::portfolio::{run_portfolio_parallel, run_portfolio_parallel_with, WarmStart};
+use crate::portfolio::{run_portfolio_parallel_with, WarmStart};
 use crate::protocol::{
     default_episodes, encode_binary_frame, encode_response, EventMsg, EventsResponse, ExemplarMsg,
     MetricsResponse, PlanRequest, PlanResponse, PlatformInfo, PlatformsResponse, PostmortemDump,
-    ProfileRequest, ProfileResponse, Request, Response, SearchRequest, StageTiming, StatsResponse,
-    TaskMsg, TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    ProfileRequest, ProfileResponse, Request, Response, StageTiming, StatsResponse, TaskMsg,
+    TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_DONOR_CANDIDATES};
 use crate::ServeError;
@@ -285,30 +295,200 @@ pub(crate) struct ServiceState {
     /// Transient `accept()` failures; each one backs the acceptor off.
     pub(crate) accept_errors: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
-    /// Request-level memo for the zoo-plan hot path: a cheap fingerprint
-    /// of the request parameters → the derived plan key plus the response
-    /// scalars no cache entry carries. A repeat scenario skips the
-    /// per-request LUT clone, re-scalarization and full-LUT fingerprint
-    /// and goes straight to the plan-cache peek; a memo hit whose plan
-    /// was evicted falls back to the full path, which re-primes it.
-    hot_plans: Mutex<HashMap<u64, HotPlan>>,
+    /// The plan-hit front: request fingerprint ([`front_key`]) → what a
+    /// hit reply needs beyond the cached outcome. Read-shared by every
+    /// plan request before anything else; see [`ServiceState::plan_hit`].
+    front: RwLock<HashMap<u64, Arc<FrontEntry>>>,
 }
 
-/// What a hot-path plan hit needs beyond the cached [`PortfolioOutcome`].
-/// Every field is a pure function of the memo key's inputs (the profiled
-/// LUT is deterministic in the request parameters), so entries never go
-/// stale — only the plan cache's residency is checked per hit.
-#[derive(Clone)]
-struct HotPlan {
+/// One front entry. Every field is a pure function of the request fields
+/// [`front_key`] hashes (the profiled LUT is deterministic in them), so an
+/// entry never goes stale — only its plan's residency is checked per hit.
+pub(crate) struct FrontEntry {
+    /// The scenario's cold plan key: where its plan lives, and its
+    /// identity in the scenario index.
     plan_key: String,
     network: String,
     vanilla_cost_ms: f64,
 }
 
-/// Bound on the hot-plan memo: at the cap the table is flushed wholesale
-/// (no LRU bookkeeping on the hot path) and re-learns the live working
-/// set in one round of full-path requests.
-const HOT_PLAN_MEMO_CAP: usize = 4096;
+/// Bound on the front: at the cap it is flushed wholesale (no LRU
+/// bookkeeping on the hit path) and re-learns the live set in one round.
+const FRONT_CAP: usize = 4096;
+
+/// A pure fingerprint of the request fields that decide which plan a plan
+/// request resolves to: the profiled LUT is a deterministic function of
+/// (network, batch, mode, platform), the portfolio of (episodes, seeds),
+/// and absent fields default to server-lifetime constants — so recognising
+/// a repeat needs no LUT. `transfer` and `trace` change no hit's plan.
+fn front_key(req: &PlanRequest) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str("qsdnn-front-v1");
+    h.write_str(&req.network);
+    h.write_usize(req.batch);
+    h.write_str(req.mode.label());
+    req.objective.fingerprint_into(&mut h);
+    h.write_usize(req.episodes);
+    h.write_usize(req.seeds.len());
+    for &seed in &req.seeds {
+        h.write_u64(seed);
+    }
+    h.write_str(&req.platform);
+    h.finish()
+}
+
+/// What a request resolved to.
+// Returned and consumed, never stored, so the size gap costs a move;
+// boxing would cost every non-hit request an allocation.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Answer {
+    /// A repeat plan request resolved by [`ServiceState::plan_hit`]: the
+    /// cached plan by reference, not yet (and over v3, usually never) a
+    /// [`PlanResponse`].
+    Hit {
+        entry: Arc<FrontEntry>,
+        outcome: Arc<PortfolioOutcome>,
+        /// The rendered v3 body an earlier hit attached to the cache entry.
+        body: Option<WireBody>,
+    },
+    Response(Response),
+}
+
+impl Answer {
+    /// The typed response. A hit becomes field for field what the full
+    /// path builds for the same cache hit: the wire cannot tell them apart.
+    pub(crate) fn into_response(self) -> Response {
+        match self {
+            Answer::Response(resp) => resp,
+            Answer::Hit { entry, outcome, .. } => Response::Plan(plan_response(
+                &entry.network,
+                entry.plan_key.clone(),
+                true,
+                &outcome,
+                entry.vanilla_cost_ms,
+                None,
+            )),
+        }
+    }
+}
+
+fn plan_response(
+    network: &str,
+    plan_key: String,
+    cache_hit: bool,
+    outcome: &PortfolioOutcome,
+    vanilla_cost_ms: f64,
+    warm_start: Option<WarmStartInfo>,
+) -> PlanResponse {
+    PlanResponse {
+        network: network.to_string(),
+        plan_key,
+        cache_hit,
+        best: outcome.best.clone(),
+        winner: outcome.winner.clone(),
+        members: outcome.members.clone(),
+        vanilla_cost_ms,
+        warm_start,
+        trace: None,
+    }
+}
+
+fn error_response(e: ServeError) -> Response {
+    Response::Error {
+        message: e.to_string(),
+    }
+}
+
+/// The search-side fields `Plan` and `Search` requests share.
+struct SearchSpec<'a> {
+    objective: Objective,
+    episodes: usize,
+    seeds: &'a [u64],
+    transfer: TransferMode,
+    /// Batch the LUT was profiled at; 0 = unknown (a client-supplied LUT).
+    batch: usize,
+    platform: &'a str,
+}
+
+/// One validated scenario's search ingredients, derived once per
+/// full-path request and handed down the search path as a unit.
+struct Scenario<'a> {
+    lut: &'a CostLut,
+    spec: &'a SearchSpec<'a>,
+    /// The engaged platform. `None` on the registry default, which stays
+    /// out of cache keys and descriptors so pre-registry addresses hold.
+    platform: Option<&'a PlatformSpec>,
+    /// `lut` scalarized under `objective`, shared with the search workers.
+    scalarized: Arc<CostLut>,
+    vanilla_cost_ms: f64,
+    /// Cold plan key of (LUT, objective, portfolio, platform): the
+    /// scenario's identity in the plan cache and the scenario index.
+    base_key: String,
+}
+
+impl<'a> Scenario<'a> {
+    fn new(
+        lut: &'a CostLut,
+        spec: &'a SearchSpec<'a>,
+        platform: Option<&'a PlatformSpec>,
+        portfolio: &Portfolio,
+    ) -> Self {
+        let scalarized = lut.with_objective(spec.objective);
+        let pin = platform.map(|s| (s.name.as_str(), s.fingerprint()));
+        Scenario {
+            lut,
+            spec,
+            platform,
+            vanilla_cost_ms: scalarized.cost(&scalarized.vanilla_assignment()),
+            base_key: plan_key_on(
+                lut.fingerprint(),
+                &spec.objective,
+                portfolio.fingerprint(),
+                pin,
+            ),
+            scalarized: Arc::new(scalarized),
+        }
+    }
+
+    /// The structural descriptor the scenario index measures distance
+    /// on. An engaged platform adds its feature vector, so the platform
+    /// term measures genuine spec divergence instead of the flat mismatch
+    /// penalty — cross-platform neighbors become usable donors.
+    fn describe(&self) -> ScenarioDescriptor {
+        let d = ScenarioDescriptor::of(&self.scalarized)
+            .with_batch(self.spec.batch)
+            .with_objective(&self.spec.objective);
+        match self.platform {
+            Some(spec) => d.with_platform_features(spec.features()),
+            None => d,
+        }
+    }
+
+    fn response(
+        &self,
+        plan_key: String,
+        cache_hit: bool,
+        outcome: &PortfolioOutcome,
+        warm_start: Option<WarmStartInfo>,
+    ) -> PlanResponse {
+        plan_response(
+            self.lut.network(),
+            plan_key,
+            cache_hit,
+            outcome,
+            self.vanilla_cost_ms,
+            warm_start,
+        )
+    }
+}
+
+/// A usable transfer donor: the indexed scenario, how far it is from the
+/// requester, and its rebuilt Q-table mapped onto the requester's LUT.
+struct Donor {
+    entry: ScenarioEntry,
+    distance: f64,
+    warm: Arc<WarmStart>,
+}
 
 impl ServiceState {
     pub(crate) fn new(config: ServerConfig) -> Result<Arc<ServiceState>, ServeError> {
@@ -403,24 +583,8 @@ impl ServiceState {
             in_flight_peak: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            hot_plans: Mutex::new(HashMap::new()),
+            front: RwLock::new(HashMap::new()),
         }))
-    }
-
-    fn episodes_for(&self, requested: usize, layers: usize) -> usize {
-        if requested == 0 {
-            default_episodes(layers)
-        } else {
-            requested
-        }
-    }
-
-    fn seeds_for(&self, requested: &[u64]) -> Vec<u64> {
-        if requested.is_empty() {
-            self.config.default_seeds.clone()
-        } else {
-            requested.to_vec()
-        }
     }
 
     /// Resolves a request's `platform` field against the registry.
@@ -488,16 +652,110 @@ impl ServiceState {
         Ok(lut)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Whether a request's `transfer` field engages the scenario index:
+    /// transfer needs both opt-ins, the server policy and the request.
+    fn transfer_on(&self, requested: TransferMode) -> bool {
+        self.config.transfer == TransferMode::Auto && requested == TransferMode::Auto
+    }
+
+    /// The one plan-hit path: is this request a repeat whose plan is
+    /// still fetchable? A shared read of the front and one counted
+    /// [`PlanCache::peek_with_body`] — no profile lookup, LUT,
+    /// scalarization or fingerprint walk, in either transfer mode.
+    /// Transfer is a policy for misses; all it asks of a hit is that the
+    /// index already holds the scenario, and one it does not hold falls
+    /// through to the full path, which registers it on first sight.
+    ///
+    /// `None` means the full path, whose reply re-primes the front. An
+    /// entry whose plan is gone from both cache tiers is dropped here.
+    fn plan_hit(
+        &self,
+        front_key: u64,
+        transfer: TransferMode,
+        span: &mut RequestSpan,
+    ) -> Option<Answer> {
+        let entry = Arc::clone(
+            self.front
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&front_key)?,
+        );
+        self.task_stage(Stage::Cache);
+        span.time(Stage::Cache, || {
+            if self.transfer_on(transfer) && !self.index.contains(&entry.plan_key) {
+                return None;
+            }
+            let Some((outcome, body)) = self.plans.peek_with_body(&entry.plan_key) else {
+                // An in-flight slot also reads as a miss; its plan is
+                // about to exist again, so the entry stays.
+                if !self.plans.is_pending(&entry.plan_key) {
+                    self.front
+                        .write()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .remove(&front_key);
+                }
+                return None;
+            };
+            Some(Answer::Hit {
+                entry,
+                outcome,
+                body,
+            })
+        })
+    }
+
+    /// Primes the front from a full-path reply. Warm-started replies
+    /// never register: their plans live under warm keys whose reuse is
+    /// the scenario index's decision.
+    fn remember(&self, front_key: u64, plan: &PlanResponse) {
+        if plan.warm_start.is_some() {
+            return;
+        }
+        let entry = Arc::new(FrontEntry {
+            plan_key: plan.plan_key.clone(),
+            network: plan.network.clone(),
+            vanilla_cost_ms: plan.vanilla_cost_ms,
+        });
+        let mut front = self.front.write().unwrap_or_else(PoisonError::into_inner);
+        if front.len() >= FRONT_CAP {
+            front.clear();
+        }
+        front.insert(front_key, entry);
+    }
+
+    /// A zoo plan request end to end: the front first, and only on a
+    /// front miss the full path — profile (cached), then search.
+    fn plan(&self, req: &PlanRequest, span: &mut RequestSpan) -> Result<Answer, ServeError> {
+        let front_key = front_key(req);
+        if let Some(hit) = self.plan_hit(front_key, req.transfer, span) {
+            return Ok(hit);
+        }
+        let profile_req = ProfileRequest {
+            network: req.network.clone(),
+            batch: req.batch,
+            mode: req.mode,
+            repeats: 0,
+            platform: req.platform.clone(),
+        };
+        let lut = span.time(Stage::Profile, || self.profile(&profile_req))?;
+        let spec = SearchSpec {
+            objective: req.objective,
+            episodes: req.episodes,
+            seeds: &req.seeds,
+            transfer: req.transfer,
+            batch: req.batch,
+            platform: &req.platform,
+        };
+        let plan = self.run_search(&lut, &spec, span)?;
+        self.remember(front_key, &plan);
+        Ok(Answer::Response(Response::Plan(plan)))
+    }
+
+    /// The full path from a LUT: validate, derive the scenario, search.
     fn run_search(
         &self,
-        lut: CostLut,
-        objective: Objective,
-        episodes: usize,
-        seeds: &[u64],
-        transfer: TransferMode,
-        batch: usize,
-        platform: &str,
+        lut: &CostLut,
+        spec: &SearchSpec<'_>,
         span: &mut RequestSpan,
     ) -> Result<PlanResponse, ServeError> {
         if lut.is_empty() {
@@ -508,327 +766,173 @@ impl ServiceState {
         // response, not a panicked connection thread.
         lut.validate()
             .map_err(|e| ServeError::BadRequest(format!("invalid LUT: {e}")))?;
-        // Engaged platforms join the plan's cache identity and its
-        // scenario descriptor; the default platform stays absent from
-        // both, so pre-registry addresses are preserved.
-        let (spec, engaged) = self.platform_for(platform)?;
-        let platform = engaged.then_some(spec);
-        let episodes = self.episodes_for(episodes, lut.len());
-        let seeds = self.seeds_for(seeds);
-        let portfolio = Portfolio::paper_default(episodes, &seeds);
-        // Everything below is cache/index work except the portfolio runs
-        // inside `compute_cold`/`compute_warm`, which record the `search`
-        // stage themselves; the remainder is the `cache` stage.
+        let (platform, engaged) = self.platform_for(spec.platform)?;
+        let episodes = match spec.episodes {
+            0 => default_episodes(lut.len()),
+            n => n,
+        };
+        let seeds = match spec.seeds {
+            [] => &self.config.default_seeds[..],
+            seeds => seeds,
+        };
+        let portfolio = Portfolio::paper_default(episodes, seeds);
+        // Everything below is cache/index work except the portfolio run
+        // inside `compute`, which records the `search` stage itself; the
+        // remainder is the `cache` stage.
         let cache_start = Instant::now();
         self.task_stage(Stage::Cache);
-        let search_before = span.stage_total(Stage::Search);
-        // Transfer needs both opt-ins: the server policy and the request.
-        let result = if self.config.transfer == TransferMode::Auto && transfer == TransferMode::Auto
-        {
-            self.search_with_transfer(&portfolio, lut, objective, batch, platform, span)
-        } else {
-            self.search_with(&portfolio, lut, objective, platform, span)
-        };
-        if span.is_active() {
-            let searched = span.stage_total(Stage::Search) - search_before;
-            span.record(Stage::Cache, cache_start.elapsed().saturating_sub(searched));
-        }
+        let scenario = Scenario::new(lut, spec, engaged.then_some(platform), &portfolio);
+        let transfer = self.transfer_on(spec.transfer);
+        let result = self.search(&portfolio, &scenario, transfer, span);
+        let searched = span.stage_total(Stage::Search);
+        span.record(Stage::Cache, cache_start.elapsed().saturating_sub(searched));
         result
     }
 
-    fn plan_response(
-        &self,
-        lut: &CostLut,
-        plan_key: String,
-        cache_hit: bool,
-        outcome: &PortfolioOutcome,
-        vanilla_cost_ms: f64,
-        warm_start: Option<WarmStartInfo>,
-    ) -> PlanResponse {
-        self.plans_served.fetch_add(1, Ordering::Relaxed);
-        PlanResponse {
-            network: lut.network().to_string(),
-            plan_key,
-            cache_hit,
-            best: outcome.best.clone(),
-            winner: outcome.winner.clone(),
-            members: outcome.members.clone(),
-            vanilla_cost_ms,
-            warm_start,
-            trace: None,
-        }
-    }
-
-    /// A cheap, pure fingerprint of everything that determines a zoo plan
-    /// request's plan key and response scalars. The profiled LUT is a
-    /// deterministic function of (network, batch, mode, platform) — the
-    /// profile cache is content-addressed on exactly those — and the
-    /// portfolio of (episodes, seeds), so hashing the *inputs* is
-    /// equivalent to hashing the derived artifacts, without the full LUT
-    /// walk [`CostLut::fingerprint`] costs per request.
-    fn hot_plan_memo_key(
-        &self,
-        profile_req: &ProfileRequest,
-        objective: &Objective,
-        episodes: usize,
-        seeds: &[u64],
-        lut: &CostLut,
-    ) -> Option<u64> {
-        let (spec, engaged) = self.platform_for(&profile_req.platform).ok()?;
-        let mut h = Fnv64::new();
-        h.write_str("qsdnn-hot-plan-v1");
-        h.write_str(&profile_req.network);
-        h.write_usize(profile_req.batch);
-        h.write_str(profile_req.mode.label());
-        objective.fingerprint_into(&mut h);
-        h.write_usize(self.episodes_for(episodes, lut.len()));
-        let seeds = if seeds.is_empty() {
-            &self.config.default_seeds[..]
-        } else {
-            seeds
-        };
-        h.write_usize(seeds.len());
-        for &seed in seeds {
-            h.write_u64(seed);
-        }
-        if engaged {
-            h.write_str("platform");
-            h.write_str(&spec.name);
-            h.write_u64(spec.fingerprint());
-        }
-        Some(h.finish())
-    }
-
-    /// Answers a repeat zoo-plan scenario straight from the plan cache:
-    /// a memo lookup, a counted [`PlanCache::peek`] and the response
-    /// build — no LUT clone, no re-scalarization, no full-LUT hash.
-    /// Returns `None` when the scenario is new or its plan has been
-    /// evicted; the caller then takes the full path, whose successful
-    /// response re-primes the memo. The response is field-for-field what
-    /// the full path builds for the same cache hit, so the two paths are
-    /// indistinguishable on the wire.
-    fn hot_plan_hit(&self, memo_key: u64, span: &mut RequestSpan) -> Option<PlanResponse> {
-        let hot = {
-            let memo = self
-                .hot_plans
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            memo.get(&memo_key).cloned()
-        }?;
-        let cache_start = Instant::now();
-        self.task_stage(Stage::Cache);
-        let outcome = self.plans.peek(&hot.plan_key)?;
-        self.task_key_hex(&hot.plan_key);
-        self.plans_served.fetch_add(1, Ordering::Relaxed);
-        let response = PlanResponse {
-            network: hot.network,
-            plan_key: hot.plan_key,
-            cache_hit: true,
-            best: outcome.best.clone(),
-            winner: outcome.winner.clone(),
-            members: outcome.members.clone(),
-            vanilla_cost_ms: hot.vanilla_cost_ms,
-            warm_start: None,
-            trace: None,
-        };
-        if span.is_active() {
-            span.record(Stage::Cache, cache_start.elapsed());
-        }
-        Some(response)
-    }
-
-    /// Primes the hot-plan memo from a full-path response. Warm-started
-    /// responses never register: their plans live under warm keys whose
-    /// reuse is the scenario index's decision, not a memo shortcut's.
-    fn remember_hot_plan(&self, memo_key: u64, response: &PlanResponse) {
-        if response.warm_start.is_some() {
-            return;
-        }
-        let mut memo = self
-            .hot_plans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if memo.len() >= HOT_PLAN_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(
-            memo_key,
-            HotPlan {
-                plan_key: response.plan_key.clone(),
-                network: response.network.clone(),
-                vanilla_cost_ms: response.vanilla_cost_ms,
-            },
-        );
-    }
-
-    /// The cold compute: `portfolio` on `shared` under `key`, single-flight
-    /// in the plan cache. A portfolio with no applicable member (or whose
-    /// every member panicked) is a request-level error — it must answer
-    /// the request, not unwind through the connection handler — and is
-    /// never cached.
-    fn compute_cold(
+    /// The single-flight compute every miss ends in: `portfolio` on the
+    /// scenario under `key`, warm-started when there is a donor. A
+    /// portfolio with no applicable member (or whose every member
+    /// panicked) is a request-level error — it answers the request rather
+    /// than unwinding through the handler — and is never cached.
+    fn compute(
         &self,
         portfolio: &Portfolio,
-        lut: &CostLut,
-        shared: &Arc<CostLut>,
-        vanilla_cost_ms: f64,
-        key: String,
+        scenario: &Scenario<'_>,
+        key: &str,
+        warm: Option<&Arc<WarmStart>>,
         span: &mut RequestSpan,
-    ) -> Result<PlanResponse, ServeError> {
-        let network = lut.network().to_string();
-        self.task_key_hex(&key);
+    ) -> Result<(Arc<PortfolioOutcome>, bool), ServeError> {
+        let rec = self.metrics.recorder();
+        if rec.enabled() {
+            rec.task_key(u64::from_str_radix(key, 16).unwrap_or(0));
+        }
         // The compute closure runs on this thread (single-flight), so a
         // Cell smuggles the search wall time out to the span; a cache hit
         // never runs it and records zero search.
         let search_time = std::cell::Cell::new(Duration::ZERO);
-        let (outcome, cache_hit) = {
-            let shared = Arc::clone(shared);
-            let pool = &self.pool;
-            let search_time = &search_time;
-            let rec = Arc::clone(self.metrics.recorder());
-            self.plans.try_get_or_compute(&key, move || {
-                if rec.enabled() {
-                    rec.task_stage(Stage::Search as u16 + 1);
-                }
-                let search_start = Instant::now();
-                let outcome = run_portfolio_parallel(portfolio, &shared, pool);
-                search_time.set(search_start.elapsed());
-                outcome.ok_or_else(|| {
-                    ServeError::Search(format!(
-                        "no portfolio member produced a plan for `{network}` \
-                         (every member was inapplicable or failed)"
-                    ))
-                })
-            })?
-        };
+        let served = self.plans.try_get_or_compute(key, || {
+            self.task_stage(Stage::Search);
+            let search_start = Instant::now();
+            let outcome =
+                run_portfolio_parallel_with(portfolio, &scenario.scalarized, &self.pool, warm);
+            search_time.set(search_start.elapsed());
+            outcome.ok_or_else(|| {
+                ServeError::Search(format!(
+                    "no portfolio member produced a plan for `{}` \
+                     (every member was inapplicable or failed)",
+                    scenario.lut.network()
+                ))
+            })
+        })?;
         span.record(Stage::Search, search_time.get());
-        Ok(self.plan_response(lut, key, cache_hit, &outcome, vanilla_cost_ms, None))
+        Ok(served)
     }
 
-    /// Runs `portfolio` on a validated LUT with transfer off — the exact
-    /// pre-transfer code path: byte-identical keys, cache behavior and
-    /// responses.
-    fn search_with(
-        &self,
-        portfolio: &Portfolio,
-        lut: CostLut,
-        objective: Objective,
-        platform: Option<&PlatformSpec>,
-        span: &mut RequestSpan,
-    ) -> Result<PlanResponse, ServeError> {
-        let scalarized = lut.with_objective(objective);
-        let vanilla_cost_ms = scalarized.cost(&scalarized.vanilla_assignment());
-        let key = plan_key_on(
-            lut.fingerprint(),
-            &objective,
-            portfolio.fingerprint(),
-            platform.map(|s| (s.name.as_str(), s.fingerprint())),
-        );
-        let shared = Arc::new(scalarized);
-        self.compute_cold(portfolio, &lut, &shared, vanilla_cost_ms, key, span)
-    }
-
-    /// The transfer-aware plan path:
+    /// The full plan path, for whatever the front did not answer:
     ///
-    /// 1. exact content-address hit (same key as the transfer-off path);
+    /// 1. exact content-address hit;
     /// 2. same-scenario hit via the index — a repeated warm scenario's
     ///    plan lives under a warm key only the index knows;
     /// 3. plan-cache miss: warm-start from the nearest usable cached
     ///    scenario (fetchable plan, non-empty transfer mapping);
-    /// 4. no usable donor: cold search under the exact key, identical to
-    ///    the transfer-off path.
+    /// 4. no usable donor: cold search under the exact key.
     ///
-    /// Every successful outcome (re-)registers this scenario in the index
-    /// so future neighbors can warm-start from it.
-    fn search_with_transfer(
+    /// With `transfer` off every index step is skipped — no registration
+    /// in 1, no 2 or 3, no insert after 4 — leaving exactly the
+    /// pre-transfer path. With it on, every successful outcome
+    /// (re-)registers the scenario so future neighbors can warm-start.
+    fn search(
         &self,
         portfolio: &Portfolio,
-        lut: CostLut,
-        objective: Objective,
-        batch: usize,
-        platform: Option<&PlatformSpec>,
+        scenario: &Scenario<'_>,
+        transfer: bool,
         span: &mut RequestSpan,
     ) -> Result<PlanResponse, ServeError> {
-        let scalarized = lut.with_objective(objective);
-        let vanilla_cost_ms = scalarized.cost(&scalarized.vanilla_assignment());
-        let pin = platform.map(|s| (s.name.as_str(), s.fingerprint()));
-        let base_key = plan_key_on(lut.fingerprint(), &objective, portfolio.fingerprint(), pin);
-        // An engaged platform adds its feature vector to the descriptor,
-        // so the platform term of the scenario distance measures genuine
-        // spec divergence instead of the flat mismatch penalty —
-        // cross-platform neighbors become usable donors.
-        let describe = |scalarized: &CostLut| {
-            let mut d = ScenarioDescriptor::of(scalarized)
-                .with_batch(batch)
-                .with_objective(&objective);
-            if let Some(spec) = platform {
-                d = d.with_platform_features(spec.features());
-            }
-            d
-        };
-
-        if let Some(outcome) = self.plans.peek(&base_key) {
+        let base_key = &scenario.base_key;
+        if let Some(outcome) = self.plans.peek(base_key) {
             // Register the scenario on *first* sight only: re-inserting on
             // every repeated hit would re-extract the descriptor and
             // re-serialize it to the index's disk file per request.
-            if self.index.lookup(&base_key).is_none() {
-                let descriptor = describe(&scalarized);
-                self.index
-                    .insert(descriptor, base_key.clone(), base_key.clone(), None);
+            if transfer && !self.index.contains(base_key) {
+                self.index.insert(
+                    scenario.describe(),
+                    base_key.clone(),
+                    base_key.clone(),
+                    None,
+                );
             }
-            return Ok(self.plan_response(&lut, base_key, true, &outcome, vanilla_cost_ms, None));
+            return Ok(scenario.response(base_key.clone(), true, &outcome, None));
         }
-        let descriptor = describe(&scalarized);
-        if let Some(entry) = self.index.lookup(&base_key) {
-            // The exact-key peek above already failed, so a plan_key equal
-            // to base_key means the plan is not fetchable right now.
-            let cached = if entry.plan_key == base_key {
-                None
-            } else {
-                self.plans.peek(&entry.plan_key)
-            };
-            match cached {
-                Some(outcome) => {
-                    if let Some(info) = &entry.warm_start {
-                        self.note_transfer(info.donor_distance);
-                    }
-                    return Ok(self.plan_response(
-                        &lut,
-                        entry.plan_key.clone(),
-                        true,
-                        &outcome,
-                        vanilla_cost_ms,
-                        entry.warm_start,
-                    ));
-                }
-                // Drop the entry only when its plan is definitively gone
-                // from both tiers — a plan merely being recomputed (an
-                // in-flight slot reads as a peek miss) keeps its index
-                // entry for future donors.
-                None if !self.plans.is_pending(&entry.plan_key) => {
-                    self.index.remove(&entry.plan_key);
-                }
-                None => {}
+        let mut registered = None;
+        if transfer {
+            if let Some(plan) = self.indexed_plan(scenario) {
+                return Ok(plan);
             }
+            let descriptor = scenario.describe();
+            if let Some(donor) = self.find_donor(scenario, &descriptor) {
+                return self.search_warm(portfolio, scenario, descriptor, donor, span);
+            }
+            registered = Some(descriptor);
         }
-        let shared = Arc::new(scalarized);
+        let (outcome, cache_hit) = self.compute(portfolio, scenario, base_key, None, span)?;
+        if let Some(descriptor) = registered {
+            self.index
+                .insert(descriptor, base_key.clone(), base_key.clone(), None);
+        }
+        Ok(scenario.response(base_key.clone(), cache_hit, &outcome, None))
+    }
+
+    /// Step 2 of [`ServiceState::search`]: the plan the index holds for
+    /// exactly this scenario, under whatever key it lives.
+    fn indexed_plan(&self, scenario: &Scenario<'_>) -> Option<PlanResponse> {
+        let entry = self.index.lookup(&scenario.base_key)?;
+        // The exact-key peek already failed, so a plan_key equal to
+        // base_key means the plan is not fetchable right now.
+        let cached = if entry.plan_key == scenario.base_key {
+            None
+        } else {
+            self.plans.peek(&entry.plan_key)
+        };
+        let Some(outcome) = cached else {
+            // Drop the entry only when its plan is definitively gone
+            // from both tiers — a plan merely being recomputed (an
+            // in-flight slot reads as a peek miss) keeps its index
+            // entry for future donors.
+            if !self.plans.is_pending(&entry.plan_key) {
+                self.index.remove(&entry.plan_key);
+            }
+            return None;
+        };
+        if let Some(info) = &entry.warm_start {
+            self.note_transfer(info.donor_distance);
+        }
+        Some(scenario.response(entry.plan_key, true, &outcome, entry.warm_start))
+    }
+
+    /// Step 3 of [`ServiceState::search`]: the nearest indexed scenario
+    /// whose plan is fetchable and whose Q-values actually reach this
+    /// scenario's candidates.
+    fn find_donor(
+        &self,
+        scenario: &Scenario<'_>,
+        descriptor: &ScenarioDescriptor,
+    ) -> Option<Donor> {
         for (entry, distance) in
             self.index
-                .nearest(&descriptor, &base_key, DEFAULT_DONOR_CANDIDATES)
+                .nearest(descriptor, &scenario.base_key, DEFAULT_DONOR_CANDIDATES)
         {
             // Donor fetches are internal work, not answered requests:
             // `peek_quiet` keeps the cache's request counters honest.
             let Some(donor_outcome) = self.plans.peek_quiet(&entry.plan_key) else {
-                if self.plans.is_pending(&entry.plan_key) {
-                    // Mid-recompute; unusable this round but not stale.
-                    continue;
-                }
-                // Gone from memory *and* disk: the index entry is stale
+                // Mid-recompute is unusable this round but not stale;
+                // gone from memory *and* disk, the index entry is stale
                 // (eviction coupling with the cache).
-                self.index.remove(&entry.plan_key);
+                if !self.plans.is_pending(&entry.plan_key) {
+                    self.index.remove(&entry.plan_key);
+                }
                 continue;
             };
-            let mapping = TransferMapping::between(&entry.descriptor, &descriptor);
+            let mapping = TransferMapping::between(&entry.descriptor, descriptor);
             if mapping.is_empty() {
                 continue;
             }
@@ -841,106 +945,58 @@ impl ServiceState {
             // back to the full cold search and the warm key, counters and
             // provenance would all lie. Replicate the members'
             // deterministic seeding once up front and skip such donors.
-            if QTable::new(&shared).transfer_from(&donor, &mapping) == 0 {
+            if QTable::new(&scenario.scalarized).transfer_from(&donor, &mapping) == 0 {
                 continue;
             }
-            return self.compute_warm(
-                portfolio,
-                &lut,
-                &objective,
-                &shared,
-                vanilla_cost_ms,
-                descriptor,
-                base_key,
-                pin,
+            return Some(Donor {
                 entry,
                 distance,
-                donor,
-                mapping,
-                span,
-            );
+                warm: Arc::new(WarmStart { donor, mapping }),
+            });
         }
-        let response = self.compute_cold(
-            portfolio,
-            &lut,
-            &shared,
-            vanilla_cost_ms,
-            base_key.clone(),
-            span,
-        )?;
-        self.index
-            .insert(descriptor, base_key, response.plan_key.clone(), None);
-        Ok(response)
+        None
     }
 
     /// Warm-started compute under a donor-specific warm key — a warm plan
     /// never shares a cache key with the cold plan for the same scenario.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_warm(
+    fn search_warm(
         &self,
         portfolio: &Portfolio,
-        lut: &CostLut,
-        objective: &Objective,
-        shared: &Arc<CostLut>,
-        vanilla_cost_ms: f64,
+        scenario: &Scenario<'_>,
         descriptor: ScenarioDescriptor,
-        base_key: String,
-        pin: Option<(&str, u64)>,
-        entry: ScenarioEntry,
-        distance: f64,
-        donor: QTable,
-        mapping: TransferMapping,
+        donor: Donor,
         span: &mut RequestSpan,
     ) -> Result<PlanResponse, ServeError> {
+        let (entry, distance) = (donor.entry, donor.distance);
         let warm_portfolio = portfolio.warmed();
         let warm_key = warm_plan_key_on(
-            lut.fingerprint(),
-            objective,
+            scenario.lut.fingerprint(),
+            &scenario.spec.objective,
             warm_portfolio.fingerprint(),
             &entry.plan_key,
-            pin,
+            scenario
+                .platform
+                .map(|s| (s.name.as_str(), s.fingerprint())),
         );
-        let transferred_states = mapping.mapped_states();
-        let warm = Arc::new(WarmStart { donor, mapping });
-        let network = lut.network().to_string();
-        self.task_key_hex(&warm_key);
-        {
-            // Journal which donor won and how far away it was; distance is
-            // packed as microunits so the fixed-width event holds it.
-            let rec = self.metrics.recorder();
-            if rec.enabled() {
-                rec.emit(
-                    EventKind::TransferDonor,
-                    u64::from_str_radix(&entry.plan_key, 16).unwrap_or(0),
-                    (distance * 1e6) as u64,
-                    transferred_states as u64,
-                );
-            }
+        let transferred_states = donor.warm.mapping.mapped_states();
+        // Journal which donor won and how far away it was; distance is
+        // packed as microunits so the fixed-width event holds it.
+        let rec = self.metrics.recorder();
+        if rec.enabled() {
+            rec.emit(
+                EventKind::TransferDonor,
+                u64::from_str_radix(&entry.plan_key, 16).unwrap_or(0),
+                (distance * 1e6) as u64,
+                transferred_states as u64,
+            );
         }
-        let search_time = std::cell::Cell::new(Duration::ZERO);
-        let (outcome, cache_hit) = {
-            let shared = Arc::clone(shared);
-            let warm = Arc::clone(&warm);
-            let pool = &self.pool;
-            let search_time = &search_time;
-            let rec = Arc::clone(self.metrics.recorder());
-            self.plans.try_get_or_compute(&warm_key, move || {
-                if rec.enabled() {
-                    rec.task_stage(Stage::Search as u16 + 1);
-                }
-                let search_start = Instant::now();
-                let outcome =
-                    run_portfolio_parallel_with(&warm_portfolio, &shared, pool, Some(&warm));
-                search_time.set(search_start.elapsed());
-                outcome.ok_or_else(|| {
-                    ServeError::Search(format!(
-                        "no portfolio member produced a plan for `{network}` \
-                         (every member was inapplicable or failed)"
-                    ))
-                })
-            })?
-        };
-        span.record(Stage::Search, search_time.get());
+        let (outcome, cache_hit) = self.compute(
+            &warm_portfolio,
+            scenario,
+            &warm_key,
+            Some(&donor.warm),
+            span,
+        )?;
         if !cache_hit {
             self.warm_starts.fetch_add(1, Ordering::Relaxed);
         }
@@ -957,21 +1013,18 @@ impl ServiceState {
             .unwrap_or(0);
         let info = WarmStartInfo {
             donor_key: entry.plan_key,
-            donor_network: entry.descriptor.network.clone(),
+            donor_network: entry.descriptor.network,
             donor_distance: distance,
             transferred_states,
             episodes,
         };
-        self.index
-            .insert(descriptor, base_key, warm_key.clone(), Some(info.clone()));
-        Ok(self.plan_response(
-            lut,
-            warm_key,
-            cache_hit,
-            &outcome,
-            vanilla_cost_ms,
-            Some(info),
-        ))
+        self.index.insert(
+            descriptor,
+            scenario.base_key.clone(),
+            warm_key.clone(),
+            Some(info.clone()),
+        );
+        Ok(scenario.response(warm_key, cache_hit, &outcome, Some(info)))
     }
 
     fn note_transfer(&self, distance: f64) {
@@ -984,9 +1037,9 @@ impl ServiceState {
         acc.1 += 1;
     }
 
-    fn handle(&self, req: Request, span: &mut RequestSpan) -> Response {
+    fn handle(&self, req: Request, span: &mut RequestSpan) -> Answer {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        match req {
+        Answer::Response(match req {
             Request::Ping { version } => {
                 if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
                     Response::Pong {
@@ -1006,87 +1059,26 @@ impl ServiceState {
                     fingerprint: format!("{:016x}", lut.fingerprint()),
                     lut: (*lut).clone(),
                 }),
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Err(e) => error_response(e),
             },
-            Request::Search(SearchRequest {
-                lut,
-                objective,
-                episodes,
-                seeds,
-                transfer,
-                trace: _,
-                platform,
-            }) => {
-                // A client-supplied LUT carries no batch; the descriptor
-                // records it as unknown.
-                match self.run_search(
-                    lut, objective, episodes, &seeds, transfer, 0, &platform, span,
-                ) {
+            Request::Search(req) => {
+                let spec = SearchSpec {
+                    objective: req.objective,
+                    episodes: req.episodes,
+                    seeds: &req.seeds,
+                    transfer: req.transfer,
+                    batch: 0,
+                    platform: &req.platform,
+                };
+                match self.run_search(&req.lut, &spec, span) {
                     Ok(plan) => Response::Plan(plan),
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
+                    Err(e) => error_response(e),
                 }
             }
-            Request::Plan(PlanRequest {
-                network,
-                batch,
-                mode,
-                objective,
-                episodes,
-                seeds,
-                transfer,
-                trace: _,
-                platform,
-            }) => {
-                let profile_req = ProfileRequest {
-                    network,
-                    batch,
-                    mode,
-                    repeats: 0,
-                    platform: platform.clone(),
-                };
-                match span
-                    .time(Stage::Profile, || self.profile(&profile_req))
-                    .and_then(|lut| {
-                        // Transfer-off scenarios get the memoized fast
-                        // path; anything transfer-eligible keeps the full
-                        // path (the scenario index has registration side
-                        // effects a memo shortcut must not skip).
-                        let transfer_off = !(self.config.transfer == TransferMode::Auto
-                            && transfer == TransferMode::Auto);
-                        let memo_key = if transfer_off {
-                            self.hot_plan_memo_key(&profile_req, &objective, episodes, &seeds, &lut)
-                        } else {
-                            None
-                        };
-                        if let Some(key) = memo_key {
-                            if let Some(plan) = self.hot_plan_hit(key, span) {
-                                return Ok(plan);
-                            }
-                        }
-                        let plan = self.run_search(
-                            (*lut).clone(),
-                            objective,
-                            episodes,
-                            &seeds,
-                            transfer,
-                            batch,
-                            &platform,
-                            span,
-                        )?;
-                        if let Some(key) = memo_key {
-                            self.remember_hot_plan(key, &plan);
-                        }
-                        Ok(plan)
-                    }) {
-                    Ok(plan) => Response::Plan(plan),
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                }
+            Request::Plan(req) => {
+                return self
+                    .plan(&req, span)
+                    .unwrap_or_else(|e| Answer::Response(error_response(e)))
             }
             Request::Events => Response::Events(self.events_response()),
             Request::Tasks => Response::Tasks(self.tasks_response()),
@@ -1135,28 +1127,17 @@ impl ServiceState {
                 index_entries: self.index.len() as u64,
                 accept_errors: self.accept_errors.load(Ordering::Relaxed),
             }),
-        }
+        })
     }
 
-    /// [`ServiceState::handle`] with a panic firewall: a handler bug
-    /// answers the request with an error instead of unwinding through the
-    /// connection (v1) or silently leaking an in-flight permit (v2).
-    /// Opens, observes and closes its own span; the connection layers
-    /// carry a span across threads via [`ServiceState::dispatch_spanned`],
-    /// so this wrapper serves direct callers (tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn dispatch(&self, req: Request) -> Response {
-        let mut span = self.metrics.span(request_kind(&req));
-        let resp = self.dispatch_spanned(req, &mut span);
-        self.metrics.observe(&span);
-        resp
-    }
-
-    /// [`ServiceState::dispatch`] recording into a caller-owned span; the
-    /// caller keeps timing serialize/write stages and observes the span.
-    /// When the request asked for a trace echo, the plan response carries
-    /// the stages recorded so far.
-    pub(crate) fn dispatch_spanned(&self, req: Request, span: &mut RequestSpan) -> Response {
+    /// [`ServiceState::handle`] with a panic firewall, recording into a
+    /// caller-owned span: a handler bug answers the request with an error
+    /// instead of unwinding through the connection (v1) or silently
+    /// leaking an in-flight permit (v2). The caller keeps timing the
+    /// serialize/write stages and observes the span. When the request
+    /// asked for a trace echo, the plan response carries the stages
+    /// recorded so far.
+    pub(crate) fn dispatch_spanned(&self, req: Request, span: &mut RequestSpan) -> Answer {
         span.set_kind(request_kind(&req));
         span.set_trace(trace_requested(&req));
         // The request scope tags every event this thread journals while
@@ -1168,12 +1149,9 @@ impl ServiceState {
             let kind = kind_index(span.kind());
             recorder.request_begin(span.serial(), kind as u16);
         }
-        let result = {
-            let handler_span = &mut *span;
-            catch_unwind(AssertUnwindSafe(move || self.handle(req, handler_span)))
-        };
-        let mut resp = match result {
-            Ok(resp) => resp,
+        let result = catch_unwind(AssertUnwindSafe(|| self.handle(req, span)));
+        let mut answer = match result {
+            Ok(answer) => answer,
             Err(panic) => {
                 // Journal the panic and snapshot the request's events as
                 // an exemplar before answering: the wreckage is exactly
@@ -1184,15 +1162,21 @@ impl ServiceState {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "unknown panic".to_string());
-                Response::Error {
+                Answer::Response(Response::Error {
                     message: format!("internal error: request handler panicked: {reason}"),
-                }
+                })
             }
         };
-        if let Response::Plan(plan) = &resp {
+        let plan_key = match &answer {
+            Answer::Hit { entry, .. } => Some(&entry.plan_key),
+            Answer::Response(Response::Plan(plan)) => Some(&plan.plan_key),
+            Answer::Response(_) => None,
+        };
+        if let Some(plan_key) = plan_key {
+            self.plans_served.fetch_add(1, Ordering::Relaxed);
             // Plan keys are 16 hex chars; packed, the span (and through it
             // the slow-request exemplar) names the actual plan served.
-            let key = u64::from_str_radix(&plan.plan_key, 16).unwrap_or(0);
+            let key = u64::from_str_radix(plan_key, 16).unwrap_or(0);
             span.set_key(key);
             if recorder.enabled() {
                 recorder.task_key(key);
@@ -1200,40 +1184,41 @@ impl ServiceState {
         }
         recorder.task_clear();
         if span.trace_requested() {
+            // The echo is per-request, so a traced hit is materialised.
+            let mut resp = answer.into_response();
             if let Response::Plan(plan) = &mut resp {
                 plan.trace = Some(span.trace_info());
             }
+            answer = Answer::Response(resp);
         }
-        resp
+        answer
     }
 
-    /// Serializes `resp` into a binary-codec (protocol v3) body, riding
-    /// the plan cache's preserialized-body slot when the response is an
-    /// eligible cache hit: the first such hit pays one encode and
-    /// attaches the bytes to the entry; every later hit is a lookup plus
-    /// a memcpy into the frame — zero re-encoding.
-    ///
-    /// Eligibility is deliberately narrow: `cache_hit` with neither a
-    /// trace echo nor warm-start info, because those two fields are
-    /// per-request (span timings; donor distance from the *requester's*
-    /// descriptor) while everything else in a hit response is a pure
-    /// function of the plan key.
-    pub(crate) fn render_binary_body(&self, resp: &Response) -> Result<Arc<Vec<u8>>, ServeError> {
-        if let Response::Plan(plan) = resp {
-            if plan.cache_hit && plan.trace.is_none() && plan.warm_start.is_none() {
-                if let Some(body) = self.plans.wire_body(&plan.plan_key) {
-                    return Ok(body);
-                }
-                let body = Arc::new(encode_response(resp)?);
+    /// Serializes an answer into a binary-codec (protocol v3) body. The
+    /// first front hit of a residency pays one encode and attaches the
+    /// bytes to the cache entry; every later one hands forward the body
+    /// its peek already fetched — no [`PlanResponse`], no encode, no
+    /// second lookup. Only front hits qualify, which keeps the attached
+    /// bytes a pure function of the plan key: the per-request fields never
+    /// get here as a hit (a traced reply is materialised first, a
+    /// warm-started one never enters the front).
+    pub(crate) fn render_binary_body(&self, answer: Answer) -> Result<WireBody, ServeError> {
+        match answer {
+            Answer::Hit {
+                body: Some(body), ..
+            } => Ok(body),
+            Answer::Hit { ref entry, .. } => {
+                let entry = Arc::clone(entry);
+                let body = Arc::new(encode_response(&answer.into_response())?);
                 // Best-effort: if the entry was evicted between the hit
                 // and here, the attach is a no-op and the next residency
                 // rebuilds the body — never a stale one.
                 self.plans
-                    .attach_wire_body(&plan.plan_key, Arc::clone(&body));
-                return Ok(body);
+                    .attach_wire_body(&entry.plan_key, Arc::clone(&body));
+                Ok(body)
             }
+            Answer::Response(resp) => Ok(Arc::new(encode_response(&resp)?)),
         }
-        Ok(Arc::new(encode_response(resp)?))
     }
 
     /// Runs one parsed request end to end on the calling (dispatcher)
@@ -1255,10 +1240,10 @@ impl ServiceState {
                 .fetch_max(depth as u64, Ordering::Relaxed);
             self.pipelined.fetch_add(1, Ordering::Relaxed);
         }
-        let resp = self.dispatch_spanned(req, &mut span);
+        let answer = self.dispatch_spanned(req, &mut span);
         let bytes = span.time(Stage::Serialize, || match mode {
-            WireMode::Json => json_line(id, resp),
-            WireMode::Binary => self.render_binary_frame(id, &resp),
+            WireMode::Json => json_line(id, answer.into_response()),
+            WireMode::Binary => self.render_binary_frame(id, answer),
         });
         Reply { id, bytes, span }
     }
@@ -1286,9 +1271,9 @@ impl ServiceState {
     /// ready for the socket. Infallible from the caller's view: a codec
     /// failure (unreachable for well-formed responses — guarded depths
     /// and `u32` lengths) degrades to an error frame naming it.
-    fn render_binary_frame(&self, id: Option<u64>, resp: &Response) -> Vec<u8> {
+    fn render_binary_frame(&self, id: Option<u64>, answer: Answer) -> Vec<u8> {
         match self
-            .render_binary_body(resp)
+            .render_binary_body(answer)
             .and_then(|body| encode_binary_frame(id, &body))
         {
             Ok(frame) => frame,
@@ -1301,14 +1286,6 @@ impl ServiceState {
         let rec = self.metrics.recorder();
         if rec.enabled() {
             rec.task_stage(stage as u16 + 1);
-        }
-    }
-
-    /// Publishes the plan key this thread's task-table entry works under.
-    fn task_key_hex(&self, key: &str) {
-        let rec = self.metrics.recorder();
-        if rec.enabled() {
-            rec.task_key(u64::from_str_radix(key, 16).unwrap_or(0));
         }
     }
 
@@ -1852,6 +1829,18 @@ mod tests {
     use qsdnn::engine::{AnalyticalPlatform, Mode};
     use qsdnn::PortfolioMember;
 
+    impl ServiceState {
+        /// [`ServiceState::dispatch_spanned`] for direct callers: opens,
+        /// observes and closes its own span (the connection layers carry
+        /// theirs across threads).
+        fn dispatch(&self, req: Request) -> Response {
+            let mut span = self.metrics.span(request_kind(&req));
+            let answer = self.dispatch_spanned(req, &mut span);
+            self.metrics.observe(&span);
+            answer.into_response()
+        }
+    }
+
     fn branchy_lut() -> CostLut {
         let net = zoo::by_name("toy_branchy", 1).expect("zoo network");
         Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu)
@@ -1869,15 +1858,20 @@ mod tests {
         let portfolio = Portfolio {
             members: vec![PortfolioMember::ChainDp],
         };
-        let err = state
-            .search_with(
-                &portfolio,
-                branchy_lut(),
-                Objective::Latency,
-                None,
-                &mut state.metrics.span("plan"),
-            )
-            .expect_err("no member applies");
+        let lut = branchy_lut();
+        let spec = SearchSpec {
+            objective: Objective::Latency,
+            episodes: 0,
+            seeds: &[],
+            transfer: TransferMode::Off,
+            batch: 1,
+            platform: "",
+        };
+        let search = |portfolio: &Portfolio| {
+            let scenario = Scenario::new(&lut, &spec, None, portfolio);
+            state.search(portfolio, &scenario, false, &mut state.metrics.span("plan"))
+        };
+        let err = search(&portfolio).expect_err("no member applies");
         assert!(
             err.to_string().contains("no portfolio member"),
             "unexpected error: {err}"
@@ -1885,29 +1879,13 @@ mod tests {
         // The failure must not have cached anything or leaked the
         // in-flight slot: an identical retry fails again promptly (a
         // leaked slot would deadlock this call in single-flight wait).
-        let err = state
-            .search_with(
-                &portfolio,
-                branchy_lut(),
-                Objective::Latency,
-                None,
-                &mut state.metrics.span("plan"),
-            )
-            .expect_err("still no member");
+        let err = search(&portfolio).expect_err("still no member");
         assert!(matches!(err, ServeError::Search(_)));
         let stats = state.plans.stats();
         assert_eq!(stats.entries, 0, "failures are never cached");
         assert_eq!(stats.in_flight, 0, "failures release their slot");
         // The same state still serves a working portfolio afterwards.
-        let ok = state
-            .search_with(
-                &Portfolio::paper_default(60, &[1]),
-                branchy_lut(),
-                Objective::Latency,
-                None,
-                &mut state.metrics.span("plan"),
-            )
-            .expect("full portfolio applies");
+        let ok = search(&Portfolio::paper_default(60, &[1])).expect("full portfolio applies");
         assert!(ok.best.best_cost_ms.is_finite());
     }
 
@@ -1958,33 +1936,41 @@ mod tests {
                 platform: String::new(),
             })
         };
-        // Cold: not a cache hit, nothing attached.
-        let cold = state.dispatch(req());
+        let answer = || state.dispatch_spanned(req(), &mut state.metrics.span("plan"));
+        // Cold: a full-path response, nothing attached.
+        let cold = answer();
         let cold_key = match &cold {
-            Response::Plan(p) => {
+            Answer::Response(Response::Plan(p)) => {
                 assert!(!p.cache_hit);
                 p.plan_key.clone()
             }
-            other => panic!("expected plan, got {other:?}"),
+            _ => panic!("expected a full-path plan response"),
         };
-        let _ = state.render_binary_body(&cold).expect("cold renders");
+        let _ = state.render_binary_body(cold).expect("cold renders");
         assert!(
             state.plans.wire_body(&cold_key).is_none(),
             "cold responses never attach a body"
         );
         // Hit: first render attaches, second serves the same allocation.
-        let hit = state.dispatch(req());
-        match &hit {
-            Response::Plan(p) => assert!(p.cache_hit),
-            other => panic!("expected plan, got {other:?}"),
-        }
-        let first = state.render_binary_body(&hit).expect("hit renders");
+        let hit = answer();
+        assert!(
+            matches!(&hit, Answer::Hit { body: None, .. }),
+            "a repeat resolves through the front; no body yet"
+        );
+        let first = state.render_binary_body(hit).expect("hit renders");
         assert!(state.plans.wire_body(&cold_key).is_some(), "hit attaches");
-        let second = state.render_binary_body(&hit).expect("hit renders");
+        let hit = answer();
+        assert!(
+            matches!(&hit, Answer::Hit { body: Some(_), .. }),
+            "the peek hands the attached body forward"
+        );
+        let second = state.render_binary_body(hit).expect("hit renders");
         assert!(Arc::ptr_eq(&first, &second), "second hit is a cache fetch");
         // The cached bytes decode to the same response a fresh encode
         // would produce.
-        let fresh = crate::protocol::encode_body(&hit).expect("encode");
+        let typed = answer().into_response();
+        assert!(matches!(&typed, Response::Plan(p) if p.cache_hit));
+        let fresh = crate::protocol::encode_body(&typed).expect("encode");
         assert_eq!(*first, fresh, "cached body is bit-identical");
     }
 
@@ -1993,7 +1979,7 @@ mod tests {
     /// (and a v2 in-flight permit) survives.
     #[test]
     fn dispatch_turns_panics_into_error_responses() {
-        // An empty default seed list makes `seeds_for` hand
+        // An empty default seed list makes `run_search` hand
         // `Portfolio::paper_default` an empty slice, which asserts — a
         // deterministic stand-in for any future handler bug.
         let state = ServiceState::new(ServerConfig {

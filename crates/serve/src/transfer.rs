@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use qsdnn::engine::ScenarioDescriptor;
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,9 @@ impl IndexState {
 /// Concurrent, bounded, optionally durable map from scenario descriptors
 /// to plan-cache keys. See the module docs for the staleness contract.
 pub struct ScenarioIndex {
-    state: Mutex<IndexState>,
+    /// Read-mostly: every `auto` plan hit tests presence under the shared
+    /// lock; only fresh computes and stale-entry drops take it exclusively.
+    state: RwLock<IndexState>,
     dir: Option<PathBuf>,
     max_entries: usize,
 }
@@ -100,7 +102,7 @@ impl ScenarioIndex {
     /// In-memory index bounded to `max_entries` (min 1).
     pub fn new(max_entries: usize) -> Self {
         ScenarioIndex {
-            state: Mutex::new(IndexState::empty()),
+            state: RwLock::new(IndexState::empty()),
             dir: None,
             max_entries: max_entries.max(1),
         }
@@ -131,7 +133,7 @@ impl ScenarioIndex {
         }
         files.sort_by_key(|f| f.1);
         let index = ScenarioIndex {
-            state: Mutex::new(IndexState::empty()),
+            state: RwLock::new(IndexState::empty()),
             dir: Some(dir),
             max_entries: max_entries.max(1),
         };
@@ -150,6 +152,18 @@ impl ScenarioIndex {
             }
         }
         Ok(index)
+    }
+
+    /// Shared access. Poison is recovered, not propagated: every entry is
+    /// a hint the plan cache re-validates, so one panicked writer must not
+    /// become a panic on every later `auto` request.
+    fn read(&self) -> RwLockReadGuard<'_, IndexState> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access, recovering poison like [`ScenarioIndex::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, IndexState> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn path_for(&self, base_key: &str) -> Option<PathBuf> {
@@ -202,7 +216,7 @@ impl ScenarioIndex {
     fn insert_entry(&self, entry: ScenarioEntry, persist: bool) {
         let entry = Arc::new(entry);
         let evicted: Vec<String> = {
-            let mut state = self.state.lock().expect("index lock");
+            let mut state = self.write();
             state.seq += 1;
             let seq = state.seq;
             state
@@ -243,7 +257,7 @@ impl ScenarioIndex {
     /// a donor's plan turned out to be gone from both cache tiers.
     pub fn remove(&self, plan_key: &str) {
         let dropped: Vec<String> = {
-            let mut state = self.state.lock().expect("index lock");
+            let mut state = self.write();
             let dropped: Vec<String> = state
                 .map
                 .values()
@@ -262,11 +276,17 @@ impl ScenarioIndex {
 
     /// The entry for exactly this scenario (`base_key` identity) — how a
     /// repeated warm scenario finds its own cached plan, which lives under
-    /// a warm key the exact-match cache lookup cannot derive. `O(1)`: it
-    /// runs on every plan-cache hit of a transfer-enabled server.
+    /// a warm key the exact-match cache lookup cannot derive. Clones the
+    /// entry; a presence test wants [`ScenarioIndex::contains`].
     pub fn lookup(&self, base_key: &str) -> Option<ScenarioEntry> {
-        let state = self.state.lock().expect("index lock");
-        state.map.get(base_key).map(|(_, e)| (**e).clone())
+        self.read().map.get(base_key).map(|(_, e)| (**e).clone())
+    }
+
+    /// Whether this scenario (`base_key` identity) is registered — the
+    /// one index question a plan hit asks, answered under the shared lock
+    /// without cloning the entry's descriptor.
+    pub fn contains(&self, base_key: &str) -> bool {
+        self.read().map.contains_key(base_key)
     }
 
     /// The up-to-`k` nearest donor scenarios to `probe` by
@@ -286,8 +306,7 @@ impl ScenarioIndex {
         // the O(entries x layers^2) edit-distance scan must not serialize
         // every connection handler on the index mutex.
         let snapshot: Vec<(u64, Arc<ScenarioEntry>)> = {
-            let state = self.state.lock().expect("index lock");
-            state
+            self.read()
                 .map
                 .values()
                 .filter(|(_, e)| e.base_key != base_key)
@@ -312,7 +331,7 @@ impl ScenarioIndex {
 
     /// Scenarios currently indexed.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("index lock").map.len()
+        self.read().map.len()
     }
 
     /// Whether the index holds no scenarios.
