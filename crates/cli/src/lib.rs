@@ -132,8 +132,8 @@ pub fn usage() -> String {
      [--transfer auto|off] [--index-entries N] [--dispatchers N]\n            \
      [--metrics-addr host:port] [--slow-ms N] [--platform <name>]\n            \
      [--platform-dir <dir>]\n            \
-     (the connection layer follows the build target: one epoll readiness loop\n            \
-     on Linux, a blocking pump elsewhere. --metrics-addr serves Prometheus text at\n            \
+     (one readiness loop drives every connection: epoll on Linux, poll(2) on other\n            \
+     unix targets. --metrics-addr serves Prometheus text at\n            \
      /metrics; requests slower than --slow-ms are logged with a stage breakdown\n            \
      and journaled as flight-recorder exemplars; SIGTERM or a handler panic\n            \
      flushes the recorder to a post-mortem dump under --spill;\n            \
@@ -709,7 +709,6 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         .as_ref()
         .map(|d| format!(", spilling plans to {}", d.display()))
         .unwrap_or_default();
-    let io = config.io;
     let server = PlanServer::start(config).map_err(|e| e.to_string())?;
     let metrics_note = server
         .metrics_addr()
@@ -734,7 +733,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     }
     qsdnn_serve::signals::install_term_handler();
     eprintln!(
-        "qsdnn-serve listening on {} ({io} connection layer; JSON-lines requests: \
+        "qsdnn-serve listening on {} (JSON-lines requests: \
          profile/search/plan/platforms/stats/metrics/events/tasks){spill_note}{metrics_note}",
         server.local_addr()
     );

@@ -111,11 +111,10 @@ impl SourceFile {
     /// True for serve's request-handling modules, where the panic-path
     /// rule applies.
     pub fn is_request_path(&self) -> bool {
-        const MODULES: [&str; 9] = [
+        const MODULES: [&str; 8] = [
             "crates/serve/src/server.rs",
             "crates/serve/src/conn.rs",
             "crates/serve/src/reactor.rs",
-            "crates/serve/src/pump.rs",
             "crates/serve/src/protocol.rs",
             "crates/serve/src/codec.rs",
             "crates/serve/src/cache.rs",

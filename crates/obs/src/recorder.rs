@@ -83,7 +83,8 @@ pub enum EventKind {
     /// Reactor loop took unusually long to process one wakeup.
     /// `a` = loop µs.
     ReactorStall = 12,
-    /// `epoll_wait` blocked far past its timeout. `a` = wait µs.
+    /// The reactor's readiness wait (`epoll_wait` or `poll`) blocked far
+    /// past its timeout. `a` = wait µs.
     EpollWaitOutlier = 13,
     /// Worker-pool queue crossed its saturation threshold.
     /// `a` = pool id, `b` = queue depth.

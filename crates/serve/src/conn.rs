@@ -2,9 +2,9 @@
 //!
 //! A [`Connection`] is everything the server knows about one peer that is
 //! not a file descriptor: bytes in → frames → requests ([`Job`]s) →
-//! replies → bytes out. Both connection layers drive the same type — the
-//! epoll reactor from readiness events, the blocking pump from a reader
-//! and a writer thread — so the contract below exists exactly once:
+//! replies → bytes out. The reactor drives it from readiness events and
+//! the unit tests below drive it from byte scripts, so the contract below
+//! exists exactly once:
 //!
 //! * every connection starts as JSON lines; a *bare* in-range v3 ping
 //!   flips it to length-prefixed binary frames once its pong (the last

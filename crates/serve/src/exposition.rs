@@ -88,6 +88,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) {
 /// Reads one HTTP request head and answers it. Any malformed traffic gets
 /// a 400; only `GET /metrics` (and `GET /`) return the exposition body.
 fn handle_scrape(mut stream: TcpStream, state: &Arc<ServiceState>) -> std::io::Result<()> {
+    // On macOS and the BSDs an accepted socket inherits O_NONBLOCK from
+    // the (nonblocking) listener, which voids the read timeout: the head
+    // loop would spin on WouldBlock and `write_all` could fail mid-response.
+    // Linux never inherits it, so there this is a no-op.
+    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(HEAD_READ_TICK))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut head = Vec::new();

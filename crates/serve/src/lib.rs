@@ -26,24 +26,27 @@
 //!   batch sweep or platform variant stops being a cold start. Requests
 //!   opt out with `transfer: "off"`, which is byte-identical to a
 //!   transfer-free server.
-//! * **JSON-lines TCP protocol** ([`protocol`]) — `profile`, `search`,
-//!   `plan` and `stats` requests over plain `std::net`, one JSON document
-//!   per line; [`PlanServer`] serves it, [`PlanClient`] speaks it. Since
+//! * **TCP protocol** ([`protocol`]) — `profile`, `search`, `plan`,
+//!   `stats` and the observability requests over plain `std::net`. Every
+//!   connection starts as JSON lines, one document per line; since
 //!   protocol v2 a client may wrap requests in tagged envelopes
 //!   (`{"id":N,"req":{...}}`) to pipeline up to the server's in-flight cap
-//!   over one connection; the server replies out of order as searches
-//!   finish, so a single connection can saturate the whole worker pool
-//!   ([`PlanClient::submit`]/[`PlanClient::wait`]/[`PlanClient::plan_many`]).
-//! * **One connection state machine, two drivers** ([`IoModel`]) — the
-//!   wire contract (handshake, v1 in-order pause, v2/v3 in-flight cap,
-//!   JSON → binary switch, error and backpressure rules) is one
-//!   socket-free type; every request runs on one bounded dispatcher
-//!   pool. On Linux a single reactor thread drives every connection
-//!   through an epoll readiness loop (direct `extern "C"` FFI over
-//!   `std::os::fd`), so thousands of pipelined clients cost
-//!   O(workers + dispatchers) threads, not O(connections); elsewhere a
-//!   small blocking pump (two threads per connection) drives the same
-//!   state machine. The build target chooses — there is no switch.
+//!   over one connection, and a v3 handshake switches the connection to
+//!   length-prefixed binary frames. The server replies to tagged requests
+//!   out of order as searches finish, so a single connection can saturate
+//!   the whole worker pool ([`PlanServer`] serves it, [`PlanClient`]
+//!   speaks it: [`PlanClient::submit`]/[`PlanClient::wait`]/
+//!   [`PlanClient::plan_many`]).
+//! * **One connection layer** — the wire contract (handshake, v1 in-order
+//!   pause, v2/v3 in-flight cap, JSON → binary switch, error and
+//!   backpressure rules) is one socket-free state machine, and a single
+//!   reactor thread drives every connection through it, so thousands of
+//!   pipelined clients cost O(workers + dispatchers) threads, not
+//!   O(connections); every request runs on one bounded dispatcher pool.
+//!   Only the readiness syscall differs by platform: `epoll` on Linux,
+//!   `poll(2)` on every other unix (direct `extern "C"` FFI over
+//!   `std::os::fd`). The build target chooses — there is no switch.
+//!   The crate is unix-only.
 //!
 //! # Quickstart
 //!
@@ -81,6 +84,12 @@
 //! From the shell: `qsdnn-cli serve --addr 127.0.0.1:7878` and
 //! `qsdnn-cli submit --addr 127.0.0.1:7878 --network mobilenet_v1`.
 
+#[cfg(not(unix))]
+compile_error!(
+    "qsdnn-serve is unix-only: its reactor waits on epoll (Linux) or poll(2) (other unix \
+     targets), and no Windows backend exists"
+);
+
 mod cache;
 mod client;
 mod codec;
@@ -90,8 +99,6 @@ mod metrics;
 mod pool;
 mod portfolio;
 pub mod protocol;
-mod pump;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod server;
 pub mod signals;
@@ -105,7 +112,7 @@ pub use client::{PlanClient, Ticket, DEFAULT_CLIENT_WINDOW};
 pub use pool::{PoolGauges, PoolRecorder, WorkerPool};
 pub use portfolio::{run_portfolio_parallel, run_portfolio_parallel_with, WarmStart};
 pub use server::{
-    resolve, start_local, IoModel, PlanServer, ServerConfig, DEFAULT_MAX_IN_FLIGHT, DEFAULT_SLOW_MS,
+    resolve, start_local, PlanServer, ServerConfig, DEFAULT_MAX_IN_FLIGHT, DEFAULT_SLOW_MS,
 };
 pub use transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_INDEX_ENTRIES};
 

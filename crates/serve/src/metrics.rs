@@ -6,8 +6,8 @@
 //! durations (`parse → queue → profile → cache → search → serialize →
 //! write`) and is observed exactly once into the server's
 //! [`ServeMetrics`] — request and stage latency histograms, plus the
-//! slow-request log. Spans are plain data (`Send`), so the epoll layer
-//! can carry them from the reactor thread through a dispatcher and back.
+//! slow-request log. Spans are plain data (`Send`), so the reactor can
+//! carry them from its thread through a dispatcher and back.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,7 +84,7 @@ pub(crate) const KINDS: [&str; 10] = [
 /// requests.
 pub(crate) const TASK_KIND_SEARCH_JOB: u16 = 100;
 
-/// Task-table kind id for an epoll dispatcher running a whole request.
+/// Task-table kind id for a dispatcher running a whole request.
 pub(crate) const TASK_KIND_DISPATCH_JOB: u16 = 101;
 
 /// Index of a kind label in [`KINDS`] (unknown labels fold into `error`).
@@ -227,11 +227,11 @@ pub(crate) struct ServeMetrics {
     request_us: Vec<Arc<Histogram>>,
     stage_us: Vec<Arc<Histogram>>,
     slow_requests: Arc<Counter>,
-    /// Open client connections (both I/O layers).
+    /// Open client connections.
     pub(crate) connections: Arc<Gauge>,
-    /// Microseconds the reactor spent blocked in its last `epoll_wait`.
+    /// Microseconds the reactor spent blocked in its last readiness wait.
     pub(crate) reactor_wait_stall_us: Arc<Gauge>,
-    /// Ready events delivered by the last `epoll_wait`.
+    /// Ready events delivered by the last readiness wait.
     pub(crate) reactor_ready_events: Arc<Gauge>,
     /// Time spent processing one reactor wakeup.
     pub(crate) reactor_loop_us: Arc<Histogram>,
@@ -298,12 +298,12 @@ impl ServeMetrics {
         let connections = registry.gauge("qsdnn_connections", "Open client connections", &[]);
         let reactor_wait_stall_us = registry.gauge(
             "qsdnn_reactor_wait_stall_us",
-            "Microseconds the reactor was blocked in its last epoll_wait",
+            "Microseconds the reactor was blocked in its last readiness wait",
             &[],
         );
         let reactor_ready_events = registry.gauge(
             "qsdnn_reactor_ready_events",
-            "Ready events delivered by the reactor's last epoll_wait",
+            "Ready events delivered by the reactor's last readiness wait",
             &[],
         );
         let reactor_loop_us = registry.histogram(

@@ -70,7 +70,7 @@ impl WorkerPool {
     }
 
     /// Starts `threads` workers (at least one) named `<prefix>-<i>`, so a
-    /// second pool with a different role (e.g. the epoll server's request
+    /// second pool with a different role (e.g. the server's request
     /// dispatchers) is tellable apart in thread listings.
     pub fn named(prefix: &str, threads: usize) -> Self {
         WorkerPool::named_with_gauges(prefix, threads, None)

@@ -87,9 +87,9 @@ pub const BINARY_MIN_VERSION: u32 = 3;
 /// first byte instead of producing a silently garbled parse.
 pub const FRAME_MAGIC: u8 = 0xB3;
 
-/// Hard bound on a single frame's payload, shared by both connection
-/// layers and both framings: the JSON layers cap the line length, the
-/// binary codec caps the declared body length.
+/// Hard bound on a single frame's payload, shared by both framings: the
+/// JSON framing caps the line length, the binary codec caps the declared
+/// body length.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
 /// Worst-case binary frame header: magic + kind + body length + tag id.
@@ -890,7 +890,9 @@ pub struct PostmortemDump {
     /// Milliseconds the server had been up.
     #[serde(default)]
     pub uptime_ms: u64,
-    /// I/O layer the server was running (`threads` or `epoll`).
+    /// Readiness backend the server's reactor ran on (`epoll` on Linux,
+    /// `poll` on other unix targets; dumps from older servers may read
+    /// `threads`).
     #[serde(default)]
     pub io: String,
     /// Events ever recorded.

@@ -5,9 +5,10 @@
 //! identical requests coalesce into one search regardless of which
 //! connection they arrive on, and all search work fanned onto the shared
 //! [`WorkerPool`]. [`PlanServer`] puts it behind a TCP listener through
-//! one of two connection layers ([`IoModel`]) that both drive the same
-//! socket-free [`crate::conn::Connection`] and run every request as a
-//! [`ServiceState::run_job`] on one bounded dispatcher pool.
+//! the reactor (`crate::reactor`), one readiness loop that drives every
+//! socket through the socket-free [`crate::conn::Connection`] and runs
+//! every request as a [`ServiceState::run_job`] on one bounded dispatcher
+//! pool.
 //!
 //! A plan request forks once. [`ServiceState::plan_hit`] answers "is this
 //! a repeat, and where are its bytes" from the request's own fields — the
@@ -25,7 +26,7 @@
 //! (the classic nested-pool trap).
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -57,24 +58,9 @@ use crate::protocol::{
     ProfileRequest, ProfileResponse, Request, Response, StageTiming, StatsResponse, TaskMsg,
     TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
+use crate::reactor::Waker;
 use crate::transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_DONOR_CANDIDATES};
 use crate::ServeError;
-
-/// How long shutdown waits for in-flight requests to finish and queued
-/// replies to flush before abandoning the remaining connections. Keeps a
-/// never-reading client from wedging [`PlanServer::shutdown`] on either
-/// connection layer.
-pub(crate) const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
-
-/// First back-off after a transient `accept()` failure (EMFILE & friends).
-/// Doubles per consecutive failure up to [`ACCEPT_BACKOFF_MAX`], resets on
-/// the next successful accept. Without this, an fd-exhausted acceptor spins
-/// at 100% CPU retrying the same doomed `accept()`.
-pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
-
-/// Ceiling on the acceptor back-off; also bounds the extra shutdown
-/// latency a backed-off blocking acceptor can add.
-pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 /// Cache id carried in cache flight-recorder events (`a` payload).
 pub(crate) const CACHE_ID_PLAN: u64 = 0;
@@ -84,48 +70,6 @@ pub(crate) const CACHE_ID_PROFILE: u64 = 1;
 pub(crate) const POOL_ID_SEARCH: u64 = 0;
 /// Pool id of the dispatcher pool in `PoolSaturated` events.
 const POOL_ID_DISPATCH: u64 = 1;
-
-/// Which driver moves bytes between sockets and the per-connection
-/// protocol state machine. The wire contract, the dispatcher pool and the
-/// search [`WorkerPool`] are the same either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// The portable blocking pump: a reader and a writer thread per
-    /// connection. Fine for dozens of clients; threads scale
-    /// O(connections).
-    Threads,
-    /// A single epoll readiness loop owns every socket (Linux only).
-    /// Threads scale O(workers + dispatchers), so thousands of idle-ish
-    /// connections cost one loop.
-    Epoll,
-}
-
-impl IoModel {
-    /// Stable lowercase CLI label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Epoll => "epoll",
-        }
-    }
-
-    /// The layer for this build target: `epoll` on Linux, `threads`
-    /// elsewhere. No workload prefers the pump where epoll exists, so the
-    /// target decides and nothing at run time overrides it.
-    pub fn platform_default() -> IoModel {
-        if cfg!(target_os = "linux") {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Default per-connection cap on tagged requests in flight. Matches
 /// [`crate::PlanClient`]'s default submission window so a defaulted client
@@ -169,10 +113,6 @@ pub struct ServerConfig {
     /// Bound on the scenario-transfer index
     /// (0 = [`crate::transfer::DEFAULT_INDEX_ENTRIES`]).
     pub index_entries: usize,
-    /// Connection layer ([`IoModel::platform_default`]: `epoll` on Linux,
-    /// `threads` elsewhere). Settable so a Linux test can start the
-    /// portable pump; deployments leave it alone.
-    pub io: IoModel,
     /// Dispatcher threads (0 = one per search worker, at least 4).
     /// Dispatchers run whole requests — blocking on cache single-flight
     /// waits and portfolio fan-in — and are deliberately a *separate*
@@ -221,7 +161,6 @@ impl Default for ServerConfig {
             max_in_flight: 0,
             transfer: TransferMode::Auto,
             index_entries: 0,
-            io: IoModel::platform_default(),
             dispatchers: 0,
             metrics_addr: None,
             slow_ms: DEFAULT_SLOW_MS,
@@ -1224,7 +1163,7 @@ impl ServiceState {
     /// Runs one parsed request end to end on the calling (dispatcher)
     /// thread: queue stage → [`ServiceState::dispatch_spanned`] → reply
     /// rendered for the framing and id the request arrived with. The one
-    /// place requests become reply bytes, whichever layer carries them.
+    /// place requests become reply bytes.
     pub(crate) fn run_job(&self, job: Job) -> Reply {
         let Job {
             req,
@@ -1248,7 +1187,7 @@ impl ServiceState {
         Reply { id, bytes, span }
     }
 
-    /// The bounded pool both connection layers run [`Job`]s on. Never the
+    /// The bounded pool the reactor runs [`Job`]s on. Never the
     /// search pool — see the module docs.
     pub(crate) fn dispatcher_pool(&self) -> WorkerPool {
         let threads = self.config.dispatcher_count(self.pool.threads());
@@ -1312,15 +1251,15 @@ impl ServiceState {
     }
 
     /// One self-contained post-mortem: task table, full journal and
-    /// exemplars at the moment of death, plus enough identity (io model,
-    /// uptime, protocol version) to read the file in isolation.
+    /// exemplars at the moment of death, plus enough identity (readiness
+    /// backend, uptime, protocol version) to read the file in isolation.
     pub(crate) fn postmortem_dump(&self, reason: &str) -> PostmortemDump {
         let rec = self.metrics.recorder();
         PostmortemDump {
             reason: reason.to_string(),
             version: PROTOCOL_VERSION,
             uptime_ms: self.uptime_ms(),
-            io: self.config.io.label().to_string(),
+            io: crate::reactor::BACKEND.to_string(),
             events_total: rec.events_total(),
             tasks: rec.tasks().iter().map(task_msg).collect(),
             events: rec.snapshot_events().iter().map(event_msg).collect(),
@@ -1344,7 +1283,7 @@ impl ServiceState {
     }
 
     /// Monotonic uptime; always at least 1 ms so "the server is up" reads
-    /// as a nonzero value on both I/O layers.
+    /// as a nonzero value even in its first millisecond.
     fn uptime_ms(&self) -> u64 {
         (self.started.elapsed().as_millis() as u64).max(1)
     }
@@ -1659,25 +1598,13 @@ fn donor_qtable(entry: &ScenarioEntry, outcome: &PortfolioOutcome) -> Option<QTa
     QTable::from_best_path(&dims, assignment, &costs)
 }
 
-/// The connection layer actually running behind a [`PlanServer`].
-enum IoRuntime {
-    /// Blocking pump: the acceptor thread owns the per-connection threads
-    /// and the dispatcher pool, and joins them all before it exits.
-    Threads { acceptor: JoinHandle<()> },
-    /// Epoll layer: one reactor thread owns every socket and the
-    /// dispatcher pool; `waker` pokes its wakeup pipe.
-    #[cfg(target_os = "linux")]
-    Epoll {
-        reactor: JoinHandle<()>,
-        waker: crate::reactor::Waker,
-    },
-}
-
 /// A running plan-compilation server.
 pub struct PlanServer {
     state: Arc<ServiceState>,
     addr: SocketAddr,
-    runtime: Option<IoRuntime>,
+    /// The reactor thread; `None` once stopped.
+    reactor: Option<JoinHandle<()>>,
+    waker: Waker,
     exposition: Option<MetricsExposition>,
 }
 
@@ -1687,35 +1614,20 @@ impl PlanServer {
     /// # Errors
     ///
     /// Fails when the address cannot be bound, the spill directory cannot
-    /// be created, or `io: epoll` is requested off Linux.
+    /// be created, or the readiness set cannot be opened.
     pub fn start(config: ServerConfig) -> Result<PlanServer, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let io = config.io;
         let state = ServiceState::new(config)?;
-        let runtime = match io {
-            IoModel::Threads => IoRuntime::Threads {
-                acceptor: crate::pump::start(listener, Arc::clone(&state))?,
-            },
-            #[cfg(target_os = "linux")]
-            IoModel::Epoll => {
-                let (reactor, waker) = crate::reactor::start(listener, Arc::clone(&state))?;
-                IoRuntime::Epoll { reactor, waker }
-            }
-            #[cfg(not(target_os = "linux"))]
-            IoModel::Epoll => {
-                return Err(ServeError::BadRequest(
-                    "io model `epoll` is only available on Linux; use `threads`".into(),
-                ))
-            }
-        };
+        let (reactor, waker) = crate::reactor::start(listener, Arc::clone(&state))?;
         let mut server = PlanServer {
             state,
             addr,
-            runtime: Some(runtime),
+            reactor: Some(reactor),
+            waker,
             exposition: None,
         };
-        // After the runtime so a bind failure tears the server down via
+        // After the reactor so a bind failure tears the server down via
         // the normal stop path (Drop) instead of leaking threads.
         if let Some(metrics_addr) = server.state.config.metrics_addr.clone() {
             server.exposition = Some(MetricsExposition::start(
@@ -1737,11 +1649,6 @@ impl PlanServer {
         self.exposition.as_ref().map(MetricsExposition::addr)
     }
 
-    /// The connection layer this server runs on.
-    pub fn io_model(&self) -> IoModel {
-        self.state.config.io
-    }
-
     /// Writes a flight-recorder post-mortem dump (`postmortem-<pid>.dump`,
     /// JSON) under the spill directory and returns its path. `None`
     /// without a spill directory or when the write fails. `reason` lands
@@ -1760,39 +1667,29 @@ impl PlanServer {
         move |reason| state.write_postmortem(reason)
     }
 
-    /// Stops accepting and joins the connection layer. Either layer stops
-    /// parsing new requests, lets in-flight ones finish and flushes their
-    /// replies — for at most `SHUTDOWN_DRAIN` (5 s), after which whatever
-    /// a stalled peer has not read is abandoned — then drains the
-    /// dispatcher pool. No server thread outlives this call.
+    /// Stops accepting and joins the reactor. It stops parsing new
+    /// requests, lets in-flight ones finish and flushes their replies —
+    /// for at most 5 s, after which whatever a stalled peer has not read
+    /// is abandoned — then drains the dispatcher pool. No server thread
+    /// outlives this call.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        let Some(runtime) = self.runtime.take() else {
+        let Some(reactor) = self.reactor.take() else {
             return;
         };
-        // SeqCst: the acceptor, reactor, handler, and exposition threads
-        // all poll this flag; a total order guarantees none of them keeps
-        // admitting work after any other thread observed shutdown.
+        // SeqCst: the reactor, dispatcher and exposition threads all poll
+        // this flag; a total order guarantees none of them keeps admitting
+        // work after any other thread observed shutdown.
         self.state.shutting_down.store(true, Ordering::SeqCst);
         // The exposition accept loop re-checks the flag every tick.
         if let Some(mut exposition) = self.exposition.take() {
             exposition.join();
         }
-        match runtime {
-            IoRuntime::Threads { acceptor } => {
-                // Poke the blocking accept() so the loop observes the flag.
-                let _ = TcpStream::connect(self.addr);
-                let _ = acceptor.join();
-            }
-            #[cfg(target_os = "linux")]
-            IoRuntime::Epoll { reactor, waker } => {
-                waker.wake();
-                let _ = reactor.join();
-            }
-        }
+        self.waker.wake();
+        let _ = reactor.join();
     }
 }
 
@@ -1831,8 +1728,8 @@ mod tests {
 
     impl ServiceState {
         /// [`ServiceState::dispatch_spanned`] for direct callers: opens,
-        /// observes and closes its own span (the connection layers carry
-        /// theirs across threads).
+        /// observes and closes its own span (the reactor carries its spans
+        /// across threads).
         fn dispatch(&self, req: Request) -> Response {
             let mut span = self.metrics.span(request_kind(&req));
             let answer = self.dispatch_spanned(req, &mut span);

@@ -7,7 +7,7 @@
 //! nothing else is async-signal-safe, and nothing else is needed. The
 //! serving loop polls [`term_requested`] at its leisure.
 //!
-//! Like the epoll layer, the binding is direct `extern "C"` FFI: this
+//! Like the reactor, the binding is direct `extern "C"` FFI: this
 //! build is offline and one syscall does not justify a vendored libc.
 
 #![allow(unsafe_code)]

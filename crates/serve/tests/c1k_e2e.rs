@@ -1,5 +1,5 @@
 //! C1k smoke test: 1000 concurrent pipelined connections against the
-//! epoll server, completing with a *bounded* thread count — O(workers +
+//! reactor, completing with a *bounded* thread count — O(workers +
 //! dispatchers), not O(connections) — and answers bit-identical to the
 //! single-threaded sequential reference.
 //!
@@ -15,7 +15,7 @@ use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
 use qsdnn::nn::zoo;
 use qsdnn::Portfolio;
 use qsdnn_serve::protocol::{PlanRequest, TransferMode};
-use qsdnn_serve::{IoModel, PlanClient, PlanServer, ServerConfig, Ticket};
+use qsdnn_serve::{PlanClient, PlanServer, ServerConfig, Ticket};
 
 const CONNECTIONS: usize = 1000;
 const NETWORKS: [&str; 2] = ["tiny_cnn", "toy_branchy"];
@@ -111,13 +111,12 @@ fn one_thousand_pipelined_connections_with_bounded_threads() {
     }
 
     let config = ServerConfig {
-        io: IoModel::Epoll,
         threads: 4,
         dispatchers: 8,
         ..ServerConfig::default()
     };
     let profile_repeats = config.profile_repeats;
-    let server = PlanServer::start(config).expect("start epoll server");
+    let server = PlanServer::start(config).expect("start server");
     let addr = server.local_addr();
     let baseline_threads = process_threads();
 

@@ -1,9 +1,9 @@
 //! Regression for the acceptor hot-loop: a transient `accept()` failure
 //! (here, fd exhaustion via `setrlimit(RLIMIT_NOFILE)`) used to make the
-//! threaded acceptor spin — `listener.incoming()` yields the same error
-//! instantly, and the loop `continue`d at 100% CPU. Both connection
-//! layers must now count the failure in `accept_errors`, back off
-//! exponentially, and recover once fds free up.
+//! acceptor spin — `listener.incoming()` yields the same error instantly,
+//! and the loop `continue`d at 100% CPU. The reactor must count the
+//! failure in `accept_errors`, back off exponentially, and recover once
+//! fds free up.
 //!
 //! This file holds a single test: it manipulates the *process-wide* fd
 //! limit, which would race any parallel test in the same binary. Each
@@ -14,7 +14,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use qsdnn_serve::{IoModel, PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
 
 mod rlimit {
     use std::os::raw::c_int;
@@ -82,12 +82,9 @@ fn highest_fd() -> u64 {
         .unwrap_or(0)
 }
 
-fn exercise(io: IoModel) {
-    let server = PlanServer::start(ServerConfig {
-        io,
-        ..ServerConfig::default()
-    })
-    .expect("start server");
+#[test]
+fn accept_errors_back_off_and_recover() {
+    let server = PlanServer::start(ServerConfig::default()).expect("start server");
     let addr = server.local_addr();
 
     // Connected *before* the squeeze: our observation channel needs no new
@@ -146,15 +143,12 @@ fn exercise(io: IoModel) {
         let after = observer.stats().expect("stats").accept_errors;
         assert!(
             after - before <= 40,
-            "{io}: {} accept errors in 400ms — the acceptor is spinning",
+            "{} accept errors in 400ms — the acceptor is spinning",
             after - before
         );
         break 'attempts;
     }
-    assert!(
-        errored,
-        "{io}: fd exhaustion never surfaced as accept_errors"
-    );
+    assert!(errored, "fd exhaustion never surfaced as accept_errors");
 
     // Recovery: the squeeze is released (guard + dummies dropped at the
     // end of the successful attempt) and the server accepts again.
@@ -171,14 +165,6 @@ fn exercise(io: IoModel) {
             Err(_) => break false,
         }
     };
-    assert!(recovered, "{io}: server never recovered from fd exhaustion");
+    assert!(recovered, "server never recovered from fd exhaustion");
     server.shutdown();
-}
-
-#[test]
-fn accept_errors_back_off_and_recover_on_both_io_layers() {
-    // Sequential on purpose: both runs manipulate the same process-wide
-    // rlimit.
-    exercise(IoModel::Threads);
-    exercise(IoModel::Epoll);
 }

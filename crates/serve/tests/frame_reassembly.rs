@@ -6,7 +6,7 @@
 //! through; a fragmentation-sensitive bug here silently
 //! corrupts requests under real-world packet boundaries. Every property
 //! runs once per way bytes enter the buffer: pushed (the server's
-//! connection layers), read in place by `fill_from` from a reader that
+//! reactor), read in place by `fill_from` from a reader that
 //! yields one packet per `read` (the blocking client), and a mix of both.
 
 use proptest::prelude::*;

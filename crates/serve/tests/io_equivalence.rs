@@ -1,14 +1,10 @@
-//! Acceptance: the connection layer is a transport swap, not a semantics
-//! change. One request script runs against a server on the blocking pump
-//! and one on the epoll reactor with identical configs; every response
-//! must match bit for bit — modulo wall-clock and host-sizing fields
-//! (`wall_time_ms`, `uptime_ms`, `workers`, `in_flight_peak`), which no
-//! transport can reproduce deterministically; those are range-checked
-//! and then canonicalized before comparison. Both layers drive one
-//! protocol state machine, so on Linux this is also the pump's end-to-end
-//! coverage: nothing else starts it there.
-
-#![cfg(target_os = "linux")]
+//! Acceptance: the service answers reproducibly, run to run. One request
+//! script runs against two fresh servers with identical configs; every
+//! response must match bit for bit — modulo wall-clock and host-sizing
+//! fields (`wall_time_ms`, `uptime_ms`, `workers`, `in_flight_peak`),
+//! which no run can reproduce deterministically; those are range-checked
+//! and then canonicalized before comparison. Inside the script, v3 replies
+//! are pinned bit-identical to their v2 renderings.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -20,11 +16,10 @@ use qsdnn_serve::protocol::{
     FrameBuffer, MetricValue, PlanRequest, PlanResponse, Request, Response, ResponseFrame,
     SearchRequest, StatsResponse, TransferMode, MAX_FRAME_BYTES,
 };
-use qsdnn_serve::{IoModel, PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
 
-fn config(io: IoModel) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
-        io,
         threads: 2,
         max_in_flight: 4,
         ..ServerConfig::default()
@@ -54,11 +49,10 @@ fn normalize(mut plan: PlanResponse) -> PlanResponse {
     plan
 }
 
-/// Property-checks the fields no transport can reproduce exactly, then
+/// Property-checks the fields no run can reproduce exactly, then
 /// canonicalizes them so the REST of the struct — every counter, cache
 /// shard, and transfer field — is compared in full. `uptime_ms` must be
-/// nonzero on both layers (it was once hard-zeroed here because the
-/// threaded layer reported 0; the serve stack now guarantees ≥ 1).
+/// nonzero (the serve stack guarantees ≥ 1).
 fn canonical_stats(mut stats: StatsResponse) -> StatsResponse {
     assert!(stats.uptime_ms > 0, "uptime must be monotonic and >= 1 ms");
     assert!(stats.workers > 0, "worker pool cannot be empty");
@@ -73,7 +67,7 @@ fn canonical_stats(mut stats: StatsResponse) -> StatsResponse {
     stats.in_flight_peak = 1;
     // Whether two concurrent identical requests overlap on the
     // single-flight slot (one hit + one coalesced) or arrive a tick
-    // apart (two hits) is scheduler timing, not transport semantics —
+    // apart (two hits) is scheduler timing, not service semantics —
     // the pipelined batch profiles the same two networks from six
     // dispatchers. Their *sum* is the deterministic quantity; fold it
     // so every other counter still compares exactly.
@@ -94,8 +88,8 @@ fn canonical_stats(mut stats: StatsResponse) -> StatsResponse {
 
 /// Runs the whole script against one server and returns every observation
 /// in a deterministic order, normalized for comparison.
-fn run_script(io: IoModel) -> Vec<String> {
-    let server = PlanServer::start(config(io)).expect("start server");
+fn run_script() -> Vec<String> {
+    let server = PlanServer::start(config()).expect("start server");
     let addr = server.local_addr();
     let mut out = Vec::new();
 
@@ -117,20 +111,20 @@ fn run_script(io: IoModel) -> Vec<String> {
     write_message(&mut bad_ping, &Request::Ping { version: 99 }).expect("serialize");
     out.push(send_recv(&mut raw, &mut reader, &bad_ping));
     // A keepalive newline produces no reply; prepend it to a real request
-    // to show both layers skip it identically.
+    // to show it is skipped.
     let mut with_keepalive = b"\n  \n".to_vec();
     with_keepalive.extend_from_slice(&ping);
     out.push(send_recv(&mut raw, &mut reader, &with_keepalive));
     out.push(send_recv(&mut raw, &mut reader, b"{totally not json\n"));
     out.push(send_recv(&mut raw, &mut reader, b"{\"id\":3}\n"));
-    // Invalid UTF-8: both layers must answer the same error and keep the
-    // connection usable (the next step reuses it).
+    // Invalid UTF-8: an error reply, and the connection stays usable (the
+    // next step reuses it).
     out.push(send_recv(&mut raw, &mut reader, b"\"Stats\xff\xfe\"\n"));
     out.push(send_recv(&mut raw, &mut reader, &ping));
-    // The same, but with a valid prefix stalled across the pump's
-    // 100 ms read timeout before the invalid bytes arrive: the whole
-    // line must be discarded — a stale prefix must not prepend itself to
-    // the next (valid) request on either layer.
+    // The same, but with a valid prefix stalled for 250 ms (so it arrives
+    // in its own read) before the invalid bytes: the whole line must be
+    // discarded — a stale prefix must not prepend itself to the next
+    // (valid) request.
     raw.write_all(b"\"Sta").expect("valid prefix");
     raw.flush().expect("flush");
     std::thread::sleep(std::time::Duration::from_millis(250));
@@ -198,7 +192,7 @@ fn run_script(io: IoModel) -> Vec<String> {
     // 4. Raw v3 negotiation: a bare JSON ping with version 3 is answered
     //    with a JSON pong — the connection's last JSON line — after which
     //    both directions are binary. A binary Stats request must decode
-    //    to the same canonical struct on both layers.
+    //    to the same canonical struct on every run.
     let mut raw3 = TcpStream::connect(addr).expect("raw v3 connect");
     let mut reader3 = BufReader::new(raw3.try_clone().expect("clone"));
     let mut ping3 = Vec::new();
@@ -218,16 +212,16 @@ fn run_script(io: IoModel) -> Vec<String> {
     }
     drop(raw3);
 
-    // 5. Final counters: both transports must have counted the same
+    // 5. Final counters: both runs must have counted the same
     //    requests, plans, pipelined envelopes, hits and misses — the
     //    whole struct, not a field whitelist, so new counters are
     //    covered by default.
     let stats = client.stats().expect("stats");
     out.push(format!("{:?}", canonical_stats(stats)));
 
-    // 6. One dispatcher pool behind both layers: every request — bare
-    //    ones included — runs on a `qsdnn-dispatch-N` thread, so the pool
-    //    gauges and the task table read the same whichever layer asked.
+    // 6. One dispatcher pool: every request — bare ones included — runs
+    //    on a `qsdnn-dispatch-N` thread, so the pool gauges and the task
+    //    table read the same on every run.
     let metrics = client.metrics().expect("metrics");
     for family in ["qsdnn_pool_busy_workers", "qsdnn_pool_queue_depth"] {
         let dispatch = metrics
@@ -238,19 +232,18 @@ fn run_script(io: IoModel) -> Vec<String> {
                         .contains(&("pool".to_string(), "dispatch".to_string()))
                 })
             })
-            .unwrap_or_else(|| panic!("{io}: no {family}{{pool=\"dispatch\"}} sample"));
+            .unwrap_or_else(|| panic!("no {family}{{pool=\"dispatch\"}} sample"));
         if family == "qsdnn_pool_busy_workers" {
             assert!(
                 matches!(dispatch.value, MetricValue::Gauge(busy) if busy >= 1),
-                "{io}: the dispatcher answering `metrics` is not counted busy: {dispatch:?}"
+                "the dispatcher answering `metrics` is not counted busy: {dispatch:?}"
             );
         }
         out.push(format!("{family} {:?}", dispatch.labels));
     }
     let tasks = client.tasks().expect("tasks");
     let role = |thread: &str| thread.trim_end_matches(char::is_numeric).to_string();
-    // The threads that move bytes differ by design (`qsdnn-reactor` vs
-    // `qsdnn-conn-tx`); the pools that do the work must not.
+    // The pools that do the work, by thread-name prefix.
     let mut pools: Vec<String> = tasks
         .tasks
         .iter()
@@ -264,7 +257,7 @@ fn run_script(io: IoModel) -> Vec<String> {
         .tasks
         .iter()
         .find(|t| t.state == "tasks")
-        .unwrap_or_else(|| panic!("{io}: no thread admits to answering `tasks`"));
+        .unwrap_or_else(|| panic!("no thread admits to answering `tasks`"));
     out.push(format!("tasks answered on {}", role(&answering.thread)));
 
     server.shutdown();
@@ -272,11 +265,11 @@ fn run_script(io: IoModel) -> Vec<String> {
 }
 
 #[test]
-fn threaded_and_epoll_servers_answer_the_same_script_bit_identically() {
-    let threaded = run_script(IoModel::Threads);
-    let epoll = run_script(IoModel::Epoll);
-    assert_eq!(threaded.len(), epoll.len());
-    for (i, (t, e)) in threaded.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "script step {i} diverged between threads and epoll");
+fn two_fresh_servers_answer_the_same_script_bit_identically() {
+    let first = run_script();
+    let second = run_script();
+    assert_eq!(first.len(), second.len());
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "script step {i} diverged between two fresh servers");
     }
 }
