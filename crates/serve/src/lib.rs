@@ -44,9 +44,9 @@
 //!   pipelined clients cost O(workers + dispatchers) threads, not
 //!   O(connections); every request runs on one bounded dispatcher pool.
 //!   Only the readiness syscall differs by platform: `epoll` on Linux,
-//!   `poll(2)` on every other unix (direct `extern "C"` FFI over
-//!   `std::os::fd`). The build target chooses — there is no switch.
-//!   The crate is unix-only.
+//!   `poll(2)` on Android, Apple targets and the BSDs (direct
+//!   `extern "C"` FFI over `std::os::fd`). The build target chooses —
+//!   there is no switch. No other target builds the crate.
 //!
 //! # Quickstart
 //!
@@ -84,10 +84,18 @@
 //! From the shell: `qsdnn-cli serve --addr 127.0.0.1:7878` and
 //! `qsdnn-cli submit --addr 127.0.0.1:7878 --network mobilenet_v1`.
 
-#[cfg(not(unix))]
+#[cfg(not(any(
+    target_os = "linux",
+    target_os = "android",
+    target_vendor = "apple",
+    target_os = "freebsd",
+    target_os = "dragonfly",
+    target_os = "netbsd",
+    target_os = "openbsd"
+)))]
 compile_error!(
-    "qsdnn-serve is unix-only: its reactor waits on epoll (Linux) or poll(2) (other unix \
-     targets), and no Windows backend exists"
+    "qsdnn-serve builds on Linux, Android, Apple targets and the BSDs only: its reactor binds \
+     epoll (Linux) or poll(2) with those targets' nfds_t, and no Windows backend exists"
 );
 
 mod cache;

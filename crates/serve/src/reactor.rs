@@ -22,9 +22,10 @@
 //! other connection proceeds.
 //!
 //! Only the readiness syscall differs by platform, behind [`Readiness`]:
-//! `epoll` on Linux, `poll(2)` on every other unix, picked by the build
-//! target alone. Both are direct `extern "C"` FFI — this build is offline,
-//! and a handful of syscalls don't justify a vendored libc.
+//! `epoll` on Linux (`poll` rescans every fd per wait, which roughly
+//! triples a cached round trip at 1000 connections; see the serve README),
+//! `poll(2)` elsewhere, picked by the build target alone. Both are direct
+//! `extern "C"` FFI: no vendored libc for a handful of syscalls.
 
 #![allow(unsafe_code)]
 
@@ -269,10 +270,10 @@ mod epoll {
     }
 }
 
-/// Raw `poll(2)` bindings, for every unix but Linux — and for Linux tests,
-/// where the differential test below holds them to `epoll` on the same
-/// sockets. The flag values are the same on Linux, macOS and the BSDs;
-/// only POSIX flags are used (no `POLLRDHUP`).
+/// Raw `poll(2)` bindings, for every target but Linux — and for Linux
+/// tests, where the differential test below holds them to `epoll` on the
+/// same sockets. The flag values are the same on Linux, Apple targets and
+/// the BSDs; only POSIX flags are used (no `POLLRDHUP`).
 #[cfg(any(test, not(target_os = "linux")))]
 mod poll {
     use std::collections::HashMap;
@@ -289,8 +290,8 @@ mod poll {
     const POLLHUP: c_short = 0x010;
     const POLLNVAL: c_short = 0x020;
 
-    /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` on
-    /// macOS and the BSDs.
+    /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` in
+    /// bionic, Apple's libc and the BSDs — the targets `lib.rs` admits.
     #[cfg(target_os = "linux")]
     type NfdsT = std::os::raw::c_ulong;
     #[cfg(not(target_os = "linux"))]
@@ -837,16 +838,6 @@ impl<R: Readiness> Reactor<R> {
     }
 }
 
-/// [`start`] on a chosen readiness backend, so a test can run the poll
-/// backend on Linux. A seam for tests, not a configuration knob.
-#[cfg(test)]
-pub(crate) fn start_on<R: Readiness>(
-    listener: TcpListener,
-    state: Arc<ServiceState>,
-) -> Result<(JoinHandle<()>, Waker), ServeError> {
-    Reactor::<R>::start(listener, state)
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::epoll::Epoll;
@@ -1046,7 +1037,7 @@ mod tests {
         .expect("state");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (reactor, waker) = start_on::<R>(listener, Arc::clone(&state)).expect("start");
+        let (reactor, waker) = Reactor::<R>::start(listener, Arc::clone(&state)).expect("start");
         let mut out = Vec::new();
 
         let mut client = PlanClient::connect(addr).expect("connect");

@@ -24,15 +24,8 @@ fn plan_request(network: &str, batch: usize, episodes: usize) -> PlanRequest {
     }
 }
 
-/// Plan budget: the warm step runs a quarter of it, which must still take
-/// over the 1 ms slow threshold in a release build (at 200 episodes it
-/// sometimes did not, and the warm exemplar went missing).
-const EPISODES: usize = 2000;
-
 fn spill_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("qsdnn_fr_e2e_{}", std::process::id()));
-    // A dir left by an aborted run under a reused pid would serve its plans.
-    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("spill dir");
     dir
 }
@@ -57,18 +50,18 @@ fn flight_recorder_explains_requests_on_the_epoll_layer() {
     let mut client = PlanClient::connect(server.local_addr()).expect("connect");
 
     let cold = client
-        .plan(plan_request("tiny_cnn", 1, EPISODES))
+        .plan(plan_request("tiny_cnn", 1, 200))
         .expect("cold plan");
     assert!(!cold.cache_hit, "first plan must be cold");
     let warm = client
-        .plan(plan_request("tiny_cnn", 2, EPISODES))
+        .plan(plan_request("tiny_cnn", 2, 200))
         .expect("warm plan");
     assert!(
         warm.warm_start.is_some(),
         "batch 2 must warm-start from batch 1"
     );
     let hit = client
-        .plan(plan_request("tiny_cnn", 1, EPISODES))
+        .plan(plan_request("tiny_cnn", 1, 200))
         .expect("repeat plan");
     assert!(hit.cache_hit, "repeat must be cache-served");
 

@@ -443,8 +443,7 @@ fn slow_requests_land_in_the_log_with_a_stage_breakdown() {
     qsdnn_obs::log::capture_to(move |line| {
         let _ = tx.send(line.to_string());
     });
-    // Threshold 1 ms: every cold search is "slow" — given enough episodes
-    // that even a release build on a fast machine searches for longer.
+    // Threshold 1 ms: every cold search is "slow".
     let server = PlanServer::start(ServerConfig {
         slow_ms: 1,
         ..config()
@@ -452,7 +451,7 @@ fn slow_requests_land_in_the_log_with_a_stage_breakdown() {
     .expect("start server");
     let mut client = PlanClient::connect(server.local_addr()).expect("connect");
     let plan = client
-        .plan(plan_request("toy_branchy", 2000, false))
+        .plan(plan_request("toy_branchy", 160, false))
         .expect("plan");
     assert!(!plan.cache_hit);
 
