@@ -42,13 +42,21 @@ pub struct SearchReport {
 impl SearchReport {
     /// Best-so-far latency after `episodes` episodes (for budgeted
     /// comparisons like Fig. 5); falls back to the final best.
+    ///
+    /// Records are looked up by their `episode` index, not by position,
+    /// so a down-sampled curve answers with the last record it kept
+    /// before the budget ran out.
     pub fn best_after(&self, episodes: usize) -> f64 {
         if episodes == 0 {
             return f64::INFINITY;
         }
         // `checked_sub` guards the empty-curve case (e.g. chain-DP reports),
         // which would otherwise underflow and panic in debug builds.
-        match episodes.min(self.curve.len()).checked_sub(1) {
+        match self
+            .curve
+            .partition_point(|r| r.episode < episodes)
+            .checked_sub(1)
+        {
             Some(last) => self.curve[last].best_so_far_ms,
             None => self.best_cost_ms,
         }
@@ -96,6 +104,30 @@ mod tests {
         assert_eq!(r.best_after(1), 5.0);
         assert_eq!(r.best_after(2), 2.0);
         assert_eq!(r.best_after(3), 2.0);
+        assert_eq!(r.best_after(100), 2.0);
+        assert!(r.best_after(0).is_infinite());
+    }
+
+    #[test]
+    fn best_after_reads_a_down_sampled_curve_by_episode() {
+        // Episodes 0, 4 and 9 of a ten-episode run.
+        let point = |episode, best_so_far_ms| EpisodeRecord {
+            episode,
+            epsilon: 1.0,
+            cost_ms: best_so_far_ms,
+            best_so_far_ms,
+        };
+        let r = SearchReport {
+            episodes: 10,
+            curve: vec![point(0, 5.0), point(4, 3.0), point(9, 2.0)],
+            ..report()
+        };
+        assert_eq!(r.best_after(1), 5.0);
+        assert_eq!(r.best_after(2), 5.0, "episode 1 was not kept: still 5.0");
+        assert_eq!(r.best_after(4), 5.0);
+        assert_eq!(r.best_after(5), 3.0);
+        assert_eq!(r.best_after(9), 3.0);
+        assert_eq!(r.best_after(10), 2.0);
         assert_eq!(r.best_after(100), 2.0);
         assert!(r.best_after(0).is_infinite());
     }

@@ -21,7 +21,10 @@
 //! [`PlanClient::connect`] negotiates the **v3 binary framing** (see the
 //! protocol module docs) and transparently falls back to the JSON v2
 //! handshake against a pre-v3 server — the typed API is identical either
-//! way, and decoded responses are bit-identical by construction.
+//! way, and decoded responses are bit-identical by construction except
+//! that a v3 plan reply's learning curve is down-sampled
+//! ([`crate::summary_curve`]). [`PlanClient::connect_with_version`] at 2
+//! fetches the whole curve.
 
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
@@ -84,7 +87,7 @@ impl PlanClient {
     /// negotiating the v3 binary framing. A pre-v3 server answers the
     /// ping with a version-mismatch error; the client then redoes the
     /// handshake at v2 on a fresh connection and stays on JSON framing —
-    /// same typed API, bit-identical decoded responses.
+    /// same typed API, and plan replies carry their whole curve.
     ///
     /// # Errors
     ///

@@ -120,7 +120,8 @@ pub use client::{PlanClient, Ticket, DEFAULT_CLIENT_WINDOW};
 pub use pool::{PoolGauges, PoolRecorder, WorkerPool};
 pub use portfolio::{run_portfolio_parallel, run_portfolio_parallel_with, WarmStart};
 pub use server::{
-    resolve, start_local, PlanServer, ServerConfig, DEFAULT_MAX_IN_FLIGHT, DEFAULT_SLOW_MS,
+    resolve, start_local, summary_curve, PlanServer, ServerConfig, DEFAULT_MAX_IN_FLIGHT,
+    DEFAULT_SLOW_MS, SUMMARY_CURVE_POINTS,
 };
 pub use transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_INDEX_ENTRIES};
 

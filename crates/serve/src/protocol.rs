@@ -39,8 +39,12 @@
 //! exactly like the v2 JSON envelope — same in-flight cap, same
 //! out-of-order completion. The body is the message as one
 //! self-describing value — the same [`Value`] tree the JSON framing
-//! serializes, so a decoded v3 response is bit-identical to its v2 twin.
-//! A body that fails to decode is answered with an error frame (tagged
+//! serializes, so a decoded v3 response is bit-identical to its v2 twin,
+//! with one difference by design: a v3 plan reply carries its winner's
+//! learning curve down-sampled to at most
+//! [`SUMMARY_CURVE_POINTS`](crate::SUMMARY_CURVE_POINTS) records
+//! ([`summary_curve`](crate::summary_curve)); v1/v2 carry the whole
+//! curve. A body that fails to decode is answered with an error frame (tagged
 //! when the id survived) and the connection lives on — the length prefix
 //! keeps framing in sync. A violated *header* (bad magic, unknown kind,
 //! body length beyond the frame bound) is unrecoverable: one error frame,
@@ -50,9 +54,9 @@
 //! message, and each message has exactly one: requests and the
 //! control-plane replies (`Stats`, `Metrics`, `Events`, `Tasks`,
 //! `Platforms`, `Profile`, `Pong`, `Error`) go through the `Value` tree
-//! ([`encode_body`]/[`decode_body`]); a plan reply — 93 KB at the median,
-//! nearly all of it the learning curve — is written and read straight
-//! against [`PlanResponse`] ([`encode_response`]/[`decode_response`]).
+//! ([`encode_body`]/[`decode_body`]); a plan reply is written and read
+//! straight against [`PlanResponse`]
+//! ([`encode_response`]/[`decode_response`]).
 //! The two are byte-identical on the wire by rule: the typed encoder
 //! emits what `encode_body` would, the typed decoder accepts what
 //! `decode_body` would, to `==` values. The tag table, both codecs and the
@@ -498,7 +502,8 @@ pub struct PlanResponse {
     pub cache_hit: bool,
     /// The winning report (assignment, cost, curve). Genuinely mandatory:
     /// the report *is* the reply; a defaulted empty assignment would panic
-    /// downstream instead of erroring at the wire.
+    /// downstream instead of erroring at the wire. Over v3 its curve is
+    /// the [`summary_curve`](crate::summary_curve) of the full one.
     // LINT-ALLOW(wire-compat)
     pub best: SearchReport,
     /// Label of the winning portfolio member.

@@ -37,7 +37,7 @@ use qsdnn::engine::{
     CostLut, Fnv64, Objective, PlatformRegistry, PlatformSpec, Profiler, ScenarioDescriptor,
 };
 use qsdnn::nn::zoo;
-use qsdnn::{Portfolio, PortfolioOutcome, QTable, TransferMapping};
+use qsdnn::{EpisodeRecord, Portfolio, PortfolioOutcome, QTable, SearchReport, TransferMapping};
 
 use qsdnn_obs::{EventKind, FlightRecorder};
 
@@ -299,15 +299,62 @@ impl Answer {
     pub(crate) fn into_response(self) -> Response {
         match self {
             Answer::Response(resp) => resp,
-            Answer::Hit { entry, outcome, .. } => Response::Plan(plan_response(
-                &entry.network,
-                entry.plan_key.clone(),
-                true,
-                &outcome,
-                entry.vanilla_cost_ms,
-                None,
-            )),
+            Answer::Hit { entry, outcome, .. } => {
+                Response::Plan(entry.response(&outcome, outcome.best.clone()))
+            }
         }
+    }
+}
+
+impl FrontEntry {
+    /// The reply to a hit on this entry's plan, carrying `best` as the
+    /// winning report.
+    fn response(&self, outcome: &PortfolioOutcome, best: SearchReport) -> PlanResponse {
+        plan_response(
+            &self.network,
+            self.plan_key.clone(),
+            true,
+            best,
+            outcome,
+            self.vanilla_cost_ms,
+            None,
+        )
+    }
+}
+
+/// Most learning-curve records a plan reply carries over the v3 binary
+/// framing. v1/v2 JSON replies carry the whole curve.
+pub const SUMMARY_CURVE_POINTS: usize = 32;
+
+/// The learning curve as a v3 plan reply carries it. A curve of at most
+/// [`SUMMARY_CURVE_POINTS`] records is returned whole. A longer one of
+/// `n` records keeps the records at positions `i·(n−1)/31` for `i` in
+/// `0..32`: the first and last are kept, positions strictly increase,
+/// and every kept record is a bit-identical copy with its own `episode`
+/// index. A reply's `best.episodes` still counts every episode run.
+pub fn summary_curve(curve: &[EpisodeRecord]) -> Vec<EpisodeRecord> {
+    let n = curve.len();
+    if n <= SUMMARY_CURVE_POINTS {
+        return curve.to_vec();
+    }
+    (0..SUMMARY_CURVE_POINTS)
+        // LINT-ALLOW(panic-path): `i < 32` makes the position at most
+        // `n - 1`, in range by construction.
+        .map(|i| curve[i * (n - 1) / (SUMMARY_CURVE_POINTS - 1)])
+        .collect()
+}
+
+/// A copy of `report` with its curve summarised, cloning only the kept
+/// records.
+fn summary_report(report: &SearchReport) -> SearchReport {
+    SearchReport {
+        method: report.method.clone(),
+        network: report.network.clone(),
+        best_assignment: report.best_assignment.clone(),
+        best_cost_ms: report.best_cost_ms,
+        episodes: report.episodes,
+        curve: summary_curve(&report.curve),
+        wall_time_ms: report.wall_time_ms,
     }
 }
 
@@ -315,6 +362,7 @@ fn plan_response(
     network: &str,
     plan_key: String,
     cache_hit: bool,
+    best: SearchReport,
     outcome: &PortfolioOutcome,
     vanilla_cost_ms: f64,
     warm_start: Option<WarmStartInfo>,
@@ -323,7 +371,7 @@ fn plan_response(
         network: network.to_string(),
         plan_key,
         cache_hit,
-        best: outcome.best.clone(),
+        best,
         winner: outcome.winner.clone(),
         members: outcome.members.clone(),
         vanilla_cost_ms,
@@ -414,6 +462,7 @@ impl<'a> Scenario<'a> {
             self.lut.network(),
             plan_key,
             cache_hit,
+            outcome.best.clone(),
             outcome,
             self.vanilla_cost_ms,
             warm_start,
@@ -1133,22 +1182,30 @@ impl ServiceState {
         answer
     }
 
-    /// Serializes an answer into a binary-codec (protocol v3) body. The
-    /// first front hit of a residency pays one encode and attaches the
+    /// Serializes an answer into a binary-codec (protocol v3) body. Every
+    /// plan reply on v3 carries its winner's curve as [`summary_curve`]
+    /// renders it; nothing else differs from the JSON rendering.
+    ///
+    /// The first front hit of a residency pays one encode and attaches the
     /// bytes to the cache entry; every later one hands forward the body
     /// its peek already fetched — no [`PlanResponse`], no encode, no
     /// second lookup. Only front hits qualify, which keeps the attached
     /// bytes a pure function of the plan key: the per-request fields never
     /// get here as a hit (a traced reply is materialised first, a
-    /// warm-started one never enters the front).
+    /// warm-started one never enters the front). The attached body is the
+    /// v3 rendering only; JSON replies never read it.
     pub(crate) fn render_binary_body(&self, answer: Answer) -> Result<WireBody, ServeError> {
         match answer {
             Answer::Hit {
                 body: Some(body), ..
             } => Ok(body),
-            Answer::Hit { ref entry, .. } => {
-                let entry = Arc::clone(entry);
-                let body = Arc::new(encode_response(&answer.into_response())?);
+            Answer::Hit {
+                entry,
+                outcome,
+                body: None,
+            } => {
+                let plan = entry.response(&outcome, summary_report(&outcome.best));
+                let body = Arc::new(encode_response(&Response::Plan(plan))?);
                 // Best-effort: if the entry was evicted between the hit
                 // and here, the attach is a no-op and the next residency
                 // rebuilds the body — never a stale one.
@@ -1156,7 +1213,12 @@ impl ServiceState {
                     .attach_wire_body(&entry.plan_key, Arc::clone(&body));
                 Ok(body)
             }
-            Answer::Response(resp) => Ok(Arc::new(encode_response(&resp)?)),
+            Answer::Response(mut resp) => {
+                if let Response::Plan(plan) = &mut resp {
+                    plan.best.curve = summary_curve(&plan.best.curve);
+                }
+                Ok(Arc::new(encode_response(&resp)?))
+            }
         }
     }
 
@@ -1816,17 +1878,20 @@ mod tests {
     }
 
     /// The binary fast path serves bit-identical bytes across repeated
-    /// eligible hits and attaches the body to the cache entry once.
+    /// eligible hits and attaches the body to the cache entry once; that
+    /// body is the summarised (v3) rendering.
     #[test]
     fn render_binary_body_caches_eligible_hits() {
         let state = ServiceState::new(ServerConfig::default()).expect("state");
+        // A budget at which QS-DNN wins, so the winner has a curve to
+        // summarise.
         let req = || {
             Request::Plan(PlanRequest {
                 network: "tiny_cnn".into(),
                 batch: 1,
-                mode: Mode::Gpgpu,
+                mode: Mode::Cpu,
                 objective: Objective::Latency,
-                episodes: 40,
+                episodes: 300,
                 seeds: vec![1],
                 transfer: TransferMode::Off,
                 trace: false,
@@ -1863,12 +1928,53 @@ mod tests {
         );
         let second = state.render_binary_body(hit).expect("hit renders");
         assert!(Arc::ptr_eq(&first, &second), "second hit is a cache fetch");
-        // The cached bytes decode to the same response a fresh encode
-        // would produce.
-        let typed = answer().into_response();
-        assert!(matches!(&typed, Response::Plan(p) if p.cache_hit));
+        // The cached bytes are what a fresh encode of the summarised
+        // response produces.
+        let mut typed = answer().into_response();
+        let Response::Plan(plan) = &mut typed else {
+            panic!("expected a plan, got {typed:?}");
+        };
+        assert!(plan.cache_hit);
+        assert_eq!(plan.best.curve.len(), 300, "the typed reply is whole");
+        plan.best.curve = summary_curve(&plan.best.curve);
         let fresh = crate::protocol::encode_body(&typed).expect("encode");
         assert_eq!(*first, fresh, "cached body is bit-identical");
+    }
+
+    fn curve(n: usize) -> Vec<EpisodeRecord> {
+        (0..n)
+            .map(|episode| EpisodeRecord {
+                episode,
+                epsilon: 1.0 / (episode + 1) as f64,
+                cost_ms: (episode as f64).sin(),
+                best_so_far_ms: -(episode as f64),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn summary_curve_keeps_at_most_32_increasing_records_end_to_end() {
+        for n in [0, 1, 31, 32, 33, 1000, 5680] {
+            let full = curve(n);
+            let summary = summary_curve(&full);
+            assert_eq!(summary.len(), n.min(SUMMARY_CURVE_POINTS), "n={n}");
+            assert!(
+                summary.windows(2).all(|w| w[0].episode < w[1].episode),
+                "n={n}: episodes strictly increase"
+            );
+            assert_eq!(summary.first(), full.first(), "n={n}: first kept");
+            assert_eq!(summary.last(), full.last(), "n={n}: last kept");
+            for r in &summary {
+                let source = &full[r.episode];
+                assert_eq!(r.epsilon.to_bits(), source.epsilon.to_bits(), "n={n}");
+                assert_eq!(r.cost_ms.to_bits(), source.cost_ms.to_bits(), "n={n}");
+                assert_eq!(
+                    r.best_so_far_ms.to_bits(),
+                    source.best_so_far_ms.to_bits(),
+                    "n={n}"
+                );
+            }
+        }
     }
 
     /// The panic firewall answers rather than unwinding: a handler panic

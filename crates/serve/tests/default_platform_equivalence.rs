@@ -7,7 +7,9 @@
 //! (normalizing only wall-clock fields). The replay below must reproduce
 //! every line — plan keys, fingerprints, costs, assignments, cache-hit
 //! flags — bit for bit. Any drift means the default path is no longer the
-//! historical TX-2 service.
+//! historical TX-2 service. The replay runs over the v2 JSON framing, which
+//! carries whole learning curves; one v3 leg then pins the binary reply to
+//! the v2 one with its curve summarised.
 //!
 //! A second test pins the aliasing rule: naming the default platform
 //! explicitly (`platform: "sim-tx2"`) is indistinguishable from leaving the
@@ -19,7 +21,7 @@ use qsdnn::nn::zoo;
 use qsdnn_serve::protocol::{
     PlanRequest, PlanResponse, ProfileRequest, Request, Response, SearchRequest, TransferMode,
 };
-use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{summary_curve, PlanClient, PlanServer, ServerConfig};
 
 fn plan_request(network: &str, episodes: usize) -> PlanRequest {
     PlanRequest {
@@ -52,7 +54,7 @@ fn default_platform_requests_are_byte_identical_to_the_pre_registry_service() {
         ..ServerConfig::default()
     })
     .expect("start");
-    let mut client = PlanClient::connect(server.local_addr()).expect("connect");
+    let mut client = PlanClient::connect_with_version(server.local_addr(), 2).expect("connect");
     let mut out: Vec<String> = Vec::new();
 
     // 1. Profile: full response Debug (covers the LUT bytes and key).
@@ -73,7 +75,17 @@ fn default_platform_requests_are_byte_identical_to_the_pre_registry_service() {
     out.push(format!("{:?}", normalize(cold)));
     let hit = client.plan(plan_request("tiny_cnn", 140)).expect("hit");
     assert!(hit.cache_hit);
-    out.push(format!("{:?}", normalize(hit)));
+    let hit = normalize(hit);
+    out.push(format!("{hit:?}"));
+
+    // The v3 leg: the same hit over the binary framing is the v2 reply
+    // with its curve summarised.
+    let mut v3 = PlanClient::connect(server.local_addr()).expect("v3 connect");
+    assert!(v3.is_binary());
+    let hit_v3 = normalize(v3.plan(plan_request("tiny_cnn", 140)).expect("v3 hit"));
+    let mut summary = hit.clone();
+    summary.best.curve = summary_curve(&summary.best.curve);
+    assert_eq!(hit_v3, summary, "v3 is the summary of v2");
 
     // 3. Weighted objective plan (exercises the energy path).
     let mut weighted = plan_request("toy_branchy", 120);

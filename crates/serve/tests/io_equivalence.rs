@@ -4,7 +4,8 @@
 //! fields (`wall_time_ms`, `uptime_ms`, `workers`, `in_flight_peak`),
 //! which no run can reproduce deterministically; those are range-checked
 //! and then canonicalized before comparison. Inside the script, v3 replies
-//! are pinned bit-identical to their v2 renderings.
+//! are pinned bit-identical to their v2 renderings with the learning curve
+//! summarised.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -16,7 +17,7 @@ use qsdnn_serve::protocol::{
     FrameBuffer, MetricValue, PlanRequest, PlanResponse, Request, Response, ResponseFrame,
     SearchRequest, StatsResponse, TransferMode, MAX_FRAME_BYTES,
 };
-use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{summary_curve, PlanClient, PlanServer, ServerConfig};
 
 fn config() -> ServerConfig {
     ServerConfig {
@@ -136,9 +137,9 @@ fn run_script() -> Vec<String> {
     //    client-supplied LUT, and a rejected request. The default client
     //    negotiates the v3 binary framing; a second client pinned to v2
     //    fetches the same cached plan so the decoded v3 response is
-    //    pinned bit-identical to its JSON rendering — the binary codec
-    //    must be a pure transport change, including the zero-copy
-    //    cached-body path the v3 hit exercises.
+    //    pinned bit-identical to its JSON rendering with the curve
+    //    summarised — the binary codec must be a pure transport change,
+    //    including the zero-copy cached-body path the v3 hit exercises.
     let mut client = PlanClient::connect(addr).expect("connect");
     assert!(client.is_binary(), "default client must negotiate v3");
     let cold = client.plan(plan_request("tiny_cnn", 140)).expect("cold");
@@ -153,11 +154,15 @@ fn run_script() -> Vec<String> {
     assert!(warm_v2.cache_hit, "v2 repeat must be cache-served");
     let warm_v3 = client.plan(plan_request("tiny_cnn", 140)).expect("v3 hit");
     assert!(warm_v3.cache_hit, "v3 repeat must be cache-served");
-    let warm_v2 = format!("{:?}", normalize(warm_v2));
-    let warm_v3 = format!("{:?}", normalize(warm_v3));
-    assert_eq!(warm_v2, warm_v3, "v3 plan must decode bit-identical to v2");
-    out.push(warm_v2);
-    out.push(warm_v3);
+    let (warm_v2, warm_v3) = (normalize(warm_v2), normalize(warm_v3));
+    let mut summary = warm_v2.clone();
+    summary.best.curve = summary_curve(&summary.best.curve);
+    assert_eq!(
+        warm_v3, summary,
+        "v3 plan must decode bit-identical to v2 with its curve summarised"
+    );
+    out.push(format!("{warm_v2:?}"));
+    out.push(format!("{warm_v3:?}"));
     let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3)
         .profile(&zoo::by_name("toy_branchy", 1).expect("zoo"), Mode::Gpgpu);
     match client

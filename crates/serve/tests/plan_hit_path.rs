@@ -6,7 +6,10 @@
 //!   on}, a repeat's reply is byte-identical (modulo the trace echo's
 //!   timings) to what a freshly started server on the same spill dir —
 //!   empty front, so the full path serves the spilled plan — gives to its
-//!   first such request.
+//!   first such request. The v3 reply is the v2 one with its curve
+//!   summarised.
+//! * **Framings:** the v3 body attached to a cache entry never answers a
+//!   JSON request: v2 hits keep the whole curve, resident or reloaded.
 //! * **Accounting:** N repeats move `plan_cache.hits`, `requests` and
 //!   `plans` by exactly N and touch neither the profile cache nor the
 //!   scenario index; stale front entries fall back to the full path with
@@ -25,7 +28,9 @@ use qsdnn_serve::protocol::{
     write_message, FrameBuffer, PlanRequest, PlanResponse, Request, Response, StatsResponse,
     TaggedRequest, TaggedResponse, TransferMode, MAX_FRAME_BYTES,
 };
-use qsdnn_serve::{CacheStats, PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{
+    summary_curve, CacheStats, PlanClient, PlanServer, ServerConfig, SUMMARY_CURVE_POINTS,
+};
 
 const TRANSFERS: [TransferMode; 2] = [TransferMode::Off, TransferMode::Auto];
 
@@ -131,6 +136,12 @@ fn plan_of(version: u32, bytes: &[u8]) -> PlanResponse {
     decode(version, bytes).1
 }
 
+/// A plan as v3 renders it: the same reply with its curve summarised.
+fn summarised(mut plan: PlanResponse) -> PlanResponse {
+    plan.best.curve = summary_curve(&plan.best.curve);
+    plan
+}
+
 /// Re-renders a traced reply with the echo removed, after checking there
 /// was one: everything but the timings must still match byte for byte.
 fn without_trace(version: u32, bytes: &[u8]) -> Vec<u8> {
@@ -156,7 +167,10 @@ fn front_replies_match_the_full_path_byte_for_byte() {
         ("default", request("tiny_cnn", 1, Mode::Gpgpu, 30)),
         ("engaged", engaged),
         ("episodes0", request("lenet5", 1, Mode::Cpu, 0)),
+        // QS-DNN wins at this budget: a winner with a curve to summarise.
+        ("long_curve", request("tiny_cnn", 1, Mode::Cpu, 300)),
     ];
+    let mut long_curves = 0;
     for (tag, base) in scenarios {
         let dir = scratch_dir(tag);
         let variants: Vec<(u32, PlanRequest)> = [1u32, 2, 3]
@@ -196,6 +210,33 @@ fn front_replies_match_the_full_path_byte_for_byte() {
             replies
         };
 
+        // For the same key, v3 decodes to the v2 reply with its curve
+        // summarised; nothing else differs but the trace echo's timings.
+        let untraced = |mut plan: PlanResponse| {
+            plan.trace = None;
+            plan
+        };
+        for ((version, req), (_, bytes)) in variants.iter().zip(&front) {
+            if *version != 3 {
+                continue;
+            }
+            let twin = variants
+                .iter()
+                .position(|(v, r)| *v == 2 && r == req)
+                .expect("a v2 twin");
+            let full = untraced(plan_of(2, &front[twin].1));
+            if full.best.curve.len() > SUMMARY_CURVE_POINTS {
+                long_curves += 1;
+            }
+            assert_eq!(
+                untraced(plan_of(3, bytes)),
+                summarised(full),
+                "{tag} transfer={} trace={}: v3 is the summary of v2",
+                req.transfer.label(),
+                req.trace
+            );
+        }
+
         // Oracle: a fresh server per variant on the same spill dir. Its
         // front is empty, so the full path serves the spilled plan.
         for ((version, req), (front_id, front_bytes)) in variants.iter().zip(&front) {
@@ -228,6 +269,68 @@ fn front_replies_match_the_full_path_byte_for_byte() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+    assert!(
+        long_curves > 0,
+        "no scenario's winner had a curve to summarise"
+    );
+}
+
+#[test]
+fn the_attached_v3_body_never_answers_a_json_request() {
+    let dir = scratch_dir("framings");
+    let server = PlanServer::start(ServerConfig {
+        cache_max_entries: 1,
+        ..config(Some(&dir))
+    })
+    .expect("server");
+    let addr = server.local_addr();
+    let mut v2 = PlanClient::connect_with_version(addr, 2).expect("v2 connect");
+    let mut v3 = PlanClient::connect(addr).expect("v3 connect");
+    assert!(v3.is_binary());
+    // A budget at which QS-DNN wins, so the winner has a long curve.
+    let a = with(
+        &request("tiny_cnn", 1, Mode::Cpu, 300),
+        TransferMode::Off,
+        false,
+    );
+    let mut full = v2.plan(a.clone()).expect("cold a");
+    assert!(!full.cache_hit);
+    assert!(
+        full.best.curve.len() > SUMMARY_CURVE_POINTS,
+        "winner {} carries {} records",
+        full.winner,
+        full.best.curve.len()
+    );
+    full.cache_hit = true;
+    let summary = summarised(full.clone());
+    let hit = |client: &mut PlanClient| {
+        let plan = client.plan(a.clone()).expect("hit a");
+        assert!(plan.cache_hit);
+        plan
+    };
+
+    // Resident: the first v3 hit attaches its body, the second serves it,
+    // and a v2 hit after both still renders the whole curve.
+    assert_eq!(hit(&mut v3), summary);
+    assert_eq!(hit(&mut v3), summary);
+    assert_eq!(hit(&mut v2), full, "resident v2 hit after v3 hits");
+
+    // Reloaded: `b` takes the one resident slot, so `a` comes back from
+    // the spill tier — and its first v3 hit attaches a body again.
+    let b = with(
+        &request("lenet5", 1, Mode::Cpu, 30),
+        TransferMode::Off,
+        false,
+    );
+    v2.plan(b).expect("cold b evicts a");
+    let before = v2.stats().expect("stats").plan_cache;
+    assert_eq!(hit(&mut v3), summary);
+    let after = v2.stats().expect("stats").plan_cache;
+    assert_eq!(after.spill_loads - before.spill_loads, 1, "a was reloaded");
+    assert_eq!(hit(&mut v3), summary);
+    assert_eq!(hit(&mut v2), full, "reloaded v2 hit after v3 hits");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
