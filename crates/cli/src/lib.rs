@@ -30,7 +30,7 @@ use qsdnn_serve::protocol::{
     EventMsg, EventsResponse, HistogramMsg, MetricValue, MetricsResponse, PlanRequest,
     PlanResponse, ProfileRequest, TasksResponse, TraceInfo, TransferMode,
 };
-use qsdnn_serve::{EvictionPolicy, PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,10 +128,9 @@ pub fn usage() -> String {
      [--episodes N] [--seed N] [--objective latency|energy|weighted:<lambda>] [--out <report.json>]\n  \
      qsdnn-cli report --lut <lut.json> --report <report.json>\n  \
      qsdnn-cli serve [--addr host:port] [--threads N] [--spill <dir>] [--repeats N]\n            \
-     [--cache-shards N] [--eviction lru|cost] [--cache-entries N] [--max-in-flight N]\n            \
-     [--transfer auto|off] [--index-entries N] [--dispatchers N]\n            \
-     [--metrics-addr host:port] [--slow-ms N] [--platform <name>]\n            \
-     [--platform-dir <dir>]\n            \
+     [--cache-entries N] [--max-in-flight N] [--transfer auto|off]\n            \
+     [--index-entries N] [--metrics-addr host:port] [--slow-ms N]\n            \
+     [--platform <name>] [--platform-dir <dir>]\n            \
      (one readiness loop drives every connection: epoll on Linux, poll(2) on other\n            \
      unix targets. --metrics-addr serves Prometheus text at\n            \
      /metrics; requests slower than --slow-ms are logged with a stage breakdown\n            \
@@ -197,15 +196,6 @@ pub fn parse_objective(s: &str) -> Result<Objective, String> {
             }
         }
     }
-}
-
-/// Parses the `--eviction` option (`lru`, `cost`/`cost-weighted`).
-///
-/// # Errors
-///
-/// Returns a message for unknown policies.
-pub fn parse_eviction(s: &str) -> Result<EvictionPolicy, String> {
-    s.parse()
 }
 
 /// Parses the `--transfer` option (`auto`, `off`).
@@ -665,13 +655,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             "threads",
             "spill",
             "repeats",
-            "cache-shards",
-            "eviction",
             "cache-entries",
             "max-in-flight",
             "transfer",
             "index-entries",
-            "dispatchers",
             "metrics-addr",
             "slow-ms",
             "platform",
@@ -688,13 +675,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         threads: opt_parse(args, "threads", 0usize)?,
         spill_dir: args.options.get("spill").map(std::path::PathBuf::from),
         profile_repeats: opt_parse(args, "repeats", 10usize)?,
-        cache_shards: opt_parse(args, "cache-shards", 0usize)?,
-        eviction: parse_eviction(args.options.get("eviction").map_or("lru", String::as_str))?,
         cache_max_entries: opt_parse(args, "cache-entries", 0usize)?,
         max_in_flight: opt_parse(args, "max-in-flight", 0usize)?,
         transfer: parse_transfer(args.options.get("transfer").map_or("auto", String::as_str))?,
         index_entries: opt_parse(args, "index-entries", 0usize)?,
-        dispatchers: opt_parse(args, "dispatchers", 0usize)?,
         metrics_addr: args.options.get("metrics-addr").cloned(),
         slow_ms: opt_parse(args, "slow-ms", qsdnn_serve::DEFAULT_SLOW_MS)?,
         platform: args.options.get("platform").cloned().unwrap_or_default(),
@@ -1272,30 +1256,35 @@ mod tests {
     }
 
     #[test]
-    fn eviction_parsing() {
-        assert_eq!(parse_eviction("lru").unwrap(), EvictionPolicy::Lru);
-        assert_eq!(
-            parse_eviction("cost").unwrap(),
-            EvictionPolicy::CostWeighted
-        );
-        assert_eq!(
-            parse_eviction("cost-weighted").unwrap(),
-            EvictionPolicy::CostWeighted
-        );
-        assert!(parse_eviction("fifo").is_err());
-    }
-
-    #[test]
     fn serve_rejects_unknown_cache_flags_and_accepts_real_ones() {
         // A typo'd cache flag must be rejected, naming the accepted set.
-        let err = run(&parse_args(&argv(&["serve", "--cache-shard", "4", "--addr", "x"])).unwrap())
+        let err = run(&parse_args(&argv(&["serve", "--cache-entry", "4", "--addr", "x"])).unwrap())
             .unwrap_err();
-        assert!(err.contains("--cache-shard"), "{err}");
-        assert!(err.contains("--cache-shards"), "{err}");
-        assert!(err.contains("--eviction"), "{err}");
-        // A bad eviction policy is a clean error, not a started server.
-        let err = run(&parse_args(&argv(&["serve", "--eviction", "fifo"])).unwrap()).unwrap_err();
-        assert!(err.contains("unknown eviction policy"), "{err}");
+        assert!(
+            err.contains("unknown option for `serve`: --cache-entry\n"),
+            "{err}"
+        );
+        assert!(err.contains("--cache-entries"), "{err}");
+        // A flag whose setting was removed fails as unknown, so a stale
+        // script stops instead of starting a server with defaults.
+        for (flag, value) in [
+            ("--eviction", "cost"),
+            ("--cache-shards", "4"),
+            ("--dispatchers", "8"),
+        ] {
+            let err = run(&parse_args(&argv(&["serve", flag, value])).unwrap()).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option for `serve`: {flag}\n")),
+                "{flag}: {err}"
+            );
+        }
+        // The accepted set is exactly the twelve real options.
+        let err = run(&parse_args(&argv(&["serve", "--x", "1"])).unwrap()).unwrap_err();
+        let accepted = err
+            .lines()
+            .find_map(|l| l.strip_prefix("accepted options: "))
+            .expect("the error lists the accepted set");
+        assert_eq!(accepted.split(", ").count(), 12, "{accepted}");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl SourceFile {
     /// True for serve's request-handling modules, where the panic-path
     /// rule applies.
     pub fn is_request_path(&self) -> bool {
-        const MODULES: [&str; 8] = [
+        const MODULES: [&str; 10] = [
             "crates/serve/src/server.rs",
             "crates/serve/src/conn.rs",
             "crates/serve/src/reactor.rs",
@@ -120,6 +120,8 @@ impl SourceFile {
             "crates/serve/src/cache.rs",
             "crates/serve/src/pool.rs",
             "crates/serve/src/transfer.rs",
+            "crates/serve/src/exposition.rs",
+            "crates/serve/src/portfolio.rs",
         ];
         MODULES.contains(&self.rel.as_str())
     }

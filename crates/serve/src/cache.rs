@@ -1,6 +1,6 @@
 //! Content-addressed, sharded plan cache with single-flight coalescing,
-//! a hard per-shard capacity invariant, real eviction policies and a
-//! bounded, crash-safe JSON spill tier.
+//! a hard per-shard capacity invariant, LRU eviction and a bounded,
+//! crash-safe JSON spill tier.
 //!
 //! Keys are stable fingerprints of *(LUT, objective, portfolio spec)* — see
 //! [`plan_key`] — so any two requests that could possibly produce different
@@ -21,17 +21,13 @@
 //!
 //! **Bounded — a hard invariant:** every shard holds at most
 //! `max_entries / shards` slots, *counting in-flight markers*. A claim on
-//! a full shard first evicts a ready victim (per the configured
-//! [`EvictionPolicy`]); when every slot is an in-flight compute, the
-//! claimer blocks on the condvar until one publishes or unwinds — it never
-//! overruns the bound and never runs a duplicate search for a key someone
-//! else owns.
+//! a full shard first evicts a ready victim; when every slot is an
+//! in-flight compute, the claimer blocks on the condvar until one
+//! publishes or unwinds — it never overruns the bound and never runs a
+//! duplicate search for a key someone else owns.
 //!
-//! **Eviction:** [`EvictionPolicy::Lru`] evicts the least-recently-used
-//! ready entry (true LRU via a per-shard generation counter);
-//! [`EvictionPolicy::CostWeighted`] prefers evicting entries that are
-//! cheap to recompute (per [`CacheValue::recompute_cost_ms`]), breaking
-//! ties by recency.
+//! **Eviction:** the victim is the least-recently-used ready entry (true
+//! LRU via a per-shard generation counter).
 //!
 //! **Spill tier:** computed artifacts persist as `<dir>/<key>.json`. The
 //! writer fsyncs before the atomic rename, so a crash never leaves a torn
@@ -138,66 +134,13 @@ pub fn warm_plan_key_on(
     format!("{:016x}", h.finish())
 }
 
-/// What the cache can hold: serializable (for the spill tier), cloneable,
-/// and able to estimate its own recompute cost for cost-weighted eviction.
-pub trait CacheValue: Serialize + Deserialize + Clone {
-    /// Estimated cost (ms of search/profile work) to recompute this
-    /// artifact from scratch. Cost-weighted eviction keeps expensive
-    /// artifacts resident longer. The default makes cost-weighted eviction
-    /// degrade to LRU.
-    fn recompute_cost_ms(&self) -> f64 {
-        0.0
-    }
-}
+/// What the cache can hold: serializable (for the spill tier) and
+/// cloneable.
+pub trait CacheValue: Serialize + Deserialize + Clone {}
 
-impl CacheValue for PortfolioOutcome {
-    /// The wall time the portfolio actually spent across all members.
-    fn recompute_cost_ms(&self) -> f64 {
-        self.members.iter().map(|m| m.wall_time_ms).sum()
-    }
-}
+impl CacheValue for PortfolioOutcome {}
 
-impl CacheValue for CostLut {
-    /// Profiling cost scales with the number of profiled implementations.
-    fn recompute_cost_ms(&self) -> f64 {
-        self.layers()
-            .iter()
-            .map(|l| l.candidates.len())
-            .sum::<usize>() as f64
-    }
-}
-
-/// Which resident entry a full shard sacrifices to admit a new compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used ready entry.
-    #[default]
-    Lru,
-    /// Evict the ready entry that is cheapest to recompute
-    /// ([`CacheValue::recompute_cost_ms`]), ties broken by recency.
-    CostWeighted,
-}
-
-impl std::str::FromStr for EvictionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lru" => Ok(EvictionPolicy::Lru),
-            "cost" | "cost-weighted" => Ok(EvictionPolicy::CostWeighted),
-            other => Err(format!("unknown eviction policy `{other}` (lru|cost)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvictionPolicy::Lru => write!(f, "lru"),
-            EvictionPolicy::CostWeighted => write!(f, "cost-weighted"),
-        }
-    }
-}
+impl CacheValue for CostLut {}
 
 /// Aggregate cache counters (monotonic since construction).
 ///
@@ -283,8 +226,6 @@ struct ReadyEntry<T> {
     value: Arc<T>,
     /// Shard generation at last access — larger is more recent.
     last_used: u64,
-    /// Snapshot of [`CacheValue::recompute_cost_ms`] at insert time.
-    cost_ms: f64,
     /// Preserialized protocol-v3 response body for the zero-copy
     /// cache-hit fast path. Lazily attached after the first eligible
     /// binary-framed hit; lives and dies with this slot, so eviction,
@@ -448,7 +389,6 @@ pub struct PlanCache<T> {
     /// Shard count requested via [`PlanCache::with_shards`] (the effective
     /// count is clamped so every shard gets at least one slot).
     requested_shards: usize,
-    policy: EvictionPolicy,
     spill: Option<SpillTier>,
     /// Flight recorder plus this cache's id in `CacheHit`/`CacheMiss`/...
     /// events (`a` payload; the serve stack uses 0 = plans, 1 = profiles).
@@ -484,7 +424,6 @@ impl<T: CacheValue> PlanCache<T> {
             shards: Vec::new(),
             max_entries: DEFAULT_MAX_ENTRIES,
             requested_shards: DEFAULT_SHARDS,
-            policy: EvictionPolicy::Lru,
             spill: None,
             recorder: None,
         };
@@ -522,12 +461,6 @@ impl<T: CacheValue> PlanCache<T> {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.requested_shards = shards.max(1);
         self.rebuild_shards();
-        self
-    }
-
-    /// Returns the cache with a different eviction policy.
-    pub fn with_eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -603,26 +536,18 @@ impl<T: CacheValue> PlanCache<T> {
         }
     }
 
-    /// Evicts one ready victim per the policy; `false` when every slot is
-    /// an in-flight compute (nothing is safely removable — threads wait on
-    /// those slots).
+    /// Evicts the least-recently-used ready entry; `false` when every slot
+    /// is an in-flight compute (nothing is safely removable — threads wait
+    /// on those slots).
     fn evict_one(&self, state: &mut ShardState<T>) -> bool {
         let victim = state
             .map
             .iter()
             .filter_map(|(k, slot)| match slot {
-                Slot::Ready(e) => Some((k, e)),
+                Slot::Ready(e) => Some((k, e.last_used)),
                 Slot::InFlight => None,
             })
-            .min_by(|a, b| match self.policy {
-                EvictionPolicy::Lru => a.1.last_used.cmp(&b.1.last_used),
-                EvictionPolicy::CostWeighted => {
-                    a.1.cost_ms
-                        .partial_cmp(&b.1.cost_ms)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.1.last_used.cmp(&b.1.last_used))
-                }
-            })
+            .min_by_key(|&(_, last_used)| last_used)
             .map(|(k, _)| k.clone());
         match victim {
             Some(k) => {
@@ -736,7 +661,6 @@ impl<T: CacheValue> PlanCache<T> {
                     let entry = ReadyEntry {
                         value: Arc::clone(&value),
                         last_used: state.tick,
-                        cost_ms: value.recompute_cost_ms(),
                         wire_body: None,
                     };
                     state.map.insert(key.to_string(), Slot::Ready(entry));
@@ -862,7 +786,6 @@ impl<T: CacheValue> PlanCache<T> {
             let entry = ReadyEntry {
                 value: Arc::clone(&outcome),
                 last_used: state.tick,
-                cost_ms: outcome.recompute_cost_ms(),
                 wire_body: None,
             };
             // Replaces our own in-flight marker: occupancy is unchanged,
@@ -1188,8 +1111,7 @@ mod tests {
     fn lru_evicts_the_least_recently_used_entry() {
         let cache = PlanCache::<PortfolioOutcome>::new()
             .with_shards(1)
-            .with_max_entries(2)
-            .with_eviction(EvictionPolicy::Lru);
+            .with_max_entries(2);
         cache.get_or_compute("a", outcome);
         cache.get_or_compute("b", outcome);
         // Touch "a" so "b" becomes the LRU victim.
@@ -1199,39 +1121,6 @@ mod tests {
         assert!(a_hit, "recently used entry survives eviction");
         let (_, b_hit) = cache.get_or_compute("b", outcome);
         assert!(!b_hit, "LRU victim was evicted");
-    }
-
-    #[test]
-    fn cost_weighted_eviction_prefers_cheap_entries() {
-        // Two outcomes with different wall times: the cheap one goes first.
-        let cheap = || {
-            let mut o = outcome();
-            for m in &mut o.members {
-                m.wall_time_ms = 0.001;
-            }
-            o
-        };
-        let expensive = || {
-            let mut o = outcome();
-            for m in &mut o.members {
-                m.wall_time_ms = 1000.0;
-            }
-            o
-        };
-        let cache = PlanCache::<PortfolioOutcome>::new()
-            .with_shards(1)
-            .with_max_entries(2)
-            .with_eviction(EvictionPolicy::CostWeighted);
-        cache.get_or_compute("expensive", expensive);
-        cache.get_or_compute("cheap", cheap);
-        // Touch "cheap" — under LRU "expensive" would now be the victim,
-        // but cost-weighted still sacrifices the cheap entry.
-        cache.get_or_compute("cheap", || panic!("resident"));
-        cache.get_or_compute("new", outcome);
-        let (_, kept) = cache.get_or_compute("expensive", || panic!("must survive"));
-        assert!(kept, "expensive-to-recompute entry survives");
-        let (_, evicted_hit) = cache.get_or_compute("cheap", cheap);
-        assert!(!evicted_hit, "cheap entry was the victim");
     }
 
     #[test]
@@ -1315,24 +1204,6 @@ mod tests {
             occupied >= 4,
             "32 zero-padded keys must spread over shards, occupied only {occupied}"
         );
-    }
-
-    #[test]
-    fn eviction_policy_parses_from_cli_strings() {
-        assert_eq!(
-            "lru".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::Lru
-        );
-        assert_eq!(
-            "cost".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::CostWeighted
-        );
-        assert_eq!(
-            "cost-weighted".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::CostWeighted
-        );
-        assert!("mru".parse::<EvictionPolicy>().is_err());
-        assert_eq!(EvictionPolicy::Lru.to_string(), "lru");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   when their ticket is waited on. [`PlanClient::plan_many`] pipelines a
 //!   whole batch over the connection with a sliding submission window.
 //!
-//! All reads go through a persistent resumable line buffer, so a read
-//! timeout mid-response (after [`PlanClient::set_timeout`]) never drops
-//! received bytes or desyncs the framing — the next read resumes the same
-//! line.
+//! Both framings read through one persistent [`FrameBuffer`], which splits
+//! raw bytes and validates UTF-8 per complete JSON line, so a read timeout
+//! mid-response (after [`PlanClient::set_timeout`]) never drops received
+//! bytes or desyncs the framing — even inside a multibyte character. The
+//! next read resumes the same line or frame.
 //!
 //! [`PlanClient::connect`] negotiates the **v3 binary framing** (see the
 //! protocol module docs) and transparently falls back to the JSON v2
@@ -27,7 +28,6 @@
 //! fetches the whole curve.
 
 use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -35,9 +35,9 @@ use qsdnn::engine::{CostLut, Objective};
 
 use crate::protocol::{
     negotiates_binary, parse_binary_response, parse_response_frame, read_binary_frame_resumable,
-    read_line_resumable, write_binary_message, write_message, FrameBuffer, PlanRequest,
-    PlanResponse, ProfileRequest, ProfileResponse, Request, Response, ResponseFrame, SearchRequest,
-    StatsResponse, TaggedRequest, WireMode, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    write_binary_message, write_message, FrameBuffer, PlanRequest, PlanResponse, ProfileRequest,
+    ProfileResponse, Request, Response, ResponseFrame, SearchRequest, StatsResponse, TaggedRequest,
+    WireMode, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::ServeError;
 
@@ -63,14 +63,11 @@ impl Ticket {
 /// A connected client. Synchronous requests run one at a time; pipelined
 /// requests ([`PlanClient::submit`]) multiplex over the same connection.
 pub struct PlanClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Resumable framing buffer: a half-read line survives read timeouts
-    /// here instead of being dropped.
-    partial: String,
-    /// Resumable binary-framing twin of `partial`, used once the
-    /// connection negotiates v3.
-    bin_frames: FrameBuffer,
+    stream: TcpStream,
+    /// Received bytes not yet consumed, in either framing: a half-read
+    /// reply survives a read timeout here, and bytes that follow the v3
+    /// pong are already in place for the binary reader.
+    frames: FrameBuffer,
     /// Wire framing in effect: JSON during the handshake (and for life
     /// against a pre-v3 server), binary after a v3 pong.
     mode: WireMode,
@@ -117,12 +114,9 @@ impl PlanClient {
     ) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
         let mut client = PlanClient {
-            reader: BufReader::new(stream),
-            writer,
-            partial: String::new(),
-            bin_frames: FrameBuffer::new(),
+            stream,
+            frames: FrameBuffer::new(),
             mode: WireMode::Json,
             next_id: 0,
             outstanding: HashSet::new(),
@@ -163,8 +157,8 @@ impl PlanClient {
     ///
     /// Propagates socket option failures.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), ServeError> {
-        self.writer.set_read_timeout(timeout)?;
-        self.writer.set_write_timeout(timeout)?;
+        self.stream.set_read_timeout(timeout)?;
+        self.stream.set_write_timeout(timeout)?;
         Ok(())
     }
 
@@ -178,19 +172,29 @@ impl PlanClient {
     /// Reads the next response frame off the connection, whatever its
     /// framing.
     fn read_frame(&mut self) -> Result<ResponseFrame, ServeError> {
+        let closed = || ServeError::Protocol("server closed the connection".into());
         match self.mode {
-            WireMode::Json => match read_line_resumable(&mut self.reader, &mut self.partial)? {
-                Some(line) => parse_response_frame(&line),
-                None => Err(ServeError::Protocol("server closed the connection".into())),
+            WireMode::Json => loop {
+                if let Some(line) = self.frames.next_frame() {
+                    return parse_json_line(&line);
+                }
+                if self.frames.fill_from(&mut self.stream)? == 0 {
+                    // EOF mid-line hands over what arrived; it fails to
+                    // parse unless the server merely omitted the `\n`.
+                    return match self.frames.take_partial() {
+                        Some(line) => parse_json_line(&line),
+                        None => Err(closed()),
+                    };
+                }
             },
             WireMode::Binary => {
                 match read_binary_frame_resumable(
-                    &mut self.reader,
-                    &mut self.bin_frames,
+                    &mut self.stream,
+                    &mut self.frames,
                     MAX_FRAME_BYTES,
                 )? {
                     Some(frame) => parse_binary_response(&frame),
-                    None => Err(ServeError::Protocol("server closed the connection".into())),
+                    None => Err(closed()),
                 }
             }
         }
@@ -205,8 +209,8 @@ impl PlanClient {
     /// Fails on I/O errors, malformed responses, or a server-side close.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
         match self.mode {
-            WireMode::Json => write_message(&mut self.writer, req)?,
-            WireMode::Binary => write_binary_message(&mut self.writer, None, req)?,
+            WireMode::Json => write_message(&mut self.stream, req)?,
+            WireMode::Binary => write_binary_message(&mut self.stream, None, req)?,
         }
         loop {
             match self.read_frame()? {
@@ -232,10 +236,10 @@ impl PlanClient {
         let id = self.next_id;
         self.next_id += 1;
         match self.mode {
-            WireMode::Json => write_message(&mut self.writer, &TaggedRequest { id, req })?,
+            WireMode::Json => write_message(&mut self.stream, &TaggedRequest { id, req })?,
             // The binary envelope carries the id in the frame header, so
             // the body is the bare request — no JSON-style wrapper.
-            WireMode::Binary => write_binary_message(&mut self.writer, Some(id), &req)?,
+            WireMode::Binary => write_binary_message(&mut self.stream, Some(id), &req)?,
         }
         self.outstanding.insert(id);
         Ok(Ticket(id))
@@ -245,7 +249,7 @@ impl PlanClient {
     /// that arrive first are stashed.
     ///
     /// On an I/O error (including a read timeout), the ticket stays
-    /// outstanding and any half-received line is preserved — call `wait`
+    /// outstanding and any half-received reply is preserved — call `wait`
     /// again to resume exactly where the read stopped.
     ///
     /// # Errors
@@ -544,5 +548,16 @@ impl PlanClient {
             Response::Error { message } => Err(ServeError::Remote(message)),
             other => Err(ServeError::Protocol(format!("unexpected reply {other:?}"))),
         }
+    }
+}
+
+/// Parses one complete JSON reply line. UTF-8 is checked only here, on
+/// the whole line, never on a partial read.
+fn parse_json_line(line: &[u8]) -> Result<ResponseFrame, ServeError> {
+    match std::str::from_utf8(line) {
+        Ok(text) => parse_response_frame(text),
+        Err(_) => Err(ServeError::Protocol(
+            "reply line is not valid UTF-8".to_string(),
+        )),
     }
 }

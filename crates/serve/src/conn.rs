@@ -397,12 +397,7 @@ mod tests {
     use std::sync::Arc;
 
     fn metrics() -> ServeMetrics {
-        ServeMetrics::new(
-            false,
-            0,
-            Arc::new(qsdnn_obs::Registry::new()),
-            Arc::new(qsdnn_obs::FlightRecorder::new(false)),
-        )
+        ServeMetrics::new(false, 0, Arc::new(qsdnn_obs::FlightRecorder::new(false)))
     }
 
     fn json(msg: &impl serde::Serialize) -> Vec<u8> {

@@ -108,7 +108,7 @@ fn handle_scrape(mut stream: TcpStream, state: &Arc<ServiceState>) -> std::io::R
     while !head_complete(&head) && head.len() < MAX_HEAD_BYTES {
         match stream.read(&mut buf) {
             Ok(0) => break,
-            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Ok(n) => head.extend_from_slice(buf.get(..n).unwrap_or(&[])),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if started.elapsed() >= HEAD_DEADLINE || state.is_shutting_down() {
                     timed_out = true;

@@ -16,9 +16,8 @@
 //! * **Content-addressed plan cache** ([`PlanCache`]) — plans are keyed by
 //!   a stable fingerprint of *(LUT, objective, portfolio spec)*, split over
 //!   N independent shards (each its own lock, single-flight coalescing and
-//!   hard capacity bound — in-flight computes included), evicted LRU or
-//!   cost-weighted ([`EvictionPolicy`]), with a bounded, crash-safe JSON
-//!   spill tier that survives restarts.
+//!   hard capacity bound — in-flight computes included), evicted LRU,
+//!   with a bounded, crash-safe JSON spill tier that survives restarts.
 //! * **Scenario transfer** ([`ScenarioIndex`]) — every cached plan
 //!   registers a structural [`ScenarioDescriptor`](qsdnn::engine::ScenarioDescriptor);
 //!   a plan-cache miss warm-starts its search from the nearest cached
@@ -113,8 +112,8 @@ pub mod signals;
 pub mod transfer;
 
 pub use cache::{
-    plan_key, warm_plan_key, CacheStats, CacheValue, EvictionPolicy, PlanCache, ShardStats,
-    WireBody, DEFAULT_MAX_DISK_ENTRIES, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS,
+    plan_key, warm_plan_key, CacheStats, CacheValue, PlanCache, ShardStats, WireBody,
+    DEFAULT_MAX_DISK_ENTRIES, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS,
 };
 pub use client::{PlanClient, Ticket, DEFAULT_CLIENT_WINDOW};
 pub use pool::{PoolGauges, PoolRecorder, WorkerPool};

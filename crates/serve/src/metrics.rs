@@ -221,7 +221,9 @@ impl RequestSpan {
 pub(crate) struct ServeMetrics {
     enabled: bool,
     slow: Option<Duration>,
-    registry: Arc<Registry>,
+    /// This server's own registry: concurrent servers in one process
+    /// never mix counters.
+    registry: Registry,
     /// The always-on flight recorder (journal, task table, exemplars).
     recorder: Arc<FlightRecorder>,
     request_us: Vec<Arc<Histogram>>,
@@ -253,13 +255,9 @@ impl std::fmt::Debug for ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Registers every serve-level instrument in `registry`.
-    pub(crate) fn new(
-        enabled: bool,
-        slow_ms: u64,
-        registry: Arc<Registry>,
-        recorder: Arc<FlightRecorder>,
-    ) -> ServeMetrics {
+    /// Registers every serve-level instrument in a fresh registry.
+    pub(crate) fn new(enabled: bool, slow_ms: u64, recorder: Arc<FlightRecorder>) -> ServeMetrics {
+        let registry = Registry::new();
         registry
             .gauge(
                 "qsdnn_build_info",
@@ -354,7 +352,7 @@ impl ServeMetrics {
     }
 
     /// The registry all serve instruments live in.
-    pub(crate) fn registry(&self) -> &Arc<Registry> {
+    pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
 
@@ -509,12 +507,7 @@ mod tests {
     use super::*;
 
     fn test_metrics(slow_ms: u64) -> ServeMetrics {
-        ServeMetrics::new(
-            true,
-            slow_ms,
-            Arc::new(Registry::new()),
-            Arc::new(FlightRecorder::new(true)),
-        )
+        ServeMetrics::new(true, slow_ms, Arc::new(FlightRecorder::new(true)))
     }
 
     #[test]
@@ -562,12 +555,7 @@ mod tests {
 
     #[test]
     fn inactive_spans_observe_nothing() {
-        let metrics = ServeMetrics::new(
-            false,
-            1000,
-            Arc::new(Registry::new()),
-            Arc::new(FlightRecorder::disabled()),
-        );
+        let metrics = ServeMetrics::new(false, 1000, Arc::new(FlightRecorder::disabled()));
         let mut span = metrics.span("plan");
         span.record(Stage::Search, Duration::from_micros(500));
         metrics.observe(&span);

@@ -62,7 +62,7 @@
 //! `decode_body` would, to `==` values. The tag table, both codecs and the
 //! rule's fine print live in `codec.rs`, re-exported here.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 
 use qsdnn::engine::{CostLut, Mode, Objective};
 use qsdnn::{MemberSummary, SearchReport};
@@ -960,77 +960,17 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Se
     Ok(())
 }
 
-/// Reads one JSON-line message; `Ok(None)` on clean EOF. Blank lines are
-/// skipped rather than treated as EOF, so a stray keepalive newline never
-/// drops a live connection.
+/// Incremental frame splitter for both ends of a connection: the server's
+/// connection state machine and [`crate::PlanClient`].
 ///
-/// # Errors
-///
-/// Propagates I/O failures and malformed JSON.
-pub fn read_message<T: serde::Deserialize>(r: &mut impl BufRead) -> Result<Option<T>, ServeError> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            // A stray keepalive newline is not EOF; keep the connection.
-            continue;
-        }
-        return serde_json::from_str(trimmed)
-            .map(Some)
-            .map_err(|e| ServeError::Protocol(e.to_string()));
-    }
-}
-
-/// Reads one raw line, surviving socket read timeouts: when the read times
-/// out mid-line, the bytes received so far stay in `partial` and the next
-/// call resumes the same line, so framing survives `WouldBlock`/`TimedOut`
-/// errors. Blank keepalive lines are skipped; `Ok(None)` is a clean EOF.
-/// [`crate::PlanClient`] frames its reads through this; the server's
-/// bounded equivalent is [`FrameBuffer`].
-///
-/// # Errors
-///
-/// Propagates I/O failures (timeouts included — `partial` stays valid).
-pub fn read_line_resumable(
-    r: &mut impl BufRead,
-    partial: &mut String,
-) -> Result<Option<String>, ServeError> {
-    loop {
-        match r.read_line(partial) {
-            Err(e) => return Err(ServeError::Io(e)),
-            Ok(0) if partial.trim().is_empty() => {
-                partial.clear();
-                return Ok(None); // clean EOF
-            }
-            Ok(n) if n > 0 && partial.ends_with('\n') && partial.trim().is_empty() => {
-                // A stray keepalive newline is not EOF or a message.
-                partial.clear();
-                continue;
-            }
-            // A complete line — or EOF mid-line (`read_line` only stops
-            // short of a newline at EOF): hand over what arrived.
-            Ok(_) => {}
-        }
-        return Ok(Some(std::mem::take(partial)));
-    }
-}
-
-/// Incremental JSON-lines splitter for the server's connection state
-/// machine.
-///
-/// The connection layer reads whatever bytes the socket has and pushes
-/// them here; [`FrameBuffer::next_frame`] hands back complete
-/// `\n`-terminated lines one at a time, whatever the fragmentation — a
-/// frame split mid-byte of a UTF-8 multibyte sequence, or right across the
-/// terminator, reassembles identically because splitting happens on raw
-/// bytes and UTF-8 validation happens per complete frame. Blank
-/// (whitespace-only) lines are skipped, matching
-/// [`read_line_resumable`]'s keepalive behavior on the client side.
+/// The reader appends whatever bytes the socket has;
+/// [`FrameBuffer::next_frame`] hands back complete `\n`-terminated lines
+/// one at a time, whatever the fragmentation — a frame split mid-byte of a
+/// UTF-8 multibyte sequence, or right across the terminator, reassembles
+/// identically because splitting happens on raw bytes and UTF-8
+/// validation happens per complete frame. Blank (whitespace-only) lines
+/// are keepalives and are skipped. [`FrameBuffer::next_binary_frame`] does
+/// the same for v3 frames.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     /// Received bytes are `buf[start..end]`. `buf[end..]` is initialized
@@ -1136,7 +1076,7 @@ impl FrameBuffer {
 
     /// At EOF: takes a trailing unterminated line, if any, so a client
     /// that half-closes without a final `\n` still gets its last request
-    /// answered (as [`read_line_resumable`] does for blocking readers).
+    /// answered.
     pub fn take_partial(&mut self) -> Option<Vec<u8>> {
         let tail = self.pending();
         let tail = tail.strip_suffix(b"\r").unwrap_or(tail);
@@ -1284,8 +1224,7 @@ pub fn write_binary_message<T: Serialize + ?Sized>(
 
 /// Reads one binary frame from a blocking reader, surviving read
 /// timeouts: partially received frames stay in `frames` and the next
-/// call resumes them, mirroring [`read_line_resumable`] for the JSON
-/// framing. `Ok(None)` is a clean EOF on a frame boundary.
+/// call resumes them. `Ok(None)` is a clean EOF on a frame boundary.
 ///
 /// # Errors
 ///
@@ -1355,28 +1294,6 @@ pub fn parse_binary_response(frame: &BinaryFrame) -> Result<ResponseFrame, Serve
         Some(id) => ResponseFrame::Tagged(TaggedResponse { id, resp }),
         None => ResponseFrame::Untagged(resp),
     })
-}
-
-/// Like [`read_message`], but built on [`read_line_resumable`]: safe to
-/// call on a socket with a read timeout. The server and [`crate::PlanClient`]
-/// now frame reads themselves (they must tell envelopes from bare
-/// messages), so this is a convenience for single-type wire consumers —
-/// e.g. a hand-rolled v1 client polling with a timeout.
-///
-/// # Errors
-///
-/// Propagates I/O failures (timeouts included — `partial` stays valid) and
-/// malformed JSON (`partial` is consumed).
-pub fn read_message_resumable<T: serde::Deserialize>(
-    r: &mut impl BufRead,
-    partial: &mut String,
-) -> Result<Option<T>, ServeError> {
-    match read_line_resumable(r, partial)? {
-        None => Ok(None),
-        Some(line) => serde_json::from_str(line.trim())
-            .map(Some)
-            .map_err(|e| ServeError::Protocol(e.to_string())),
-    }
 }
 
 #[cfg(test)]
@@ -1581,6 +1498,12 @@ mod tests {
         }
     }
 
+    /// Decodes the next complete JSON line in `fb` as a request.
+    fn next_request(fb: &mut FrameBuffer) -> Option<Request> {
+        let line = fb.next_frame()?;
+        Some(serde_json::from_slice(&line).expect("valid request line"))
+    }
+
     #[test]
     fn framing_roundtrip_through_a_buffer() {
         let mut buf = Vec::new();
@@ -1588,14 +1511,14 @@ mod tests {
         write_message(&mut buf, &Request::Ping { version: 1 }).unwrap();
         buf.extend_from_slice(b"\n\n"); // stray blank lines must be skipped
         write_message(&mut buf, &Request::Stats).unwrap();
-        let mut r = std::io::BufReader::new(buf.as_slice());
-        let a: Request = read_message(&mut r).unwrap().unwrap();
-        let b: Request = read_message(&mut r).unwrap().unwrap();
-        assert_eq!(a, Request::Stats);
-        assert_eq!(b, Request::Ping { version: 1 });
-        let c: Request = read_message(&mut r).unwrap().expect("blank lines skipped");
+        let mut fb = FrameBuffer::new();
+        assert_eq!(fb.fill_from(&mut buf.as_slice()).unwrap(), buf.len());
+        assert_eq!(next_request(&mut fb), Some(Request::Stats));
+        assert_eq!(next_request(&mut fb), Some(Request::Ping { version: 1 }));
+        let c = next_request(&mut fb).expect("blank lines skipped");
         assert_eq!(c, Request::Stats);
-        assert!(read_message::<Request>(&mut r).unwrap().is_none(), "EOF");
+        assert!(next_request(&mut fb).is_none());
+        assert!(fb.take_partial().is_none(), "nothing trails the last line");
     }
 
     /// A reader that yields its chunks one `read` at a time, with a
@@ -1618,36 +1541,34 @@ mod tests {
         }
     }
 
+    /// The JSON twin of `resumable_binary_read_survives_a_timeout_mid_frame`,
+    /// cut just after the lead byte of a two-byte character: a reader
+    /// that validated UTF-8 per read would drop the head here.
     #[test]
     fn resumable_read_survives_a_timeout_mid_line() {
+        let req = Request::Plan(PlanRequest::latency("señal"));
         let mut line = Vec::new();
-        write_message(&mut line, &Request::Stats).unwrap();
-        let (head, tail) = line.split_at(line.len() / 2);
-        let mut r = std::io::BufReader::new(Stutter(
+        write_message(&mut line, &req).unwrap();
+        let lead = line.iter().position(|&b| b == 0xC3).expect("ñ") + 1;
+        let (head, tail) = line.split_at(lead);
+        let mut r = Stutter(
             [head.to_vec(), Vec::new(), tail.to_vec()]
                 .into_iter()
                 .collect(),
-        ));
-        let mut partial = String::new();
-        // First call: half the line arrives, then the timeout fires. The
-        // half-line must survive in `partial`.
-        let err = read_message_resumable::<Request>(&mut r, &mut partial)
-            .expect_err("timeout propagates");
-        assert!(matches!(
-            err,
-            ServeError::Io(ref e) if e.kind() == std::io::ErrorKind::WouldBlock
-        ));
-        assert!(!partial.is_empty(), "partial line must be preserved");
-        // Second call: the rest of the line completes the message.
-        let msg = read_message_resumable::<Request>(&mut r, &mut partial)
-            .unwrap()
-            .unwrap();
-        assert_eq!(msg, Request::Stats);
-        assert!(partial.is_empty());
-        // Clean EOF afterwards.
-        assert!(read_message_resumable::<Request>(&mut r, &mut partial)
-            .unwrap()
-            .is_none());
+        );
+        let mut fb = FrameBuffer::new();
+        // The head arrives, then the timeout fires: the head stays
+        // buffered and no line is complete yet.
+        assert_eq!(fb.fill_from(&mut r).unwrap(), head.len());
+        assert!(fb.next_frame().is_none());
+        let err = fb.fill_from(&mut r).expect_err("timeout propagates");
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        assert_eq!(fb.buffered(), head.len(), "partial line must be preserved");
+        // The tail completes the message; then a clean EOF.
+        assert_eq!(fb.fill_from(&mut r).unwrap(), tail.len());
+        assert_eq!(next_request(&mut fb), Some(req));
+        assert_eq!(fb.fill_from(&mut r).unwrap(), 0);
+        assert!(fb.take_partial().is_none());
     }
 
     #[test]

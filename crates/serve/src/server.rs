@@ -41,9 +41,7 @@ use qsdnn::{EpisodeRecord, Portfolio, PortfolioOutcome, QTable, SearchReport, Tr
 
 use qsdnn_obs::{EventKind, FlightRecorder};
 
-use crate::cache::{
-    plan_key_on, warm_plan_key_on, CacheValue, EvictionPolicy, PlanCache, WireBody,
-};
+use crate::cache::{plan_key_on, warm_plan_key_on, CacheValue, PlanCache, WireBody};
 use crate::conn::{json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
@@ -96,10 +94,6 @@ pub struct ServerConfig {
     pub profile_repeats: usize,
     /// Default QS-DNN seeds when a request passes no seeds.
     pub default_seeds: Vec<u64>,
-    /// Plan/profile cache shards (0 = cache default).
-    pub cache_shards: usize,
-    /// Eviction policy for both the plan and profile caches.
-    pub eviction: EvictionPolicy,
     /// Total resident entries for *each* of the plan and profile caches
     /// (0 = cache default).
     pub cache_max_entries: usize,
@@ -113,11 +107,6 @@ pub struct ServerConfig {
     /// Bound on the scenario-transfer index
     /// (0 = [`crate::transfer::DEFAULT_INDEX_ENTRIES`]).
     pub index_entries: usize,
-    /// Dispatcher threads (0 = one per search worker, at least 4).
-    /// Dispatchers run whole requests — blocking on cache single-flight
-    /// waits and portfolio fan-in — and are deliberately a *separate*
-    /// pool from the search workers (the nested-pool trap).
-    pub dispatchers: usize,
     /// Optional Prometheus text-exposition endpoint: `Some(addr)` binds a
     /// tiny HTTP listener serving `GET /metrics` (port 0 picks an
     /// ephemeral port, see [`PlanServer::metrics_addr`]).
@@ -133,10 +122,6 @@ pub struct ServerConfig {
     /// task table. Always on by default — it exists to explain incidents
     /// nobody predicted; off exists for overhead benchmarks only.
     pub recorder: bool,
-    /// Metrics registry for this server's instruments. `None` gives the
-    /// server a private registry (the default — concurrent servers in one
-    /// process never mix counters); inject one to aggregate or inspect.
-    pub registry: Option<Arc<qsdnn_obs::Registry>>,
     /// Default platform for requests that do not name one. Empty keeps the
     /// registry default (`sim-tx2`, the historical behavior); otherwise it
     /// must be a registered name.
@@ -155,18 +140,14 @@ impl Default for ServerConfig {
             spill_dir: None,
             profile_repeats: 10,
             default_seeds: vec![0x5EED, 0x5EED + 1, 0x5EED + 2],
-            cache_shards: 0,
-            eviction: EvictionPolicy::Lru,
             cache_max_entries: 0,
             max_in_flight: 0,
             transfer: TransferMode::Auto,
             index_entries: 0,
-            dispatchers: 0,
             metrics_addr: None,
             slow_ms: DEFAULT_SLOW_MS,
             instrument: true,
             recorder: true,
-            registry: None,
             platform: String::new(),
             platform_dir: None,
         }
@@ -174,16 +155,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Applies the config's shard/eviction/bound knobs to a cache.
-    fn configure_cache<T: CacheValue>(&self, mut cache: PlanCache<T>) -> PlanCache<T> {
-        cache = cache.with_eviction(self.eviction);
+    /// Applies the config's entry bound to a cache.
+    fn configure_cache<T: CacheValue>(&self, cache: PlanCache<T>) -> PlanCache<T> {
         if self.cache_max_entries > 0 {
-            cache = cache.with_max_entries(self.cache_max_entries);
+            cache.with_max_entries(self.cache_max_entries)
+        } else {
+            cache
         }
-        if self.cache_shards > 0 {
-            cache = cache.with_shards(self.cache_shards);
-        }
-        cache
     }
 
     /// The effective per-connection in-flight cap (always ≥ 1).
@@ -192,15 +170,6 @@ impl ServerConfig {
             DEFAULT_MAX_IN_FLIGHT
         } else {
             self.max_in_flight
-        }
-    }
-
-    /// The effective dispatcher-pool size, given the search pool.
-    fn dispatcher_count(&self, workers: usize) -> usize {
-        if self.dispatchers == 0 {
-            workers.max(4)
-        } else {
-            self.dispatchers
         }
     }
 }
@@ -524,14 +493,9 @@ impl ServiceState {
         }
         // Instruments exist before the pool so the search workers can
         // carry the pool gauges from their first job.
-        let registry = config
-            .registry
-            .clone()
-            .unwrap_or_else(|| Arc::new(qsdnn_obs::Registry::new()));
         let metrics = crate::metrics::ServeMetrics::new(
             config.instrument,
             config.slow_ms,
-            registry,
             Arc::clone(&recorder),
         );
         let threads = if config.threads == 0 {
@@ -1249,10 +1213,11 @@ impl ServiceState {
         Reply { id, bytes, span }
     }
 
-    /// The bounded pool the reactor runs [`Job`]s on. Never the
-    /// search pool — see the module docs.
+    /// The bounded pool the reactor runs [`Job`]s on: one dispatcher per
+    /// search worker, at least 4. Never the search pool — see the module
+    /// docs.
     pub(crate) fn dispatcher_pool(&self) -> WorkerPool {
-        let threads = self.config.dispatcher_count(self.pool.threads());
+        let threads = self.pool.threads().max(4);
         WorkerPool::named_observed(
             "qsdnn-dispatch",
             threads,

@@ -110,9 +110,9 @@ fn one_thousand_pipelined_connections_with_bounded_threads() {
         return;
     }
 
+    // Four search workers, hence four dispatchers.
     let config = ServerConfig {
         threads: 4,
-        dispatchers: 8,
         ..ServerConfig::default()
     };
     let profile_repeats = config.profile_repeats;
@@ -135,7 +135,7 @@ fn one_thousand_pipelined_connections_with_bounded_threads() {
     }
 
     // The core claim: all 1000 connections are held by a readiness loop,
-    // not a thread each. The whole process — 4 search workers, 8
+    // not a thread each. The whole process — 4 search workers, 4
     // dispatchers, the reactor, the test harness — stays two orders of
     // magnitude below thread-per-connection.
     let held = process_threads();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use qsdnn_serve::{CacheValue, EvictionPolicy, PlanCache};
+use qsdnn_serve::{CacheValue, PlanCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -21,19 +21,14 @@ use serde::{Deserialize, Serialize};
 const THREADS: usize = 16;
 const OPS_PER_THREAD: usize = 40;
 
-/// A tiny artifact with a controllable recompute cost, so the stress run
-/// exercises both eviction policies.
+/// A tiny artifact, cheap to compute, so the run stresses the cache
+/// rather than the payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Payload {
     key_id: usize,
-    cost: f64,
 }
 
-impl CacheValue for Payload {
-    fn recompute_cost_ms(&self) -> f64 {
-        self.cost
-    }
-}
+impl CacheValue for Payload {}
 
 /// Decrements the per-key concurrent-compute counter even when the
 /// compute panics, so a panic op never wedges the single-flight check.
@@ -46,16 +41,10 @@ impl Drop for ComputeTicket<'_> {
 }
 
 fn run_stress(seed: u64, keyspace: usize, max_entries: usize, shards: usize) {
-    let policy = if seed.is_multiple_of(2) {
-        EvictionPolicy::Lru
-    } else {
-        EvictionPolicy::CostWeighted
-    };
     let cache = Arc::new(
         PlanCache::<Payload>::new()
             .with_shards(shards)
-            .with_max_entries(max_entries)
-            .with_eviction(policy),
+            .with_max_entries(max_entries),
     );
     let computing: Arc<Vec<AtomicUsize>> =
         Arc::new((0..keyspace).map(|_| AtomicUsize::new(0)).collect());
@@ -104,10 +93,7 @@ fn run_stress(seed: u64, keyspace: usize, max_entries: usize, shards: usize) {
                         let _ticket = ComputeTicket(&computing[key_id]);
                         std::thread::sleep(std::time::Duration::from_micros(pause_us));
                         assert!(!should_panic, "injected compute panic");
-                        Payload {
-                            key_id,
-                            cost: (key_id % 7) as f64,
-                        }
+                        Payload { key_id }
                     })
                 }))
                 .is_ok();

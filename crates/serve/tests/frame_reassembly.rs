@@ -207,8 +207,7 @@ proptest! {
 
     /// A stream whose last frame lost its terminator (half-close client):
     /// everything terminated reassembles normally and the EOF hand-over
-    /// recovers the final request, matching `read_line_resumable`'s EOF
-    /// contract.
+    /// recovers the final request.
     #[test]
     fn unterminated_tail_is_recovered_at_eof(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -10,12 +10,23 @@ use std::time::{Duration, Instant};
 
 use qsdnn::engine::{Mode, Objective};
 use qsdnn_serve::protocol::{
-    read_line_resumable, read_message, write_message, PlanRequest, Request, Response,
-    TaggedResponse, TransferMode, PROTOCOL_VERSION,
+    parse_request_frame, parse_response_frame, write_message, FrameBuffer, PlanRequest, Request,
+    RequestFrame, Response, ResponseFrame, TaggedResponse, TransferMode, PROTOCOL_VERSION,
 };
 use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
 
 const NETWORKS: [&str; 3] = ["lenet5", "tiny_cnn", "toy_branchy"];
+
+/// Blocks for the next complete JSON line on a raw socket, framed by
+/// `frames` the way both ends of a real connection frame it.
+fn read_line(stream: &mut TcpStream, frames: &mut FrameBuffer) -> String {
+    loop {
+        if let Some(line) = frames.next_frame() {
+            return String::from_utf8(line).expect("UTF-8 line");
+        }
+        assert_ne!(frames.fill_from(stream).expect("read"), 0, "peer closed");
+    }
+}
 
 /// A batch of distinct plan requests (distinct episode budgets give every
 /// request its own plan key, so nothing coalesces in the cache).
@@ -147,19 +158,16 @@ fn v1_untagged_requests_stay_in_order_on_a_pipelining_server() {
     // A raw v1 client: write several bare requests back to back without
     // reading, then read every reply. Replies must come back in request
     // order — bare requests are handled inline, one at a time.
-    let stream = std::net::TcpStream::connect(addr).expect("connect raw");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = std::io::BufReader::new(stream);
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut frames = FrameBuffer::new();
     let reqs = batch(6, 150, 7);
     for req in &reqs {
-        write_message(&mut writer, &Request::Plan(req.clone())).expect("write");
+        write_message(&mut stream, &Request::Plan(req.clone())).expect("write");
     }
     for req in &reqs {
-        let resp: Response = read_message(&mut reader)
-            .expect("read")
-            .expect("server closed");
-        match resp {
-            Response::Plan(plan) => assert_eq!(
+        let line = read_line(&mut stream, &mut frames);
+        match parse_response_frame(&line).expect("reply") {
+            ResponseFrame::Untagged(Response::Plan(plan)) => assert_eq!(
                 plan.network, req.network,
                 "v1 replies must arrive in request order"
             ),
@@ -247,24 +255,36 @@ fn failed_plan_many_drains_its_batch() {
     server.shutdown();
 }
 
-/// Regression for the client framing bug: `PlanClient` used to read with
-/// `read_message`, which drops a partially-received line when the read
-/// times out — after `set_timeout`, a slow response lost its first bytes
-/// and permanently desynced the connection. The client now frames reads
-/// through a persistent resumable buffer, so a timed-out read resumes the
-/// same line.
+/// Regression for two client framing bugs. `PlanClient` once read with a
+/// reader that dropped a partially received line when the read timed out:
+/// after `set_timeout`, a slow response lost its first bytes and desynced
+/// the connection for good. Its replacement, `BufRead::read_line` into a
+/// persistent `String`, kept an ASCII half-line but still threw away every
+/// byte of a timed-out call that ended inside a multibyte character. The
+/// client now splits raw bytes in a `FrameBuffer` and validates UTF-8 per
+/// complete line, so a timed-out read resumes the same line at any cut.
 #[test]
 fn client_framing_survives_a_mid_response_timeout() {
+    json_reply_split_at("resumable-framing-marker", |reply| reply.len() / 2);
+    // Just after the lead byte of `ñ`.
+    json_reply_split_at("resumable-framing-marker-señal", |reply| {
+        reply.iter().position(|&b| b == 0xC3).expect("ñ") + 1
+    });
+}
+
+/// Answers one tagged v2 request with a reply carrying `marker`, written
+/// in two parts around `cut(reply)` with a pause that outlives the
+/// client's read timeout, and checks the client times out, then resumes.
+fn json_reply_split_at(marker: &'static str, cut: fn(&[u8]) -> usize) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("addr");
-    let marker = "resumable-framing-marker";
 
     let fake_server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut frames = FrameBuffer::new();
         // Handshake.
-        let ping: Request = read_message(&mut reader).expect("ping").expect("open");
-        assert!(matches!(ping, Request::Ping { .. }));
+        let ping = parse_request_frame(&read_line(&mut stream, &mut frames)).expect("ping");
+        assert!(matches!(ping, RequestFrame::Untagged(Request::Ping { .. })));
         write_message(
             &mut stream,
             &Response::Pong {
@@ -272,12 +292,7 @@ fn client_framing_survives_a_mid_response_timeout() {
             },
         )
         .expect("pong");
-        // One tagged request, answered in two halves with a pause that
-        // outlives the client's read timeout.
-        let mut partial = String::new();
-        let line = read_line_resumable(&mut reader, &mut partial)
-            .expect("tagged request")
-            .expect("open");
+        let line = read_line(&mut stream, &mut frames);
         assert!(line.contains("\"id\":0"), "expected envelope, got {line}");
         let mut reply = Vec::new();
         write_message(
@@ -290,22 +305,22 @@ fn client_framing_survives_a_mid_response_timeout() {
             },
         )
         .expect("serialize");
-        let mid = reply.len() / 2;
-        stream.write_all(&reply[..mid]).expect("first half");
+        let (head, tail) = reply.split_at(cut(&reply));
+        stream.write_all(head).expect("first part");
         stream.flush().expect("flush");
         std::thread::sleep(Duration::from_millis(400));
-        stream.write_all(&reply[mid..]).expect("second half");
+        stream.write_all(tail).expect("second part");
         stream.flush().expect("flush");
         // Keep the socket open until the client is done reading.
         std::thread::sleep(Duration::from_millis(400));
     });
 
-    // Pinned to the v2 handshake: this test exercises JSON-line
-    // resumability against a fake JSON server (its binary twin follows).
+    // Pinned to the v2 handshake: this exercises JSON-line resumability
+    // against a fake JSON server (its binary twin follows).
     let mut client = PlanClient::connect_with_version(addr, 2).expect("handshake");
     assert!(!client.is_binary());
     let ticket = client.submit(Request::Stats).expect("submit");
-    // Let the first half of the reply arrive, then read with a timeout
+    // Let the first part of the reply arrive, then read with a timeout
     // shorter than the server's mid-line pause.
     std::thread::sleep(Duration::from_millis(150));
     client
@@ -318,16 +333,18 @@ fn client_framing_survives_a_mid_response_timeout() {
                 e.kind(),
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
             ),
-            "unexpected I/O error {e:?}"
+            "{marker}: unexpected I/O error {e:?}"
         ),
-        other => panic!("expected a timeout, got {other}"),
+        other => panic!("{marker}: expected a timeout, got {other}"),
     }
     // Retrying the same ticket resumes the half-read line instead of
     // parsing its severed tail as a fresh message.
     client
         .set_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    let resp = client.wait(ticket).expect("resumed read completes");
+    let resp = client
+        .wait(ticket)
+        .unwrap_or_else(|e| panic!("{marker}: resumed read failed: {e}"));
     assert_eq!(
         resp,
         Response::Error {
@@ -339,11 +356,15 @@ fn client_framing_survives_a_mid_response_timeout() {
 
 /// A fake server's side of the v3 handshake: accepts one connection and
 /// answers its JSON ping, which upgrades both directions to binary frames.
-fn accept_v3(listener: &TcpListener) -> (TcpStream, std::io::BufReader<TcpStream>) {
+/// The returned buffer holds whatever the client sent after the ping.
+fn accept_v3(listener: &TcpListener) -> (TcpStream, FrameBuffer) {
     let (mut stream, _) = listener.accept().expect("accept");
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-    let ping: Request = read_message(&mut reader).expect("ping").expect("open");
-    assert!(matches!(ping, Request::Ping { version: 3 }));
+    let mut frames = FrameBuffer::new();
+    let ping = parse_request_frame(&read_line(&mut stream, &mut frames)).expect("ping");
+    assert!(matches!(
+        ping,
+        RequestFrame::Untagged(Request::Ping { version: 3 })
+    ));
     write_message(
         &mut stream,
         &Response::Pong {
@@ -351,7 +372,7 @@ fn accept_v3(listener: &TcpListener) -> (TcpStream, std::io::BufReader<TcpStream
         },
     )
     .expect("pong");
-    (stream, reader)
+    (stream, frames)
 }
 
 /// The binary twin of the mid-response-timeout test: a v3 frame split in
@@ -360,18 +381,17 @@ fn accept_v3(listener: &TcpListener) -> (TcpStream, std::io::BufReader<TcpStream
 #[test]
 fn client_binary_framing_survives_a_mid_frame_timeout() {
     use qsdnn_serve::protocol::{
-        encode_binary_frame, encode_body, read_binary_frame_resumable, FrameBuffer, MAX_FRAME_BYTES,
+        encode_binary_frame, encode_body, read_binary_frame_resumable, MAX_FRAME_BYTES,
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("addr");
     let marker = "resumable-binary-framing-marker";
 
     let fake_server = std::thread::spawn(move || {
-        let (mut stream, mut reader) = accept_v3(&listener);
+        let (mut stream, mut frames) = accept_v3(&listener);
         // One tagged *binary* request, answered in two halves with a
         // pause that outlives the client's read timeout.
-        let mut frames = FrameBuffer::new();
-        let frame = read_binary_frame_resumable(&mut reader, &mut frames, MAX_FRAME_BYTES)
+        let frame = read_binary_frame_resumable(&mut stream, &mut frames, MAX_FRAME_BYTES)
             .expect("tagged request")
             .expect("open");
         assert_eq!(frame.id, Some(0), "expected the first tagged frame");
@@ -431,8 +451,8 @@ fn client_binary_framing_survives_a_mid_frame_timeout() {
 #[test]
 fn client_reports_a_torn_plan_reply_and_stays_in_sync() {
     use qsdnn_serve::protocol::{
-        encode_binary_frame, encode_response, read_binary_frame_resumable, FrameBuffer,
-        PlanResponse, MAX_FRAME_BYTES,
+        encode_binary_frame, encode_response, read_binary_frame_resumable, PlanResponse,
+        MAX_FRAME_BYTES,
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("addr");
@@ -466,10 +486,9 @@ fn client_reports_a_torn_plan_reply_and_stays_in_sync() {
 
     let served = reply.clone();
     let fake_server = std::thread::spawn(move || {
-        let (mut stream, mut reader) = accept_v3(&listener);
-        let mut frames = FrameBuffer::new();
+        let (mut stream, mut frames) = accept_v3(&listener);
         for _ in 0..2 {
-            read_binary_frame_resumable(&mut reader, &mut frames, MAX_FRAME_BYTES)
+            read_binary_frame_resumable(&mut stream, &mut frames, MAX_FRAME_BYTES)
                 .expect("tagged request")
                 .expect("open");
         }

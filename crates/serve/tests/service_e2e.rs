@@ -10,7 +10,7 @@ use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
 use qsdnn::nn::zoo;
 use qsdnn::Portfolio;
 use qsdnn_serve::protocol::{PlanRequest, PlanResponse, TransferMode};
-use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
+use qsdnn_serve::{PlanClient, PlanServer, ServerConfig, DEFAULT_SHARDS};
 
 const NETWORKS: [&str; 3] = ["lenet5", "tiny_cnn", "toy_branchy"];
 const CLIENTS_PER_NETWORK: usize = 12; // 36 concurrent requests total
@@ -244,19 +244,15 @@ fn shutdown_joins_idle_connection_handlers() {
 
 #[test]
 fn stats_expose_per_shard_cache_breakdown() {
-    let server = PlanServer::start(ServerConfig {
-        cache_shards: 4,
-        ..ServerConfig::default()
-    })
-    .expect("bind");
+    let server = PlanServer::start(ServerConfig::default()).expect("bind");
     let mut client = PlanClient::connect(server.local_addr()).expect("connect");
     for network in NETWORKS {
         client.plan(request_for(network)).expect("plan");
     }
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.plan_cache.shards, 4);
-    assert_eq!(stats.plan_cache_shards.len(), 4);
-    assert_eq!(stats.profile_cache_shards.len(), 4);
+    assert_eq!(stats.plan_cache.shards, DEFAULT_SHARDS as u64);
+    assert_eq!(stats.plan_cache_shards.len(), DEFAULT_SHARDS);
+    assert_eq!(stats.profile_cache_shards.len(), DEFAULT_SHARDS);
     // The per-shard breakdown must sum to the aggregate counters.
     let shard_entries: u64 = stats.plan_cache_shards.iter().map(|s| s.entries).sum();
     assert_eq!(shard_entries, stats.plan_cache.entries);
