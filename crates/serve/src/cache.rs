@@ -46,6 +46,8 @@ use qsdnn::PortfolioOutcome;
 use qsdnn_obs::{EventKind, FlightRecorder};
 use serde::{Deserialize, Serialize};
 
+use crate::protocol::WireMode;
+
 /// Locks a cache mutex, recovering from poisoning. Every mutation under
 /// these locks is transactional (insert/remove completes before the guard
 /// drops), so state left by a panicked peer is still coherent — poisoning
@@ -219,20 +221,40 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// free; oldest entries are garbage-collected past this).
 pub const DEFAULT_MAX_DISK_ENTRIES: usize = 16384;
 
-/// A rendered protocol-v3 response body, shared by a cache entry and replies.
+/// A rendered response body, shared by a cache entry and replies.
 pub type WireBody = Arc<Vec<u8>>;
 
 struct ReadyEntry<T> {
     value: Arc<T>,
     /// Shard generation at last access — larger is more recent.
     last_used: u64,
-    /// Preserialized protocol-v3 response body for the zero-copy
-    /// cache-hit fast path. Lazily attached after the first eligible
-    /// binary-framed hit; lives and dies with this slot, so eviction,
-    /// replacement, and spill reload (which starts a fresh entry) all
-    /// invalidate it for free. Never spilled: the durable tier stores
-    /// plans, and the body is cheap to rebuild once per residency.
-    wire_body: Option<Arc<Vec<u8>>>,
+    /// Preserialized response bodies for the zero-copy cache-hit fast
+    /// path, one per framing: the v3 body and the JSON one. Each is
+    /// attached lazily after the first eligible hit in its framing and
+    /// lives and dies with this slot, so eviction, replacement, and spill
+    /// reload (which starts a fresh entry) all invalidate both for free.
+    /// Never spilled: the durable tier stores plans, and a body is cheap
+    /// to rebuild once per residency.
+    binary_body: Option<WireBody>,
+    json_body: Option<WireBody>,
+}
+
+impl<T> ReadyEntry<T> {
+    fn new(value: Arc<T>, last_used: u64) -> Self {
+        ReadyEntry {
+            value,
+            last_used,
+            binary_body: None,
+            json_body: None,
+        }
+    }
+
+    fn body(&mut self, mode: WireMode) -> &mut Option<WireBody> {
+        match mode {
+            WireMode::Binary => &mut self.binary_body,
+            WireMode::Json => &mut self.json_body,
+        }
+    }
 }
 
 enum Slot<T> {
@@ -572,14 +594,15 @@ impl<T: CacheValue> PlanCache<T> {
     /// thread's compute. Use [`PlanCache::is_pending`] to tell "being
     /// computed right now" apart from "gone from both tiers".
     pub fn peek(&self, key: &str) -> Option<Arc<T>> {
-        self.peek_with_body(key).map(|(value, _)| value)
+        self.peek_inner(key, true, None).map(|(value, _)| value)
     }
 
-    /// [`PlanCache::peek`] that also hands back the wire body attached to
-    /// the resident entry, read under the same shard lock as the value. A
-    /// spill-tier load starts a fresh residency, so it never carries one.
-    pub fn peek_with_body(&self, key: &str) -> Option<(Arc<T>, Option<WireBody>)> {
-        self.peek_inner(key, true)
+    /// [`PlanCache::peek`] that also hands back the body attached to the
+    /// resident entry for framing `mode`, read under the same shard lock
+    /// as the value. A spill-tier load starts a fresh residency, so it
+    /// never carries one.
+    pub fn peek_with_body(&self, key: &str, mode: WireMode) -> Option<(Arc<T>, Option<WireBody>)> {
+        self.peek_inner(key, true, Some(mode))
     }
 
     /// [`PlanCache::peek`] for *internal* fetches (e.g. transfer donors):
@@ -588,7 +611,7 @@ impl<T: CacheValue> PlanCache<T> {
     /// that `hits + misses + coalesced + spill_loads` counts only
     /// requests the cache answered for callers.
     pub fn peek_quiet(&self, key: &str) -> Option<Arc<T>> {
-        self.peek_inner(key, false).map(|(value, _)| value)
+        self.peek_inner(key, false, None).map(|(value, _)| value)
     }
 
     /// Whether `key` currently holds an in-flight compute — some other
@@ -599,30 +622,49 @@ impl<T: CacheValue> PlanCache<T> {
         matches!(state.map.get(key), Some(Slot::InFlight))
     }
 
-    /// The preserialized wire body attached to `key`'s resident entry, if
-    /// any. Recency- and counter-neutral: a fetch of bytes, not a hit (a
-    /// hit gets value and body together from [`PlanCache::peek_with_body`]).
-    pub fn wire_body(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let state = lock_recover(&self.shard_for(key).state);
-        match state.map.get(key) {
-            Some(Slot::Ready(entry)) => entry.wire_body.clone(),
+    /// The preserialized body attached to `key`'s resident entry for
+    /// framing `mode`, if any. Recency- and counter-neutral: a fetch of
+    /// bytes, not a hit (a hit gets value and body together from
+    /// [`PlanCache::peek_with_body`]).
+    pub fn body(&self, key: &str, mode: WireMode) -> Option<WireBody> {
+        let mut state = lock_recover(&self.shard_for(key).state);
+        match state.map.get_mut(key) {
+            Some(Slot::Ready(entry)) => entry.body(mode).clone(),
             _ => None,
         }
     }
 
-    /// Attaches a preserialized wire body to `key`'s resident entry so
-    /// later binary-framed hits skip serialization entirely. A no-op when
-    /// the key is absent or in flight (the entry may have been evicted
-    /// between the hit and the attach — the body is then rebuilt on the
-    /// next residency, which is exactly the invalidation contract).
-    pub fn attach_wire_body(&self, key: &str, body: Arc<Vec<u8>>) {
+    /// Attaches a preserialized body for framing `mode` to `key`'s
+    /// resident entry so later hits in that framing skip serialization
+    /// entirely. A no-op when the key is absent or in flight (the entry
+    /// may have been evicted between the hit and the attach — the body is
+    /// then rebuilt on the next residency, which is exactly the
+    /// invalidation contract).
+    pub fn attach_body(&self, key: &str, mode: WireMode, body: WireBody) {
         let mut state = lock_recover(&self.shard_for(key).state);
         if let Some(Slot::Ready(entry)) = state.map.get_mut(key) {
-            entry.wire_body = Some(body);
+            *entry.body(mode) = Some(body);
         }
     }
 
-    fn peek_inner(&self, key: &str, counted: bool) -> Option<(Arc<T>, Option<WireBody>)> {
+    /// [`PlanCache::body`] for the v3 framing.
+    pub fn wire_body(&self, key: &str) -> Option<WireBody> {
+        self.body(key, WireMode::Binary)
+    }
+
+    /// [`PlanCache::attach_body`] for the v3 framing.
+    pub fn attach_wire_body(&self, key: &str, body: WireBody) {
+        self.attach_body(key, WireMode::Binary, body);
+    }
+
+    /// The lookup behind every `peek`: `body` picks the framing whose
+    /// attached body comes back with the value.
+    fn peek_inner(
+        &self,
+        key: &str,
+        counted: bool,
+        body: Option<WireMode>,
+    ) -> Option<(Arc<T>, Option<WireBody>)> {
         let shard = self.shard_for(key);
         {
             let mut state = lock_recover(&shard.state);
@@ -635,7 +677,8 @@ impl<T: CacheValue> PlanCache<T> {
                     st.counters.hits += 1;
                 }
                 entry.last_used = st.tick;
-                let hit = (Arc::clone(&entry.value), entry.wire_body.clone());
+                let body = body.and_then(|mode| entry.body(mode).clone());
+                let hit = (Arc::clone(&entry.value), body);
                 drop(state);
                 if counted {
                     self.record(EventKind::CacheHit, key);
@@ -658,11 +701,7 @@ impl<T: CacheValue> PlanCache<T> {
             None => {
                 if state.map.len() < cap || self.evict_one(&mut state) {
                     state.tick += 1;
-                    let entry = ReadyEntry {
-                        value: Arc::clone(&value),
-                        last_used: state.tick,
-                        wire_body: None,
-                    };
+                    let entry = ReadyEntry::new(Arc::clone(&value), state.tick);
                     state.map.insert(key.to_string(), Slot::Ready(entry));
                 }
             }
@@ -783,11 +822,7 @@ impl<T: CacheValue> PlanCache<T> {
         {
             let mut state = lock_recover(&shard.state);
             state.tick += 1;
-            let entry = ReadyEntry {
-                value: Arc::clone(&outcome),
-                last_used: state.tick,
-                wire_body: None,
-            };
+            let entry = ReadyEntry::new(Arc::clone(&outcome), state.tick);
             // Replaces our own in-flight marker: occupancy is unchanged,
             // so the bound established at claim time still holds.
             state.map.insert(key.to_string(), Slot::Ready(entry));
@@ -1245,6 +1280,17 @@ mod tests {
             cache.attach_wire_body("k", Arc::clone(&body));
             let got = cache.wire_body("k").expect("attached body is served");
             assert_eq!(*got, *body);
+            // The JSON body sits beside the v3 one; each framing is
+            // handed its own, by `peek_with_body` as by `body`.
+            assert!(cache.body("k", WireMode::Json).is_none());
+            let json = Arc::new(b"{\"Plan\":{}}".to_vec());
+            cache.attach_body("k", WireMode::Json, Arc::clone(&json));
+            for (mode, want) in [(WireMode::Binary, &body), (WireMode::Json, &json)] {
+                let (_, got) = cache.peek_with_body("k", mode).expect("resident");
+                assert!(got.is_some_and(|got| Arc::ptr_eq(&got, want)), "{mode:?}");
+                let got = cache.body("k", mode).expect("attached");
+                assert!(Arc::ptr_eq(&got, want), "{mode:?}");
+            }
             // Attaching to an absent key is a silent no-op (the entry may
             // have been evicted between hit and attach).
             cache.attach_wire_body("missing", Arc::clone(&body));
@@ -1258,6 +1304,7 @@ mod tests {
             cache.wire_body("k").is_none(),
             "wire bodies are never spilled"
         );
+        assert!(cache.body("k", WireMode::Json).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1271,6 +1318,7 @@ mod tests {
         cache.get_or_compute("aaaa000000000001", outcome);
         cache.attach_wire_body("aaaa000000000001", Arc::new(vec![1, 2, 3]));
         assert!(cache.wire_body("aaaa000000000001").is_some());
+        cache.attach_body("aaaa000000000001", WireMode::Json, Arc::new(vec![4]));
         // Fill past capacity so the oldest entry (and its body) evicts.
         cache.get_or_compute("aaaa000000000002", outcome);
         cache.get_or_compute("aaaa000000000003", outcome);
@@ -1282,6 +1330,10 @@ mod tests {
         // Recompute: the new residency must not inherit the stale body.
         cache.get_or_compute("aaaa000000000001", outcome);
         assert!(cache.wire_body("aaaa000000000001").is_none());
+        assert!(
+            cache.body("aaaa000000000001", WireMode::Json).is_none(),
+            "nor the stale JSON body"
+        );
     }
 
     /// Regression: donor fetches on the transfer path must not inflate

@@ -1,4 +1,16 @@
-//! Body codec of the binary framing (protocol v3).
+//! Body codecs of both framings: one field list per plan-reply struct,
+//! two renderings of it.
+//!
+//! Every plan reply is `PlanResponse` and the six structs inside it. Each
+//! has exactly one `wire_struct!` field list below — field order, type,
+//! and whether the derive defaults it — and that list generates four
+//! codecs: the v3 body writer and reader, and the JSON-lines (v1/v2)
+//! writer and reader. A field added to a struct but not to its list fails
+//! to compile. Every other message rides the vendored `serde::Value`
+//! tree in both framings, and the tree is the oracle the typed codecs are
+//! held to (`tests/codec_differential.rs`).
+//!
+//! # The binary framing (protocol v3)
 //!
 //! A v3 body is one self-describing value: a tag byte, then the payload
 //! (little-endian throughout; lengths and counts are `u32`):
@@ -35,14 +47,37 @@
 //! `as_u64` do, `Option` from `null`. The tree codec is the oracle the
 //! typed one is tested against (`tests/codec_differential.rs`), and v3
 //! peers on either side of this split interoperate.
+//!
+//! # The JSON framing (protocol v1/v2)
+//!
+//! The same rule, against the vendored `serde_json`. The typed writer
+//! ([`encode_json_response`] on a `Response::Plan`) emits exactly the
+//! text `serde_json::to_string` emits: derive key order, its escaping
+//! rules, floats through `Display` with `.0` appended when the text has
+//! no `.`/`e`/`E` (so `-0.0` keeps its sign), non-finite floats and
+//! `None` as `null`. The typed reader (the plan route of
+//! [`parse_response_frame`](crate::protocol::parse_response_frame))
+//! accepts exactly what `serde_json::parse` and `Deserialize` accept, to
+//! `==` values: whitespace anywhere, fields in any order, unknown fields
+//! skipped but still validated, the first of a duplicated key winning,
+//! every escape in keys and strings alike, numbers classified as the
+//! parser classifies them and coerced through `Value::as_u64`/`as_f64`
+//! (so `7.0` and `7e0` are valid counts), the same depth guard, and
+//! trailing characters refused. A plan reply's JSON body is what a
+//! server attaches to the cache entry for JSON-framed hits.
+
+use std::borrow::Cow;
+use std::io::Write as _;
 
 use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
 use serde::{Serialize, Value};
 
-use crate::protocol::{PlanResponse, Response, StageTiming, TraceInfo, WarmStartInfo};
+use crate::protocol::{
+    PlanResponse, Response, ResponseFrame, StageTiming, TaggedResponse, TraceInfo, WarmStartInfo,
+};
 use crate::ServeError;
 
-/// Depth bound for both codecs, matching the JSON parser's nesting guard
+/// Depth bound for every codec, matching the JSON parser's nesting guard
 /// so neither framing accepts what the other would refuse.
 pub(crate) const MAX_BINARY_DEPTH: usize = 128;
 
@@ -514,12 +549,511 @@ impl<T: WireDecode> WireDecode for Vec<T> {
     }
 }
 
-/// The typed codec of one derive-serialized struct, from its field list:
+/// Writes `self` as the text `serde_json::to_string` writes for
+/// `self.serialize()`. Infallible: the shim's writer fails only past its
+/// depth guard, and no plan reply nests that deep.
+trait JsonEncode {
+    fn write_json(&self, out: &mut Vec<u8>);
+}
+
+/// Reads `Self` from whatever `serde_json::parse` followed by
+/// `Self::deserialize` would accept, to the same value.
+trait JsonDecode: Sized {
+    /// `depth` is the value's nesting depth in the document as the
+    /// parser counts it, carried so that a skipped unknown field trips
+    /// the depth guard where the parser would.
+    fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError>;
+}
+
+impl JsonEncode for bool {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
+}
+
+impl JsonDecode for bool {
+    fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        r.ws();
+        match r.peek() {
+            Some(b't') => r.literal("true").map(|()| true),
+            Some(b'f') => r.literal("false").map(|()| false),
+            _ => Err(r.err("expected bool")),
+        }
+    }
+}
+
+impl JsonEncode for usize {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl JsonDecode for usize {
+    /// Any non-negative integral number, as `Value::as_u64` reads one.
+    fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        let u = r.number("expected usize")?.as_u64();
+        let u = u.ok_or_else(|| r.err("expected usize"))?;
+        usize::try_from(u).map_err(|_| r.err("out of range for usize"))
+    }
+}
+
+impl JsonEncode for f64 {
+    /// The shim's `write_f64`: non-finite is `null`, and a finite value
+    /// stays recognisably floating-point.
+    fn write_json(&self, out: &mut Vec<u8>) {
+        if !self.is_finite() {
+            out.extend_from_slice(b"null");
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{self}");
+        let text = out.get(start..).unwrap_or_default();
+        if !text.iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            out.extend_from_slice(b".0");
+        }
+    }
+}
+
+impl JsonDecode for f64 {
+    /// Any number, as `Value::as_f64` reads one.
+    fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        let f = r.number("expected f64")?.as_f64();
+        f.ok_or_else(|| r.err("expected f64"))
+    }
+}
+
+/// A string as the shim's `write_escaped` writes it: quotes, backslashes
+/// and control characters escaped, everything else (non-ASCII included)
+/// raw.
+fn write_json_str(s: &str, out: &mut Vec<u8>) {
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    // Unescaped bytes are copied a run at a time.
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0C => b"\\f",
+            0x00..=0x1F => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(bytes.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.extend_from_slice(escape);
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(bytes.get(run..).unwrap_or_default());
+    out.push(b'"');
+}
+
+impl JsonEncode for String {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_str(self, out);
+    }
+}
+
+impl JsonDecode for String {
+    fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
+        r.ws();
+        if r.peek() != Some(b'"') {
+            return Err(r.err("expected string"));
+        }
+        r.string().map(Cow::into_owned)
+    }
+}
+
+impl<T: JsonEncode> JsonEncode for Option<T> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.extend_from_slice(b"null"),
+        }
+    }
+}
+
+impl<T: JsonDecode> JsonDecode for Option<T> {
+    fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError> {
+        r.ws();
+        if r.peek() == Some(b'n') {
+            return r.literal("null").map(|()| None);
+        }
+        T::read_json(r, depth).map(Some)
+    }
+}
+
+impl<T: JsonEncode> JsonEncode for Vec<T> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            item.write_json(out);
+        }
+        out.push(b']');
+    }
+}
+
+impl<T: JsonDecode> JsonDecode for Vec<T> {
+    fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError> {
+        r.ws();
+        if !r.eat(b'[') {
+            return Err(r.err("expected array"));
+        }
+        let mut items = Vec::new();
+        r.ws();
+        if r.eat(b']') {
+            return Ok(items);
+        }
+        loop {
+            items.push(T::read_json(r, depth + 1)?);
+            r.ws();
+            if r.eat(b']') {
+                return Ok(items);
+            }
+            if !r.eat(b',') {
+                return Err(r.err("expected `,` or `]`"));
+            }
+        }
+    }
+}
+
+/// Pull reader over one JSON document. Every rule about what text is
+/// acceptable — whitespace, escapes, number syntax, depth, trailing
+/// characters — is the vendored parser's, restated in these helpers so
+/// the typed decoders and [`JsonReader::skip_value`] cannot disagree
+/// with it or with each other.
+pub(crate) struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    fn new(text: &'a str) -> Self {
+        JsonReader { text, pos: 0 }
+    }
+
+    fn err(&self, msg: &str) -> ServeError {
+        ServeError::Protocol(format!("JSON codec error at byte {}: {msg}", self.pos))
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    /// The parser's whitespace: space, tab, newline, carriage return.
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), ServeError> {
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        if !rest.starts_with(lit.as_bytes()) {
+            return Err(self.err(&format!("expected `{lit}`")));
+        }
+        self.pos += lit.len();
+        Ok(())
+    }
+
+    /// The text from `start` to the cursor. Both ends sit on ASCII
+    /// delimiters, so the slice never splits a character.
+    fn since(&self, start: usize) -> Result<&'a str, ServeError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8"))
+    }
+
+    /// A string at the cursor, borrowed from the text unless it holds an
+    /// escape. Escapes decode exactly as the parser decodes them.
+    fn string(&mut self) -> Result<Cow<'a, str>, ServeError> {
+        if !self.eat(b'"') {
+            return Err(self.err("expected `\"`"));
+        }
+        let start = self.pos;
+        self.skip_plain();
+        match self.peek() {
+            Some(b'"') => {
+                let s = self.since(start)?;
+                self.pos += 1;
+                return Ok(Cow::Borrowed(s));
+            }
+            Some(b'\\') => {}
+            Some(_) => return Err(self.err("control character in string")),
+            None => return Err(self.err("unterminated string")),
+        }
+        let mut out = String::from(self.since(start)?);
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(_) => {
+                    let run = self.pos;
+                    self.skip_plain();
+                    out.push_str(self.since(run)?);
+                }
+                None => return Err(self.err("unterminated string")),
+            }
+        }
+    }
+
+    /// Moves past string bytes that stand for themselves: everything but
+    /// a quote, a backslash or a control character.
+    fn skip_plain(&mut self) {
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// One escape, its backslash consumed: a surrogate pair must be
+    /// whole, a lone half is refused.
+    fn escape(&mut self) -> Result<char, ServeError> {
+        let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b't' => '\t',
+            b'r' => '\r',
+            b'b' => '\u{08}',
+            b'f' => '\u{0C}',
+            b'u' => {
+                let cp = self.hex4()?;
+                let cp = if (0xD800..0xDC00).contains(&cp) {
+                    if !self.eat(b'\\') {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    if !self.eat(b'u') {
+                        return Err(self.err("expected `u`"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("lone low surrogate"));
+                } else {
+                    cp
+                };
+                char::from_u32(cp).ok_or_else(|| self.err("bad \\u escape"))?
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
+    }
+
+    /// The four characters of a `\u` escape, read as the parser reads
+    /// them: through `u32::from_str_radix`.
+    fn hex4(&mut self) -> Result<u32, ServeError> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let cp = std::str::from_utf8(digits)
+            .ok()
+            .and_then(|s| u32::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(cp)
+    }
+
+    /// A number, classified as the parser's `parse_number` classifies
+    /// it: `Int`, else `UInt`, else `Float`. `what` names the expected
+    /// type when no number starts here.
+    fn number(&mut self, what: &str) -> Result<Value, ServeError> {
+        self.ws();
+        let start = self.pos;
+        self.eat(b'-');
+        if self.pos == start && !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err(what));
+        }
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        let len = rest
+            .iter()
+            .position(|&b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        let is_float = rest
+            .get(..len)
+            .unwrap_or_default()
+            .iter()
+            .any(|b| !b.is_ascii_digit());
+        self.pos += len;
+        let text = self.since(start)?;
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Value::Int(i));
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::UInt(u));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| self.err(&format!("bad number `{text}`")))
+    }
+
+    /// An object at the cursor, handing each field's key to `field`,
+    /// which must consume the value. `what` names the expected type when
+    /// no object starts here.
+    fn object(
+        &mut self,
+        what: &str,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ServeError>,
+    ) -> Result<(), ServeError> {
+        self.ws();
+        if !self.eat(b'{') {
+            return Err(self.err(what));
+        }
+        self.ws();
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.ws();
+            if !self.eat(b':') {
+                return Err(self.err("expected `:`"));
+            }
+            field(self, key)?;
+            self.ws();
+            if self.eat(b'}') {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err(self.err("expected `,` or `}`"));
+            }
+        }
+    }
+
+    /// Consumes one value of any shape without building it, holding it to
+    /// everything the parser would: a field the typed decoder does not
+    /// know must still be well-formed and within the depth guard.
+    fn skip_value(&mut self, depth: usize) -> Result<(), ServeError> {
+        if depth > MAX_BINARY_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.ws();
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number("expected number").map(drop),
+            Some(b'[') => {
+                self.pos += 1;
+                self.ws();
+                if self.eat(b']') {
+                    return Ok(());
+                }
+                loop {
+                    self.skip_value(depth + 1)?;
+                    self.ws();
+                    if self.eat(b']') {
+                        return Ok(());
+                    }
+                    if !self.eat(b',') {
+                        return Err(self.err("expected `,` or `]`"));
+                    }
+                }
+            }
+            Some(b'{') => self.object("expected object", |r, _| r.skip_value(depth + 1)),
+            Some(other) => Err(self.err(&format!("unexpected byte `{}`", other as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// `{` and the first key with its `:`; `None` when the text does not
+    /// open that way.
+    fn leading_key(&mut self) -> Option<Cow<'a, str>> {
+        self.ws();
+        if !self.eat(b'{') {
+            return None;
+        }
+        self.ws();
+        let key = self.string().ok()?;
+        self.ws();
+        self.eat(b':').then_some(key)
+    }
+
+    /// Whether `"name":` comes next.
+    fn field_named(&mut self, name: &str) -> bool {
+        self.ws();
+        let named = self.string().is_ok_and(|key| key == name);
+        self.ws();
+        named && self.eat(b':')
+    }
+
+    /// Consumes the punctuation `b`, whitespace before it allowed.
+    fn punct(&mut self, b: u8) -> Result<(), ServeError> {
+        self.ws();
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected `{}`", b as char)))
+        }
+    }
+
+    /// Closes the line's outer object after `frame`: more fields there
+    /// leave the tree the last word, anything else but the end is refused.
+    fn close_line(&mut self, frame: ResponseFrame) -> PlanLine {
+        self.ws();
+        if self.peek() == Some(b',') {
+            return PlanLine::Unsure(self.err("fields after the reply"));
+        }
+        match self.punct(b'}').and_then(|()| self.finish()) {
+            Ok(()) => PlanLine::Plan(frame),
+            Err(e) => PlanLine::Refused(e),
+        }
+    }
+
+    /// The whole text must be one value.
+    fn finish(&mut self) -> Result<(), ServeError> {
+        self.ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+}
+
+/// The typed codecs of one derive-serialized struct, from its field list:
 /// every field in declaration order, its type, and whether the derive
 /// treats its absence as `Default::default()` (`default`, i.e.
 /// `#[serde(default)]`) or as an error (`required`). A field added to the
 /// struct but not here fails to compile (decode) and fails
-/// `typed_field_lists_match_the_derives` (encode).
+/// `typed_field_lists_match_the_derives` (encode), in both framings.
 macro_rules! wire_struct {
     ($ty:ident { $($field:ident: $fty:ty = $kind:ident),+ $(,)? }) => {
         impl WireEncode for $ty {
@@ -559,7 +1093,41 @@ macro_rules! wire_struct {
                 })
             }
         }
+
+        impl JsonEncode for $ty {
+            fn write_json(&self, out: &mut Vec<u8>) {
+                let this = self;
+                wire_struct!(@json_fields this, out, "{"; $($field),+);
+                out.push(b'}');
+            }
+        }
+
+        impl JsonDecode for $ty {
+            fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError> {
+                $(let mut $field: Option<$fty> = None;)+
+                r.object(concat!("expected object for ", stringify!($ty)), |r, key| {
+                    $(
+                        // The first of a duplicated key wins, as in
+                        // `Value::get_field`; later ones are skipped.
+                        if key == stringify!($field) && $field.is_none() {
+                            $field = Some(JsonDecode::read_json(r, depth + 1)?);
+                            return Ok(());
+                        }
+                    )+
+                    r.skip_value(depth + 1)
+                })?;
+                Ok($ty {
+                    $($field: wire_struct!(@finish $kind $field in $ty, r),)+
+                })
+            }
+        }
     };
+    (@json_fields $this:ident, $out:ident, $sep:literal; $field:ident $(, $rest:ident)*) => {
+        $out.extend_from_slice(concat!($sep, "\"", stringify!($field), "\":").as_bytes());
+        $this.$field.write_json($out);
+        wire_struct!(@json_fields $this, $out, ","; $($rest),*);
+    };
+    (@json_fields $this:ident, $out:ident, $sep:literal;) => {};
     (@min default $field:ident: $fty:ty) => { 0 };
     (@min required $field:ident: $fty:ty) => {
         4 + stringify!($field).len() + <$fty as WireDecode>::MIN_WIRE
@@ -678,6 +1246,90 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, ServeError> {
     Ok(Response::Plan(plan))
 }
 
+/// Bytes one learning-curve record takes as JSON with full-precision
+/// floats, for sizing a plan reply up front.
+const JSON_RECORD_BYTES: usize = 112;
+
+/// Writes a server → client message as JSON text (no newline): a plan
+/// reply through the typed writer, every other variant through the tree.
+/// The text is that of `serde_json::to_string` either way.
+///
+/// # Errors
+///
+/// Fails only where the shim's writer does, past its depth guard — which
+/// no message of this protocol reaches.
+pub fn encode_json_response(resp: &Response) -> Result<Vec<u8>, ServeError> {
+    let Response::Plan(plan) = resp else {
+        return serde_json::to_vec(resp).map_err(|e| ServeError::Protocol(e.to_string()));
+    };
+    let mut out = Vec::with_capacity(512 + plan.best.curve.len() * JSON_RECORD_BYTES);
+    out.extend_from_slice(b"{\"Plan\":");
+    plan.write_json(&mut out);
+    out.push(b'}');
+    Ok(out)
+}
+
+/// What the typed reader makes of one JSON line, for
+/// [`parse_response_frame`](crate::protocol::parse_response_frame).
+// Returned and matched at once, never stored: boxing the plan would cost
+// every reply an allocation to save a move.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum PlanLine {
+    /// The line does not open as a plan reply: `{"Plan":…}` bare or
+    /// `{"id":…,"resp":{"Plan":…}}` tagged.
+    Other,
+    /// A plan reply, decoded to what the tree returns for the line.
+    Plan(ResponseFrame),
+    /// Refused where the tree refuses too, naming the byte.
+    Refused(ServeError),
+    /// Refused by the reader, where the tree may still accept the line:
+    /// a `{"Plan":…` line whose plan failed or that carries more fields is
+    /// an envelope if one of them is `id`, and `Plan` then an ignored
+    /// field; an envelope may carry more fields after `resp`.
+    Unsure(ServeError),
+}
+
+/// The typed route over one trimmed line; see [`PlanLine`].
+pub(crate) fn decode_json_plan_line(line: &str) -> PlanLine {
+    let mut r = JsonReader::new(line);
+    let Some(key) = r.leading_key() else {
+        return PlanLine::Other;
+    };
+    match key.as_ref() {
+        PLAN_VARIANT => match PlanResponse::read_json(&mut r, 1) {
+            Ok(plan) => r.close_line(ResponseFrame::Untagged(Response::Plan(plan))),
+            Err(e) => PlanLine::Unsure(e),
+        },
+        "id" => {
+            let id = match r.number("expected u64").map(|n| n.as_u64()) {
+                Ok(Some(id)) => id,
+                Ok(None) => return PlanLine::Refused(r.err("expected u64")),
+                Err(e) => return PlanLine::Refused(e),
+            };
+            let plan_follows = r.punct(b',').is_ok()
+                && r.field_named("resp")
+                && r.punct(b'{').is_ok()
+                && r.field_named(PLAN_VARIANT);
+            if !plan_follows {
+                return PlanLine::Other;
+            }
+            // `resp` is the envelope's first, so the tree reads this plan.
+            let plan = PlanResponse::read_json(&mut r, 2).and_then(|plan| {
+                r.punct(b'}')?;
+                Ok(plan)
+            });
+            match plan {
+                Ok(plan) => r.close_line(ResponseFrame::Tagged(TaggedResponse {
+                    id,
+                    resp: Response::Plan(plan),
+                })),
+                Err(e) => PlanLine::Refused(e),
+            }
+        }
+        _ => PlanLine::Other,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,14 +1394,34 @@ mod tests {
         Ok(value)
     }
 
-    /// Holds one struct's `wire_struct!` field list against its derives:
-    /// the keys the typed encoder writes must be the derive's, in its
-    /// order, and dropping any one field must succeed or fail in the
-    /// typed decoder exactly as it does in the derive (`default` vs
-    /// `required`).
+    fn typed_json<T: JsonEncode>(value: &T) -> String {
+        let mut out = Vec::new();
+        value.write_json(&mut out);
+        String::from_utf8(out).expect("the writer emits UTF-8")
+    }
+
+    fn typed_read_json<T: JsonDecode>(text: &str) -> Result<T, ServeError> {
+        let mut r = JsonReader::new(text);
+        let value = T::read_json(&mut r, 0)?;
+        r.finish()?;
+        Ok(value)
+    }
+
+    /// Holds one struct's `wire_struct!` field list against its derives,
+    /// in both framings: the keys the typed encoders write must be the
+    /// derive's, in its order, and dropping any one field must succeed or
+    /// fail in the typed decoders exactly as it does in the derive
+    /// (`default` vs `required`).
     fn check_against_derive<T>(name: &str, sample: &T)
     where
-        T: WireEncode + WireDecode + Serialize + Deserialize + PartialEq + std::fmt::Debug,
+        T: WireEncode
+            + WireDecode
+            + JsonEncode
+            + JsonDecode
+            + Serialize
+            + Deserialize
+            + PartialEq
+            + std::fmt::Debug,
     {
         let Value::Object(derived) = sample.serialize() else {
             panic!("{name} does not serialize as an object");
@@ -769,19 +1441,26 @@ mod tests {
         );
         assert_eq!(typed, encode_body(sample).expect("tree encode"), "{name}");
         assert_eq!(&typed_decode::<T>(&typed).expect("typed decode"), sample);
+        let json = typed_json(sample);
+        assert_eq!(json, serde_json::to_string(sample).expect("tree"), "{name}");
+        assert_eq!(&typed_read_json::<T>(&json).expect("typed read"), sample);
 
         for (i, (field, _)) in derived.iter().enumerate() {
             let mut without = derived.clone();
             without.remove(i);
             let tree = T::deserialize(&Value::Object(without.clone()));
-            let bytes = encode_body(&Value::Object(without)).expect("encode");
-            match (typed_decode::<T>(&bytes), tree) {
-                (Ok(typed), Ok(tree)) => assert_eq!(typed, tree, "{name}.{field} dropped"),
-                (Err(_), Err(_)) => {}
-                (typed, tree) => panic!(
-                    "{name}.{field}: `default`/`required` in wire_struct! disagrees with the \
-                     derive — without it typed decode gives {typed:?}, the derive {tree:?}"
-                ),
+            let bytes = encode_body(&Value::Object(without.clone())).expect("encode");
+            let json = serde_json::to_string(&Value::Object(without)).expect("render");
+            for typed in [typed_decode::<T>(&bytes), typed_read_json::<T>(&json)] {
+                match (typed, &tree) {
+                    (Ok(typed), Ok(tree)) => assert_eq!(&typed, tree, "{name}.{field} dropped"),
+                    (Err(_), Err(_)) => {}
+                    (typed, tree) => panic!(
+                        "{name}.{field}: `default`/`required` in wire_struct! disagrees with \
+                         the derive — without it typed decode gives {typed:?}, the derive \
+                         {tree:?}"
+                    ),
+                }
             }
         }
     }
@@ -819,6 +1498,95 @@ mod tests {
         check::<MemberSummary>("MemberSummary");
         check::<StageTiming>("StageTiming");
         check::<usize>("usize");
+    }
+
+    /// Number texts the parser classifies three ways, read as counts and
+    /// floats by the typed reader exactly as the tree reads them.
+    #[test]
+    fn json_numbers_coerce_as_the_shim_does() {
+        for text in [
+            "7",
+            "7.0",
+            "7e0",
+            "7E+0",
+            "70e-1",
+            "-0",
+            "-0.0",
+            "0",
+            "-7",
+            "7.5",
+            "1e300",
+            "-1e400",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9223372036854775808",
+            "01",
+            "1.",
+            "-",
+            "1e",
+            "1.2.3",
+            "1-2",
+            "--1",
+            "true",
+            "null",
+            "\"7\"",
+            "[7]",
+        ] {
+            let tree = serde_json::parse(text);
+            let via = |f: fn(&Value) -> Option<String>| tree.as_ref().ok().and_then(f);
+            assert_eq!(
+                typed_read_json::<usize>(text).ok().map(|u| u.to_string()),
+                via(|v| usize::deserialize(v).ok().map(|u| u.to_string())),
+                "usize from {text}"
+            );
+            assert_eq!(
+                typed_read_json::<f64>(text)
+                    .ok()
+                    .map(|f| f.to_bits().to_string()),
+                via(|v| f64::deserialize(v).ok().map(|f| f.to_bits().to_string())),
+                "f64 from {text}"
+            );
+            assert_eq!(
+                typed_read_json::<Option<f64>>(text)
+                    .ok()
+                    .map(|o| format!("{:?}", o.map(f64::to_bits))),
+                via(|v| Option::<f64>::deserialize(v)
+                    .ok()
+                    .map(|o| format!("{:?}", o.map(f64::to_bits)))),
+                "Option<f64> from {text}"
+            );
+        }
+    }
+
+    /// Every control character, quote, backslash, non-ASCII and
+    /// non-BMP character is written as the shim writes it, and every
+    /// escape the parser reads (surrogate pairs included) reads back.
+    #[test]
+    fn json_strings_escape_and_unescape_as_the_shim_does() {
+        let mut every: String = (0u8..0x80).map(char::from).collect();
+        every.push_str("é ネ 🔥 \u{7f} \u{85} \u{2028}");
+        let json = typed_json(&every);
+        assert_eq!(json, serde_json::to_string(&every).expect("tree"));
+        assert_eq!(typed_read_json::<String>(&json).expect("read"), every);
+        for text in [
+            r#""\u0065pisode""#,
+            r#""\ud83d\udd25""#,
+            r#""\/\b\f\n\r\t\"\\""#,
+            r#""\u+041""#,
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\udd25""#,
+            r#""\ud83dx""#,
+            r#""\u12""#,
+            r#""\x""#,
+            "\"tab\there\"",
+            "\"unterminated",
+        ] {
+            let tree = serde_json::parse(text)
+                .ok()
+                .and_then(|v| String::deserialize(&v).ok());
+            assert_eq!(typed_read_json::<String>(text).ok(), tree, "{text}");
+        }
     }
 
     #[test]

@@ -22,13 +22,14 @@
 //!   replies wait for a peer that is not reading them.
 
 use std::collections::VecDeque;
+use std::io::Write as _;
 use std::time::Instant;
 
 use crate::metrics::{RequestSpan, ServeMetrics, Stage};
 use crate::protocol::{
-    binary_error_frame, negotiates_binary, parse_binary_request, parse_request_frame,
-    write_message, BinaryFrameStatus, FrameBuffer, Request, RequestFrame, Response, TaggedResponse,
-    WireMode, BINARY_FRAME_OVERHEAD, MAX_FRAME_BYTES,
+    binary_error_frame, encode_json_response, negotiates_binary, parse_binary_request,
+    parse_request_frame, BinaryFrameStatus, FrameBuffer, Request, RequestFrame, Response, WireMode,
+    BINARY_FRAME_OVERHEAD, MAX_FRAME_BYTES,
 };
 use crate::ServeError;
 
@@ -374,17 +375,29 @@ fn error_reply(mode: WireMode, id: Option<u64>, message: String) -> Vec<u8> {
 /// ever does, the client still gets a well-formed error line rather than
 /// silence or a torn frame.
 pub(crate) fn json_line(id: Option<u64>, resp: Response) -> Vec<u8> {
-    let mut line = Vec::new();
-    let written = match id {
-        Some(id) => write_message(&mut line, &TaggedResponse { id, resp }),
-        None => write_message(&mut line, &resp),
-    };
-    if written.is_err() {
-        line.clear();
-        line.extend_from_slice(
-            b"{\"Error\":{\"message\":\"internal error: reply serialization failed\"}}\n",
-        );
+    match encode_json_response(&resp) {
+        Ok(body) => json_frame(id, &body),
+        Err(_) => {
+            b"{\"Error\":{\"message\":\"internal error: reply serialization failed\"}}\n".to_vec()
+        }
     }
+}
+
+/// Frames a rendered reply body ([`encode_json_response`]) as one JSON
+/// line: `{"id":N,"resp":` body `}` when `id` is given, the bare body
+/// otherwise — the bytes `serde_json` writes for the
+/// [`TaggedResponse`](crate::protocol::TaggedResponse) or the bare
+/// [`Response`].
+pub(crate) fn json_frame(id: Option<u64>, body: &[u8]) -> Vec<u8> {
+    let mut line = Vec::with_capacity(body.len() + 32);
+    if let Some(id) = id {
+        let _ = write!(line, "{{\"id\":{id},\"resp\":");
+    }
+    line.extend_from_slice(body);
+    if id.is_some() {
+        line.push(b'}');
+    }
+    line.push(b'\n');
     line
 }
 
@@ -392,7 +405,8 @@ pub(crate) fn json_line(id: Option<u64>, resp: Response) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::protocol::{
-        encode_binary_frame, encode_body, parse_binary_response, ResponseFrame, TaggedRequest,
+        encode_binary_frame, encode_body, parse_binary_response, write_message, ResponseFrame,
+        TaggedRequest,
     };
     use std::sync::Arc;
 

@@ -59,8 +59,12 @@
 //! ([`encode_response`]/[`decode_response`]).
 //! The two are byte-identical on the wire by rule: the typed encoder
 //! emits what `encode_body` would, the typed decoder accepts what
-//! `decode_body` would, to `==` values. The tag table, both codecs and the
-//! rule's fine print live in `codec.rs`, re-exported here.
+//! `decode_body` would, to `==` values. The JSON framing splits the same
+//! way, under the same rule against `serde_json`: a plan reply is written
+//! by [`encode_json_response`] and read by [`parse_response_frame`]
+//! straight against [`PlanResponse`], everything else through the tree.
+//! The tag table, the codecs and the rule's fine print live in
+//! `codec.rs`, re-exported here.
 
 use std::io::{Read, Write};
 
@@ -69,7 +73,10 @@ use qsdnn::{MemberSummary, SearchReport};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::{CacheStats, ShardStats};
-pub use crate::codec::{decode_body, decode_response, decode_value, encode_body, encode_response};
+pub use crate::codec::{
+    decode_body, decode_response, decode_value, encode_body, encode_json_response, encode_response,
+};
+use crate::codec::{decode_json_plan_line, PlanLine};
 use crate::ServeError;
 
 /// Protocol revision; servers accept handshakes from
@@ -411,14 +418,27 @@ pub fn parse_request_frame(line: &str) -> Result<RequestFrame, ServeError> {
     .map_err(|e| ServeError::Protocol(e.to_string()))
 }
 
-/// Parses one wire line from a server into a [`ResponseFrame`].
+/// Parses one wire line from a server into a [`ResponseFrame`]. A plan
+/// reply, bare or tagged, is read straight into [`PlanResponse`] by the
+/// typed JSON codec; every other line goes through the `Value` tree. The
+/// result is the tree's either way.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Protocol`] for malformed JSON or an unknown
-/// shape.
+/// shape; a refused plan reply names the byte it was refused at.
 pub fn parse_response_frame(line: &str) -> Result<ResponseFrame, ServeError> {
-    let v = serde_json::parse(line.trim()).map_err(|e| ServeError::Protocol(e.to_string()))?;
+    let line = line.trim();
+    match decode_json_plan_line(line) {
+        PlanLine::Plan(frame) => Ok(frame),
+        PlanLine::Refused(e) => Err(e),
+        PlanLine::Unsure(e) => parse_response_tree(line).map_err(|_| e),
+        PlanLine::Other => parse_response_tree(line),
+    }
+}
+
+fn parse_response_tree(line: &str) -> Result<ResponseFrame, ServeError> {
+    let v = serde_json::parse(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
     if is_envelope(&v) {
         serde_json::from_value::<TaggedResponse>(&v).map(ResponseFrame::Tagged)
     } else {
@@ -982,6 +1002,10 @@ pub struct FrameBuffer {
     /// memmoves per frame.
     start: usize,
     end: usize,
+    /// How far [`FrameBuffer::next_frame`] has searched for a newline:
+    /// `buf[start..scanned]` holds none, so a line arriving in many reads
+    /// is scanned once, not once per read.
+    scanned: usize,
 }
 
 /// Least room [`FrameBuffer::fill_from`] offers one `read`: a default
@@ -1003,9 +1027,17 @@ impl FrameBuffer {
     fn compact(&mut self) {
         let worthwhile =
             self.start == self.end || (self.start >= 64 * 1024 && self.start * 2 >= self.end);
-        if self.start > 0 && worthwhile {
+        if worthwhile {
+            self.drop_consumed();
+        }
+    }
+
+    /// Moves the received, unconsumed bytes to the front of `buf`.
+    fn drop_consumed(&mut self) {
+        if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
+            self.scanned = self.scanned.saturating_sub(self.start);
             self.start = 0;
         }
     }
@@ -1034,6 +1066,13 @@ impl FrameBuffer {
     pub fn fill_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
         self.compact();
         if self.buf.len() - self.end < FILL_BYTES {
+            // Growth moves the consumed prefix along with everything else,
+            // so drop it first: the buffer then stays within one partial
+            // frame plus a read. Callers fill only when no whole frame is
+            // buffered, so what moves here is at most one partial frame.
+            self.drop_consumed();
+        }
+        if self.buf.len() - self.end < FILL_BYTES {
             self.buf.resize(self.end + FILL_BYTES, 0);
         }
         let n = r.read(self.buf.get_mut(self.end..).unwrap_or(&mut []))?;
@@ -1059,7 +1098,15 @@ impl FrameBuffer {
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
         loop {
             let pending = self.buf.get(self.start..self.end)?;
-            let rel = pending.iter().position(|&b| b == b'\n')?;
+            let from = self.scanned.saturating_sub(self.start);
+            let Some(rel) = pending
+                .get(from..)
+                .and_then(|unscanned| unscanned.iter().position(|&b| b == b'\n'))
+                .map(|at| from + at)
+            else {
+                self.scanned = self.end;
+                return None;
+            };
             let line = pending.get(..rel).unwrap_or(&[]);
             // Strip an optional carriage return so `nc -C`-style clients
             // work, mirroring the `trim()` in `parse_request_frame`.
@@ -1087,6 +1134,7 @@ impl FrameBuffer {
         };
         self.start = 0;
         self.end = 0;
+        self.scanned = 0;
         frame
     }
 
@@ -2228,6 +2276,62 @@ mod tests {
                 .unwrap()
                 .is_none()
         );
+    }
+
+    /// A large line, then a larger one whose head arrived in the same
+    /// read as the first one's tail: growing for the second drops the
+    /// consumed first, so the buffer ends no bigger than the larger line
+    /// plus one read.
+    #[test]
+    fn fill_from_drops_the_consumed_prefix_before_it_grows() {
+        let line = |len: usize, fill: u8| {
+            let mut line = vec![fill; len];
+            line.push(b'\n');
+            line
+        };
+        let (first, second) = (line(275_000, b'a'), line(640_000, b'b'));
+        let mut fb = FrameBuffer::new();
+        let (head, tail) = second.split_at(400_000);
+        fb.push(&first);
+        fb.push(head);
+        assert_eq!(fb.next_frame().map(|l| l.len()), Some(first.len() - 1));
+        let mut r = Trickle(tail, FILL_BYTES);
+        let got = loop {
+            if let Some(got) = fb.next_frame() {
+                break got;
+            }
+            assert!(fb.fill_from(&mut r).unwrap() > 0, "the line is complete");
+        };
+        assert_eq!(got.len(), second.len() - 1);
+        assert!(
+            fb.buf.len() <= second.len() + FILL_BYTES,
+            "buffer grew to {} for a {}-byte line",
+            fb.buf.len(),
+            second.len()
+        );
+    }
+
+    /// A line arriving in many reads is searched for its terminator once:
+    /// each `next_frame` resumes where the last one stopped, through
+    /// compactions and an EOF hand-over.
+    #[test]
+    fn next_frame_resumes_the_newline_search() {
+        let mut fb = FrameBuffer::new();
+        fb.push(&[b'x'; 70_000]);
+        fb.push(b"\n");
+        assert_eq!(fb.next_frame().map(|l| l.len()), Some(70_000));
+        for chunk in [&b"{\"a\""[..], b":1", b"}"] {
+            fb.push(chunk);
+            assert!(fb.next_frame().is_none());
+            assert_eq!(fb.scanned, fb.end, "the search stopped at the end");
+        }
+        fb.push(b"\nrest");
+        assert_eq!(fb.next_frame().as_deref(), Some(&b"{\"a\":1}"[..]));
+        assert!(fb.next_frame().is_none());
+        assert_eq!(fb.take_partial().as_deref(), Some(&b"rest"[..]));
+        assert_eq!(fb.scanned, 0, "the hand-over resets the search");
+        fb.push(b"next\n");
+        assert_eq!(fb.next_frame().as_deref(), Some(&b"next"[..]));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! A plan request forks once. [`ServiceState::plan_hit`] answers "is this
 //! a repeat, and where are its bytes" from the request's own fields — the
 //! same way in either `transfer` mode, since transfer is a policy for
-//! misses — and a v3 hit leaves as the body attached to its cache entry.
+//! misses — and a hit leaves as the body its framing attached to the
+//! cache entry.
 //! Everything else takes the full path, [`ServiceState::search`]: profile,
 //! derive the [`Scenario`], exact hit → indexed plan → warm start → cold
 //! search, with the index steps skipped when transfer is off; its reply
@@ -42,7 +43,7 @@ use qsdnn::{EpisodeRecord, Portfolio, PortfolioOutcome, QTable, SearchReport, Tr
 use qsdnn_obs::{EventKind, FlightRecorder};
 
 use crate::cache::{plan_key_on, warm_plan_key_on, CacheValue, PlanCache, WireBody};
-use crate::conn::{json_line, Job, Reply};
+use crate::conn::{json_frame, json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
     families_from_snapshot, kind_index, request_kind, trace_requested, RequestSpan, Stage, KINDS,
@@ -51,10 +52,11 @@ use crate::metrics::{
 use crate::pool::{PoolRecorder, WorkerPool};
 use crate::portfolio::{run_portfolio_parallel_with, WarmStart};
 use crate::protocol::{
-    default_episodes, encode_binary_frame, encode_response, EventMsg, EventsResponse, ExemplarMsg,
-    MetricsResponse, PlanRequest, PlanResponse, PlatformInfo, PlatformsResponse, PostmortemDump,
-    ProfileRequest, ProfileResponse, Request, Response, StageTiming, StatsResponse, TaskMsg,
-    TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    default_episodes, encode_binary_frame, encode_json_response, encode_response, EventMsg,
+    EventsResponse, ExemplarMsg, MetricsResponse, PlanRequest, PlanResponse, PlatformInfo,
+    PlatformsResponse, PostmortemDump, ProfileRequest, ProfileResponse, Request, Response,
+    StageTiming, StatsResponse, TaskMsg, TasksResponse, TransferMode, WarmStartInfo, WireMode,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::reactor::Waker;
 use crate::transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_DONOR_CANDIDATES};
@@ -251,12 +253,13 @@ fn front_key(req: &PlanRequest) -> u64 {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Answer {
     /// A repeat plan request resolved by [`ServiceState::plan_hit`]: the
-    /// cached plan by reference, not yet (and over v3, usually never) a
+    /// cached plan by reference, not yet (and usually never) a
     /// [`PlanResponse`].
     Hit {
         entry: Arc<FrontEntry>,
         outcome: Arc<PortfolioOutcome>,
-        /// The rendered v3 body an earlier hit attached to the cache entry.
+        /// The body an earlier hit in the request's framing attached to
+        /// the cache entry.
         body: Option<WireBody>,
     },
     Response(Response),
@@ -612,8 +615,9 @@ impl ServiceState {
 
     /// The one plan-hit path: is this request a repeat whose plan is
     /// still fetchable? A shared read of the front and one counted
-    /// [`PlanCache::peek_with_body`] — no profile lookup, LUT,
-    /// scalarization or fingerprint walk, in either transfer mode.
+    /// [`PlanCache::peek_with_body`], which also fetches the body attached
+    /// for `mode`, the framing the reply leaves in — no profile lookup,
+    /// LUT, scalarization or fingerprint walk, in either transfer mode.
     /// Transfer is a policy for misses; all it asks of a hit is that the
     /// index already holds the scenario, and one it does not hold falls
     /// through to the full path, which registers it on first sight.
@@ -624,6 +628,7 @@ impl ServiceState {
         &self,
         front_key: u64,
         transfer: TransferMode,
+        mode: WireMode,
         span: &mut RequestSpan,
     ) -> Option<Answer> {
         let entry = Arc::clone(
@@ -637,7 +642,7 @@ impl ServiceState {
             if self.transfer_on(transfer) && !self.index.contains(&entry.plan_key) {
                 return None;
             }
-            let Some((outcome, body)) = self.plans.peek_with_body(&entry.plan_key) else {
+            let Some((outcome, body)) = self.plans.peek_with_body(&entry.plan_key, mode) else {
                 // An in-flight slot also reads as a miss; its plan is
                 // about to exist again, so the entry stays.
                 if !self.plans.is_pending(&entry.plan_key) {
@@ -677,9 +682,14 @@ impl ServiceState {
 
     /// A zoo plan request end to end: the front first, and only on a
     /// front miss the full path — profile (cached), then search.
-    fn plan(&self, req: &PlanRequest, span: &mut RequestSpan) -> Result<Answer, ServeError> {
+    fn plan(
+        &self,
+        req: &PlanRequest,
+        mode: WireMode,
+        span: &mut RequestSpan,
+    ) -> Result<Answer, ServeError> {
         let front_key = front_key(req);
-        if let Some(hit) = self.plan_hit(front_key, req.transfer, span) {
+        if let Some(hit) = self.plan_hit(front_key, req.transfer, mode, span) {
             return Ok(hit);
         }
         let profile_req = ProfileRequest {
@@ -989,7 +999,7 @@ impl ServiceState {
         acc.1 += 1;
     }
 
-    fn handle(&self, req: Request, span: &mut RequestSpan) -> Answer {
+    fn handle(&self, req: Request, mode: WireMode, span: &mut RequestSpan) -> Answer {
         self.requests.fetch_add(1, Ordering::Relaxed);
         Answer::Response(match req {
             Request::Ping { version } => {
@@ -1029,7 +1039,7 @@ impl ServiceState {
             }
             Request::Plan(req) => {
                 return self
-                    .plan(&req, span)
+                    .plan(&req, mode, span)
                     .unwrap_or_else(|e| Answer::Response(error_response(e)))
             }
             Request::Events => Response::Events(self.events_response()),
@@ -1083,13 +1093,18 @@ impl ServiceState {
     }
 
     /// [`ServiceState::handle`] with a panic firewall, recording into a
-    /// caller-owned span: a handler bug answers the request with an error
-    /// instead of unwinding through the connection (v1) or silently
-    /// leaking an in-flight permit (v2). The caller keeps timing the
-    /// serialize/write stages and observes the span. When the request
-    /// asked for a trace echo, the plan response carries the stages
-    /// recorded so far.
-    pub(crate) fn dispatch_spanned(&self, req: Request, span: &mut RequestSpan) -> Answer {
+    /// caller-owned span, for a reply in framing `mode`: a handler bug
+    /// answers the request with an error instead of unwinding through
+    /// the connection (v1) or silently leaking an in-flight permit (v2).
+    /// The caller keeps timing the serialize/write stages and observes
+    /// the span. When the request asked for a trace echo, the plan
+    /// response carries the stages recorded so far.
+    pub(crate) fn dispatch_spanned(
+        &self,
+        req: Request,
+        mode: WireMode,
+        span: &mut RequestSpan,
+    ) -> Answer {
         span.set_kind(request_kind(&req));
         span.set_trace(trace_requested(&req));
         // The request scope tags every event this thread journals while
@@ -1101,7 +1116,7 @@ impl ServiceState {
             let kind = kind_index(span.kind());
             recorder.request_begin(span.serial(), kind as u16);
         }
-        let result = catch_unwind(AssertUnwindSafe(|| self.handle(req, span)));
+        let result = catch_unwind(AssertUnwindSafe(|| self.handle(req, mode, span)));
         let mut answer = match result {
             Ok(answer) => answer,
             Err(panic) => {
@@ -1146,19 +1161,24 @@ impl ServiceState {
         answer
     }
 
-    /// Serializes an answer into a binary-codec (protocol v3) body. Every
-    /// plan reply on v3 carries its winner's curve as [`summary_curve`]
-    /// renders it; nothing else differs from the JSON rendering.
+    /// Serializes an answer into a reply body for framing `mode`: a v3
+    /// body, or a JSON line's text without its envelope. Every plan reply
+    /// on v3 carries its winner's curve as [`summary_curve`] renders it;
+    /// a JSON one carries the whole curve. Nothing else differs.
     ///
-    /// The first front hit of a residency pays one encode and attaches the
-    /// bytes to the cache entry; every later one hands forward the body
-    /// its peek already fetched — no [`PlanResponse`], no encode, no
-    /// second lookup. Only front hits qualify, which keeps the attached
-    /// bytes a pure function of the plan key: the per-request fields never
-    /// get here as a hit (a traced reply is materialised first, a
-    /// warm-started one never enters the front). The attached body is the
-    /// v3 rendering only; JSON replies never read it.
-    pub(crate) fn render_binary_body(&self, answer: Answer) -> Result<WireBody, ServeError> {
+    /// The first front hit of a residency in a framing pays one encode
+    /// and attaches the bytes to the cache entry for that framing; every
+    /// later one hands forward the body its peek already fetched — no
+    /// [`PlanResponse`], no encode, no second lookup. Only front hits
+    /// qualify, which keeps an attached body a pure function of the plan
+    /// key and the framing: the per-request fields never get here as a
+    /// hit (a traced reply is materialised first, a warm-started one never
+    /// enters the front).
+    pub(crate) fn render_body(
+        &self,
+        answer: Answer,
+        mode: WireMode,
+    ) -> Result<WireBody, ServeError> {
         match answer {
             Answer::Hit {
                 body: Some(body), ..
@@ -1168,21 +1188,35 @@ impl ServiceState {
                 outcome,
                 body: None,
             } => {
-                let plan = entry.response(&outcome, summary_report(&outcome.best));
-                let body = Arc::new(encode_response(&Response::Plan(plan))?);
+                let mut body = match mode {
+                    WireMode::Binary => {
+                        let plan = entry.response(&outcome, summary_report(&outcome.best));
+                        encode_response(&Response::Plan(plan))?
+                    }
+                    WireMode::Json => {
+                        let plan = entry.response(&outcome, outcome.best.clone());
+                        encode_json_response(&Response::Plan(plan))?
+                    }
+                };
+                // The body lives as long as the entry: no growth slack.
+                body.shrink_to_fit();
+                let body = Arc::new(body);
                 // Best-effort: if the entry was evicted between the hit
                 // and here, the attach is a no-op and the next residency
                 // rebuilds the body — never a stale one.
                 self.plans
-                    .attach_wire_body(&entry.plan_key, Arc::clone(&body));
+                    .attach_body(&entry.plan_key, mode, Arc::clone(&body));
                 Ok(body)
             }
-            Answer::Response(mut resp) => {
-                if let Response::Plan(plan) = &mut resp {
-                    plan.best.curve = summary_curve(&plan.best.curve);
+            Answer::Response(mut resp) => Ok(Arc::new(match mode {
+                WireMode::Binary => {
+                    if let Response::Plan(plan) = &mut resp {
+                        plan.best.curve = summary_curve(&plan.best.curve);
+                    }
+                    encode_response(&resp)?
                 }
-                Ok(Arc::new(encode_response(&resp)?))
-            }
+                WireMode::Json => encode_json_response(&resp)?,
+            })),
         }
     }
 
@@ -1205,11 +1239,8 @@ impl ServiceState {
                 .fetch_max(depth as u64, Ordering::Relaxed);
             self.pipelined.fetch_add(1, Ordering::Relaxed);
         }
-        let answer = self.dispatch_spanned(req, &mut span);
-        let bytes = span.time(Stage::Serialize, || match mode {
-            WireMode::Json => json_line(id, answer.into_response()),
-            WireMode::Binary => self.render_binary_frame(id, answer),
-        });
+        let answer = self.dispatch_spanned(req, mode, &mut span);
+        let bytes = span.time(Stage::Serialize, || self.render_reply(id, mode, answer));
         Reply { id, bytes, span }
     }
 
@@ -1233,17 +1264,22 @@ impl ServiceState {
         )
     }
 
-    /// [`ServiceState::render_binary_body`] wrapped in a frame header,
-    /// ready for the socket. Infallible from the caller's view: a codec
-    /// failure (unreachable for well-formed responses — guarded depths
-    /// and `u32` lengths) degrades to an error frame naming it.
-    fn render_binary_frame(&self, id: Option<u64>, answer: Answer) -> Vec<u8> {
-        match self
-            .render_binary_body(answer)
-            .and_then(|body| encode_binary_frame(id, &body))
-        {
-            Ok(frame) => frame,
-            Err(e) => crate::protocol::binary_error_frame(id, &e.to_string()),
+    /// [`ServiceState::render_body`] framed for `mode` — a binary frame
+    /// header, or the JSON envelope and newline — ready for the socket.
+    /// Infallible from the caller's view: a codec failure (unreachable for
+    /// well-formed responses — guarded depths and `u32` lengths) degrades
+    /// to an error reply naming it.
+    fn render_reply(&self, id: Option<u64>, mode: WireMode, answer: Answer) -> Vec<u8> {
+        let body = self.render_body(answer, mode);
+        match mode {
+            WireMode::Binary => match body.and_then(|body| encode_binary_frame(id, &body)) {
+                Ok(frame) => frame,
+                Err(e) => crate::protocol::binary_error_frame(id, &e.to_string()),
+            },
+            WireMode::Json => match body {
+                Ok(body) => json_frame(id, &body),
+                Err(e) => json_line(id, error_response(e)),
+            },
         }
     }
 
@@ -1759,7 +1795,7 @@ mod tests {
         /// across threads).
         fn dispatch(&self, req: Request) -> Response {
             let mut span = self.metrics.span(request_kind(&req));
-            let answer = self.dispatch_spanned(req, &mut span);
+            let answer = self.dispatch_spanned(req, WireMode::Json, &mut span);
             self.metrics.observe(&span);
             answer.into_response()
         }
@@ -1863,9 +1899,9 @@ mod tests {
                 platform: String::new(),
             })
         };
-        let answer = || state.dispatch_spanned(req(), &mut state.metrics.span("plan"));
+        let answer = |mode| state.dispatch_spanned(req(), mode, &mut state.metrics.span("plan"));
         // Cold: a full-path response, nothing attached.
-        let cold = answer();
+        let cold = answer(WireMode::Binary);
         let cold_key = match &cold {
             Answer::Response(Response::Plan(p)) => {
                 assert!(!p.cache_hit);
@@ -1873,29 +1909,61 @@ mod tests {
             }
             _ => panic!("expected a full-path plan response"),
         };
-        let _ = state.render_binary_body(cold).expect("cold renders");
+        let _ = state
+            .render_body(cold, WireMode::Binary)
+            .expect("cold renders");
         assert!(
             state.plans.wire_body(&cold_key).is_none(),
             "cold responses never attach a body"
         );
         // Hit: first render attaches, second serves the same allocation.
-        let hit = answer();
+        let hit = answer(WireMode::Binary);
         assert!(
             matches!(&hit, Answer::Hit { body: None, .. }),
             "a repeat resolves through the front; no body yet"
         );
-        let first = state.render_binary_body(hit).expect("hit renders");
+        let first = state
+            .render_body(hit, WireMode::Binary)
+            .expect("hit renders");
         assert!(state.plans.wire_body(&cold_key).is_some(), "hit attaches");
-        let hit = answer();
+        let hit = answer(WireMode::Binary);
         assert!(
             matches!(&hit, Answer::Hit { body: Some(_), .. }),
             "the peek hands the attached body forward"
         );
-        let second = state.render_binary_body(hit).expect("hit renders");
+        let second = state
+            .render_body(hit, WireMode::Binary)
+            .expect("hit renders");
         assert!(Arc::ptr_eq(&first, &second), "second hit is a cache fetch");
+
+        // The JSON framing attaches its own body beside it: the v3 one
+        // never answers a JSON hit, and the JSON one is the whole reply
+        // as `serde_json` writes it.
+        let hit = answer(WireMode::Json);
+        assert!(
+            matches!(&hit, Answer::Hit { body: None, .. }),
+            "the v3 body is not handed to a JSON hit"
+        );
+        let json = state.render_body(hit, WireMode::Json).expect("hit renders");
+        let again = state
+            .render_body(answer(WireMode::Json), WireMode::Json)
+            .expect("hit renders");
+        assert!(
+            Arc::ptr_eq(&json, &again),
+            "second JSON hit is a cache fetch"
+        );
+        let whole = answer(WireMode::Json).into_response();
+        assert_eq!(
+            *json,
+            serde_json::to_vec(&whole).expect("render"),
+            "the JSON body is the whole reply"
+        );
+        let v3 = state.plans.wire_body(&cold_key).expect("still attached");
+        assert!(Arc::ptr_eq(&v3, &first), "the JSON attach left the v3 body");
+
         // The cached bytes are what a fresh encode of the summarised
         // response produces.
-        let mut typed = answer().into_response();
+        let mut typed = answer(WireMode::Binary).into_response();
         let Response::Plan(plan) = &mut typed else {
             panic!("expected a plan, got {typed:?}");
         };

@@ -8,6 +8,12 @@
 //! return the same value or both refuse. CI also runs this file with
 //! `--release`, where the allocation pattern the typed path changes
 //! differs from the debug build's.
+//!
+//! The second half does the same for the JSON framing (v1/v2). There the
+//! oracle is the tree path written out below — `serde_json::parse`, the
+//! envelope check, then `from_value` — and the typed side is
+//! `encode_json_response` and `parse_response_frame`, on bare and tagged
+//! lines alike.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,8 +22,9 @@ use serde::{Serialize, Value};
 
 use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
 use qsdnn_serve::protocol::{
-    decode_body, decode_response, encode_body, encode_response, PlanResponse, Response,
-    StageTiming, TraceInfo, WarmStartInfo,
+    decode_body, decode_response, encode_body, encode_json_response, encode_response,
+    parse_response_frame, PlanResponse, Response, ResponseFrame, StageTiming, TaggedResponse,
+    TraceInfo, WarmStartInfo,
 };
 use qsdnn_serve::ServeError;
 
@@ -646,6 +653,494 @@ fn the_mutation_generator_produces_both_verdicts() {
         let mut tree = plan_tree(&random_plan(&mut rng, 3));
         mutate(&mut tree, &mut rng, 0.03);
         if assert_agree(&wrap(tree), &format!("seed {seed}")) {
+            accepted += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(accepted >= 40 && refused >= 40, "{accepted} / {refused}");
+}
+
+// ---------------------------------------------------------------------------
+// The JSON framing
+// ---------------------------------------------------------------------------
+
+/// The tree path over one line: parse, the envelope check, `from_value`.
+fn tree_frame(line: &str) -> Result<ResponseFrame, String> {
+    let v = serde_json::parse(line.trim()).map_err(|e| e.to_string())?;
+    let envelope = v
+        .as_object()
+        .is_some_and(|fields| Value::get_field(fields, "id").is_some());
+    if envelope {
+        serde_json::from_value::<TaggedResponse>(&v).map(ResponseFrame::Tagged)
+    } else {
+        serde_json::from_value::<Response>(&v).map(ResponseFrame::Untagged)
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// A decoded line as text: equal text is equal values down to the sign of
+/// a zero, which `==` cannot see.
+fn frame_text(frame: ResponseFrame) -> String {
+    match frame {
+        ResponseFrame::Untagged(resp) => serde_json::to_string(&resp),
+        ResponseFrame::Tagged(tagged) => serde_json::to_string(&tagged),
+    }
+    .expect("a decoded reply renders")
+}
+
+/// Whether the typed reader takes `line`: it opens as a plan reply.
+fn opens_as_plan(line: &str) -> bool {
+    let line = line.trim();
+    line.starts_with("{\"Plan\":") || line.starts_with("{\"id\":7,\"resp\":{\"Plan\":")
+}
+
+/// Asserts the typed reader and the tree agree on `line`; returns whether
+/// they accepted it.
+#[track_caller]
+fn assert_json_agree(line: &str, what: &str) -> bool {
+    match (parse_response_frame(line), tree_frame(line)) {
+        (Ok(typed), Ok(tree)) => {
+            assert!(
+                frame_text(typed) == frame_text(tree),
+                "{what}: the readers accept different values"
+            );
+            true
+        }
+        (Err(ServeError::Protocol(m)), Err(_)) => {
+            assert!(
+                !opens_as_plan(line) || m.starts_with("JSON codec error at byte "),
+                "{what}: a plan line's error must name the byte: {m}"
+            );
+            false
+        }
+        (typed, tree) => panic!(
+            "{what}: the typed reader gave {:?}, the tree {:?}",
+            typed.map(frame_text),
+            tree.map(frame_text)
+        ),
+    }
+}
+
+/// The bare and the tagged line of `{"Plan": plan}`, rendered by the
+/// tree writer.
+fn json_lines(plan: Value) -> [String; 2] {
+    let bare =
+        serde_json::to_string(&Value::Object(vec![("Plan".to_string(), plan)])).expect("render");
+    let tagged = format!("{{\"id\":7,\"resp\":{bare}}}");
+    [bare, tagged]
+}
+
+/// `v` with every non-finite float replaced: JSON writes those as `null`,
+/// so only a finite reply can round-trip.
+fn finite(v: &mut Value) {
+    match v {
+        Value::Float(f) if !f.is_finite() => *f = f.signum() * 1e300,
+        Value::Array(items) => items.iter_mut().for_each(finite),
+        Value::Object(fields) => fields.iter_mut().for_each(|(_, v)| finite(v)),
+        _ => {}
+    }
+}
+
+/// Rewrites the numbers and whitespace of a JSON text, leaving strings
+/// alone: integers gain a fraction or an exponent (`7` → `7.0`, `7e0`,
+/// `7E+0`), zeros a sign, and whitespace the parser skips lands between
+/// tokens. Every rewrite is one a different but conforming writer could
+/// emit.
+fn respell(text: &str, rng: &mut SmallRng) -> String {
+    const WS: [&str; 5] = [" ", "\t", "\n", "\r", "  \r\n\t"];
+    let mut out = String::with_capacity(text.len() * 2);
+    let mut chars = text.chars().peekable();
+    let mut in_string = false;
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            match c {
+                '\\' => out.extend(chars.next()),
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        if c.is_ascii_digit() || c == '-' {
+            let mut number = String::from(c);
+            while let Some(&d) = chars.peek() {
+                if !(d.is_ascii_digit() || "+-.eE".contains(d)) {
+                    break;
+                }
+                number.push(d);
+                chars.next();
+            }
+            let integral = number.bytes().all(|b| b.is_ascii_digit() || b == b'-');
+            out.push_str(&number);
+            if integral && rng.gen_bool(0.3) {
+                out.push_str([".0", "e0", "E+0", ".00e-0"][rng.gen_range(0..4usize)]);
+            }
+            continue;
+        }
+        if c == '0' && rng.gen_bool(0.2) {
+            out.push('-');
+        }
+        let structural = "{}[],:".contains(c);
+        if structural && rng.gen_bool(0.2) {
+            out.push_str(WS[rng.gen_range(0..WS.len())]);
+        }
+        out.push(c);
+        if c == '"' {
+            in_string = true;
+        }
+        if structural && rng.gen_bool(0.2) {
+            out.push_str(WS[rng.gen_range(0..WS.len())]);
+        }
+    }
+    out
+}
+
+/// Escapes characters of a JSON text's strings and keys: ASCII letters
+/// as `\u00XX`, a non-BMP character as its surrogate pair, `/` as `\/`.
+/// The parser reads every one back to the same string.
+fn escape_strings(text: &str, rng: &mut SmallRng) -> String {
+    let mut out = String::with_capacity(text.len() * 2);
+    let mut chars = text.chars();
+    let mut in_string = false;
+    while let Some(c) = chars.next() {
+        if !in_string {
+            in_string = c == '"';
+            out.push(c);
+            continue;
+        }
+        match c {
+            '\\' => {
+                out.push(c);
+                out.extend(chars.next());
+            }
+            '"' => {
+                in_string = false;
+                out.push(c);
+            }
+            c if c.is_ascii_alphabetic() && rng.gen_bool(0.3) => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c if c as u32 > 0xFFFF => {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+            '/' => out.push_str("\\/"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// [`full_plan`] made finite, so that JSON carries it whole.
+fn full_json_plan() -> PlanResponse {
+    let mut tree = plan_tree(&full_plan());
+    finite(&mut tree);
+    serde_json::from_value(&tree).expect("a finite plan")
+}
+
+#[test]
+fn empty_and_5000_point_curves_are_json_identical_and_roundtrip() {
+    let mut rng = SmallRng::seed_from_u64(5000);
+    for curve_len in [0, 1, 5000] {
+        let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
+        finite(&mut tree);
+        let resp = Response::Plan(serde_json::from_value(&tree).expect("a finite plan"));
+        let text = encode_json_response(&resp).expect("typed encode");
+        assert!(text == serde_json::to_vec(&resp).expect("tree encode"));
+        let text = String::from_utf8(text).expect("UTF-8");
+        match parse_response_frame(&text).expect("typed decode") {
+            ResponseFrame::Untagged(back) => assert_eq!(back, resp),
+            other => panic!("a bare reply read as {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn every_other_variant_still_rides_the_json_tree() {
+    for resp in [
+        Response::Pong { version: 3 },
+        Response::Error {
+            message: "nope \"Plan\"".into(),
+        },
+    ] {
+        let text = encode_json_response(&resp).expect("encode");
+        assert_eq!(text, serde_json::to_vec(&resp).expect("tree encode"));
+        let text = String::from_utf8(text).expect("UTF-8");
+        for line in [text.clone(), format!("{{\"id\":3,\"resp\":{text}}}")] {
+            assert!(assert_json_agree(&line, "control reply"));
+        }
+    }
+}
+
+/// Every targeted mutation of the v3 half, over both JSON lines.
+#[test]
+fn targeted_json_mutations_agree_with_the_tree() {
+    let plan = full_json_plan();
+    let mut cases: Vec<(String, Value)> = vec![("as is".into(), plan_tree(&plan))];
+    let mut reversed = plan_tree(&plan);
+    for path in OBJECTS {
+        fields_at(&mut reversed, path).reverse();
+    }
+    cases.push(("reversed".into(), reversed));
+    cases.push(("unknown".into(), with_unknown_fields_of_every_tag(&plan)));
+    for path in OBJECTS {
+        let count = fields_at(&mut plan_tree(&plan), path).len();
+        for i in 0..count {
+            let mut dropped = plan_tree(&plan);
+            let field = fields_at(&mut dropped, path).remove(i).0;
+            cases.push((format!("{path:?}.{field} dropped"), dropped));
+            let mut doubled = plan_tree(&plan);
+            let fields = fields_at(&mut doubled, path);
+            let (key, _) = fields[i].clone();
+            fields.insert(0, (key.clone(), Value::String("impostor".into())));
+            cases.push((format!("{path:?}.{key} shadowed"), doubled.clone()));
+            fields_at(&mut doubled, path).remove(0);
+            let fields = fields_at(&mut doubled, path);
+            fields.push((key.clone(), Value::Null));
+            cases.push((format!("{path:?}.{key} repeated"), doubled));
+        }
+    }
+    for (path, value) in [
+        (&["best", "curve", "0", "episode"][..], Value::Float(7.0)),
+        (&["best", "episodes"], Value::Int(-1)),
+        (&["best", "episodes"], Value::Float(0.5)),
+        (&["best", "episodes"], Value::String("7".into())),
+        (&["vanilla_cost_ms"], Value::UInt(u64::MAX)),
+        (&["members", "0", "best_cost_ms"], Value::Null),
+        (&["warm_start"], Value::Null),
+        (&["warm_start"], Value::Object(vec![])),
+        (&["trace", "stages"], Value::Object(vec![])),
+    ] {
+        let mut tree = plan_tree(&plan);
+        *at(&mut tree, path) = value.clone();
+        cases.push((format!("{path:?} = {value:?}"), tree));
+    }
+    let (mut accepted, mut refused) = (0, 0);
+    for (what, tree) in cases {
+        for line in json_lines(tree) {
+            if assert_json_agree(&line, &what) {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+        }
+    }
+    assert!(accepted > 60 && refused > 20, "{accepted} / {refused}");
+    // The canonical line is accepted, and to the plan itself.
+    let [bare, tagged] = json_lines(plan_tree(&plan));
+    match parse_response_frame(&bare).expect("bare") {
+        ResponseFrame::Untagged(Response::Plan(back)) => assert_eq!(back, plan),
+        other => panic!("read as {other:?}"),
+    }
+    match parse_response_frame(&tagged).expect("tagged") {
+        ResponseFrame::Tagged(TaggedResponse {
+            id: 7,
+            resp: Response::Plan(back),
+        }) => assert_eq!(back, plan),
+        other => panic!("read as {other:?}"),
+    }
+}
+
+/// Envelopes the typed reader must hand back to the tree, or read the way
+/// the tree reads them: keys in another order or spelling, a plan in an
+/// ignored field, ids of every numeric spelling, stray trailing text.
+#[test]
+fn json_envelopes_agree_with_the_tree() {
+    let plan = full_json_plan();
+    let [bare, _] = json_lines(plan_tree(&plan));
+    let body = &bare;
+    let lines = [
+        format!("{{\"resp\":{body},\"id\":7}}"),
+        format!("{{\"id\":7.0,\"resp\":{body}}}"),
+        format!("{{\"id\":7e0,\"resp\":{body}}}"),
+        format!("{{\"id\":-7,\"resp\":{body}}}"),
+        format!("{{\"id\":\"7\",\"resp\":{body}}}"),
+        r#"{"id":7}"#.to_string(),
+        format!("{{\"id\":7,\"resp\":{body},\"resp\":null}}"),
+        format!("{{\"id\":7,\"resp\":{body},\"extra\":[1,{{}}]}}"),
+        r#"{"id":7,"resp":{"Plan":{},"x":1}}"#.to_string(),
+        format!("{{\"\\u0069d\":7,\"r\\u0065sp\":{body}}}"),
+        r#"{"Plan":{"best":5},"id":7,"resp":{"Pong":{"version":3}}}"#.to_string(),
+        format!("{{\"Plan\":{{\"best\":5}},\"id\":7,\"resp\":{body}}}"),
+        r#"{"Plan":{},"Plan":{}}"#.to_string(),
+        format!("{{\"\\u0050lan\":{}}}", &body[8..body.len() - 1]),
+        format!("{body} "),
+        format!("\u{a0}{body}\u{85}"),
+        format!("{body}}}"),
+        format!("{body}x"),
+        format!("[{body}]"),
+        format!("{{\"id\":7,\"resp\":{body}}}\u{b}"),
+        format!("{{\"id\":18446744073709551615,\"resp\":{body}}}"),
+        format!("{{\"id\":18446744073709551616,\"resp\":{body}}}"),
+    ];
+    let accepted = lines
+        .iter()
+        .filter(|line| assert_json_agree(line, line))
+        .count();
+    assert!((6..lines.len() - 6).contains(&accepted), "{accepted}");
+}
+
+/// An unknown field nested to either side of the parser's depth guard,
+/// at the top of a reply and deep inside its curve: skipped the same way
+/// the tree skips it, refused where the tree refuses it.
+#[test]
+fn json_nesting_is_held_to_the_parsers_depth_guard() {
+    let plan = full_json_plan();
+    let mut verdicts = Vec::new();
+    for depth in 118..134 {
+        let bomb = "[".repeat(depth) + "null" + &"]".repeat(depth);
+        for site in ["\"network\":", "\"episode\":"] {
+            for line in json_lines(plan_tree(&plan)) {
+                let line = line.replacen(site, &format!("\"future\":{bomb},{site}"), 1);
+                verdicts.push(assert_json_agree(&line, &format!("{depth} deep at {site}")));
+            }
+        }
+    }
+    assert!(verdicts.contains(&true) && verdicts.contains(&false));
+}
+
+/// Exhaustive where the properties below are random: every byte of a
+/// small reply's bare line replaced by each of a set of JSON-significant
+/// characters, a separator or closer inserted before it, and the line
+/// cut at every length.
+#[test]
+fn no_single_character_corruption_or_cut_separates_the_json_readers() {
+    let [line, _] = json_lines(with_unknown_fields_of_every_tag(&full_json_plan()));
+    let (mut accepted, mut refused) = (0u32, 0u32);
+    let mut tally = |ok: bool| if ok { accepted += 1 } else { refused += 1 };
+    for at in 0..=line.len() {
+        if let Some(cut) = line.get(..at) {
+            tally(assert_json_agree(cut, &format!("cut at {at}")));
+        }
+        for sub in [
+            "\"", "\\", "{", "}", "[", "]", ",", ":", "0", "-", ".", "e", "n", " ", "\u{1}",
+        ] {
+            let mut damaged = line.as_bytes().to_vec();
+            if at == line.len() || damaged[at] == sub.as_bytes()[0] {
+                continue;
+            }
+            damaged[at] = sub.as_bytes()[0];
+            if let Ok(damaged) = String::from_utf8(damaged) {
+                tally(assert_json_agree(&damaged, &format!("byte {at} = {sub:?}")));
+            }
+        }
+        for extra in [",", "}", "]", "\"", " "] {
+            if line.is_char_boundary(at) {
+                let mut grown = line.clone();
+                grown.insert_str(at, extra);
+                tally(assert_json_agree(
+                    &grown,
+                    &format!("{extra:?} before byte {at}"),
+                ));
+            }
+        }
+    }
+    assert!(accepted > 200 && refused > 1000, "{accepted} / {refused}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Typed JSON encode is the tree's text, byte for byte, and the typed
+    /// reader gives the reply back, bare and tagged.
+    #[test]
+    fn arbitrary_plan_replies_are_json_identical_and_roundtrip(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x150A_0000);
+        let curve_len = rng.gen_range(0..40);
+        let resp = Response::Plan(random_plan(&mut rng, curve_len));
+        let text = encode_json_response(&resp).expect("typed encode");
+        prop_assert!(text == serde_json::to_vec(&resp).expect("tree encode"), "seed {}", seed);
+        let text = String::from_utf8(text).expect("UTF-8");
+        let tagged = format!("{{\"id\":{seed},\"resp\":{text}}}");
+        prop_assert_eq!(
+            tagged.as_bytes(),
+            serde_json::to_vec(&TaggedResponse { id: seed, resp: resp.clone() }).expect("tree")
+        );
+        for line in [&text, &tagged] {
+            assert_json_agree(line, &format!("seed {seed}"));
+        }
+        let mut tree = plan_tree(match &resp {
+            Response::Plan(plan) => plan,
+            _ => unreachable!("built as a plan"),
+        });
+        finite(&mut tree);
+        let finite: PlanResponse = serde_json::from_value(&tree).expect("a finite plan");
+        let [bare, tagged] = json_lines(tree);
+        prop_assert_eq!(
+            parse_response_frame(&bare).expect("bare"),
+            ResponseFrame::Untagged(Response::Plan(finite.clone()))
+        );
+        prop_assert_eq!(
+            parse_response_frame(&tagged).expect("tagged"),
+            ResponseFrame::Tagged(TaggedResponse { id: 7, resp: Response::Plan(finite) })
+        );
+    }
+
+    /// Replies mutated at the tree level — permuted, dropped, unknown and
+    /// duplicated fields, re-tagged numbers, junk values — then respelled
+    /// (numbers as `7.0`/`7e0`/`-0`, whitespace between tokens) and with
+    /// escaped keys and strings never separate the readers.
+    #[test]
+    fn mutated_json_replies_never_separate_the_readers(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7EED_150A);
+        let curve_len = rng.gen_range(0..5);
+        let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
+        let rate = [0.0, 0.01, 0.03, 0.1][rng.gen_range(0..4usize)];
+        mutate(&mut tree, &mut rng, rate);
+        for line in json_lines(tree) {
+            let line = if rng.gen_bool(0.5) { respell(&line, &mut rng) } else { line };
+            let line = if rng.gen_bool(0.5) { escape_strings(&line, &mut rng) } else { line };
+            assert_json_agree(&line, &format!("seed {seed}: {line}"));
+        }
+    }
+
+    /// ... nor do lines damaged at the character level: replaced
+    /// characters, cuts, and trailing garbage.
+    #[test]
+    fn damaged_json_replies_never_separate_the_readers(seed in 0u64..1_000_000) {
+        const JUNK: [char; 14] = ['"', '\\', '{', '}', '[', ']', ',', ':', '0', '-', 'e', ' ', '\u{1}', 'é'];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xDA3A_150A);
+        let curve_len = rng.gen_range(0..5);
+        let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
+        add_unknown_fields(&mut tree, &mut rng);
+        let [bare, tagged] = json_lines(tree);
+        let mut line: Vec<char> = if rng.gen_bool(0.5) { bare } else { tagged }.chars().collect();
+        match rng.gen_range(0..5) {
+            0 => line.truncate(rng.gen_range(0..line.len())),
+            1 => line.extend((0..rng.gen_range(1..9)).map(|_| JUNK[rng.gen_range(0..JUNK.len())])),
+            2 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..line.len() + 1);
+                    line.insert(at, JUNK[rng.gen_range(0..JUNK.len())]);
+                }
+            }
+            _ => {
+                for _ in 0..rng.gen_range(1..6) {
+                    let at = rng.gen_range(0..line.len());
+                    line[at] = JUNK[rng.gen_range(0..JUNK.len())];
+                }
+            }
+        }
+        let line: String = line.into_iter().collect();
+        assert_json_agree(&line, &format!("seed {seed}: {line}"));
+    }
+}
+
+/// The JSON mutation property above means little if every mutant is
+/// refused: over the same generator, a fair share must be accepted too.
+#[test]
+fn the_json_mutation_generator_produces_both_verdicts() {
+    let (mut accepted, mut refused) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut tree = plan_tree(&random_plan(&mut rng, 3));
+        mutate(&mut tree, &mut rng, 0.03);
+        let [line, _] = json_lines(tree);
+        let line = escape_strings(&respell(&line, &mut rng), &mut rng);
+        if assert_json_agree(&line, &format!("seed {seed}")) {
             accepted += 1;
         } else {
             refused += 1;

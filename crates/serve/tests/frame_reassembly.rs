@@ -177,6 +177,48 @@ fn drain_binary(fb: &mut FrameBuffer, got: &mut Vec<RequestFrame>) {
     }
 }
 
+/// A stream whose first frame is longer than the 64 KiB at which the
+/// buffer starts compacting: every later frame arrives behind a consumed
+/// prefix worth dropping, so compaction lands mid-line — after the
+/// terminator search has already scanned part of the line it moves.
+#[test]
+fn compaction_mid_line_reassembles_identically() {
+    let mut rng = SmallRng::seed_from_u64(0xC0_4AC7);
+    let long = Request::Plan(PlanRequest {
+        // Mostly ASCII: the shim's parser revalidates the rest of the
+        // line at every multibyte character.
+        network: "x".repeat(100_000) + "ネット",
+        ..PlanRequest::latency("x")
+    });
+    let mut expected = vec![RequestFrame::Untagged(long.clone())];
+    let mut bytes = Vec::new();
+    write_message(&mut bytes, &long).expect("serialize");
+    // Enough short frames behind it that many packets arrive after it.
+    for _ in 0..60 {
+        let (frames, more) = random_stream(&mut rng);
+        expected.extend(frames);
+        bytes.extend(more);
+    }
+    for chunk in [1000, 4096, 65_536] {
+        for how in DELIVERIES {
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            for packet in bytes.chunks(chunk) {
+                deliver(&mut fb, how, &mut rng, packet);
+                while let Some(frame) = fb.next_frame() {
+                    let text = String::from_utf8(frame).expect("frames are valid UTF-8");
+                    got.push(parse_request_frame(&text).expect("frames parse"));
+                }
+            }
+            assert!(
+                got == expected,
+                "{chunk}-byte packets ({how:?}) mangled the stream"
+            );
+            assert_eq!(fb.buffered(), 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

@@ -8,8 +8,10 @@
 //!   empty front, so the full path serves the spilled plan — gives to its
 //!   first such request. The v3 reply is the v2 one with its curve
 //!   summarised.
-//! * **Framings:** the v3 body attached to a cache entry never answers a
-//!   JSON request: v2 hits keep the whole curve, resident or reloaded.
+//! * **Framings:** a cache entry carries one attached body per framing,
+//!   and neither answers the other's requests: v2 hits keep the whole
+//!   curve and v3 hits the summary, in either order, resident or reloaded
+//!   after an eviction dropped both bodies.
 //! * **Accounting:** N repeats move `plan_cache.hits`, `requests` and
 //!   `plans` by exactly N and touch neither the profile cache nor the
 //!   scenario index; stale front entries fall back to the full path with
@@ -276,7 +278,7 @@ fn front_replies_match_the_full_path_byte_for_byte() {
 }
 
 #[test]
-fn the_attached_v3_body_never_answers_a_json_request() {
+fn attached_bodies_answer_only_their_own_framing() {
     let dir = scratch_dir("framings");
     let server = PlanServer::start(ServerConfig {
         cache_max_entries: 1,
@@ -314,21 +316,44 @@ fn the_attached_v3_body_never_answers_a_json_request() {
     assert_eq!(hit(&mut v3), summary);
     assert_eq!(hit(&mut v3), summary);
     assert_eq!(hit(&mut v2), full, "resident v2 hit after v3 hits");
+    // That v2 hit attached the JSON body beside the v3 one; from here on
+    // each framing is answered by its own.
+    assert_eq!(hit(&mut v2), full, "resident v2 hit from the JSON body");
+    assert_eq!(hit(&mut v3), summary, "resident v3 hit after v2 hits");
 
-    // Reloaded: `b` takes the one resident slot, so `a` comes back from
-    // the spill tier — and its first v3 hit attaches a body again.
+    // Reloaded: `b` takes the one resident slot, so `a` is evicted with
+    // both its bodies and comes back from the spill tier — and its first
+    // v3 hit attaches a body again.
     let b = with(
         &request("lenet5", 1, Mode::Cpu, 30),
         TransferMode::Off,
         false,
     );
-    v2.plan(b).expect("cold b evicts a");
+    v2.plan(b.clone()).expect("cold b evicts a");
     let before = v2.stats().expect("stats").plan_cache;
     assert_eq!(hit(&mut v3), summary);
     let after = v2.stats().expect("stats").plan_cache;
     assert_eq!(after.spill_loads - before.spill_loads, 1, "a was reloaded");
     assert_eq!(hit(&mut v3), summary);
     assert_eq!(hit(&mut v2), full, "reloaded v2 hit after v3 hits");
+    assert_eq!(hit(&mut v2), full, "reloaded v2 hit from the JSON body");
+    assert_eq!(hit(&mut v3), summary, "reloaded v3 hit after v2 hits");
+
+    // The other way round: `b` evicts `a` again, and a v2 hit is the one
+    // that reloads it and attaches first.
+    v2.plan(b).expect("b reloaded, evicting a");
+    let before = v2.stats().expect("stats").plan_cache;
+    assert_eq!(hit(&mut v2), full, "v2 hit reloads a");
+    let after = v2.stats().expect("stats").plan_cache;
+    assert_eq!(after.spill_loads - before.spill_loads, 1, "a was reloaded");
+    assert_eq!(
+        hit(&mut v2),
+        full,
+        "second reload's v2 hit from the JSON body"
+    );
+    assert_eq!(hit(&mut v3), summary, "v3 hit after v2 hits on a reload");
+    assert_eq!(hit(&mut v3), summary);
+    assert_eq!(hit(&mut v2), full);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
