@@ -1,6 +1,6 @@
 //! Implementation of the `qsdnn-cli` command-line tool.
 //!
-//! Seven subcommands drive the full pipeline from a shell:
+//! Eight subcommands drive the full pipeline from a shell:
 //!
 //! ```text
 //! qsdnn-cli networks
@@ -10,6 +10,7 @@
 //! qsdnn-cli serve   --addr 127.0.0.1:7878 --spill /var/cache/qsdnn
 //! qsdnn-cli submit  --addr 127.0.0.1:7878 --network mobilenet_v1
 //! qsdnn-cli top     --addr 127.0.0.1:7878
+//! qsdnn-cli reproduce > REPRODUCTION.json
 //! ```
 //!
 //! Argument parsing is hand-rolled (no external CLI dependency) and kept in
@@ -157,6 +158,7 @@ pub fn usage() -> String {
      (live dashboard: worker task table, rolling p50/p99 request latency and\n            \
      event rate from flight-recorder deltas; --frames N renders N frames and\n            \
      exits, for scripts and CI)\n  \
+     qsdnn-cli reproduce   (the paper's tables and figures as JSON: REPRODUCTION.json)\n  \
      qsdnn-cli help | --help | -h"
         .to_string()
 }
@@ -326,7 +328,7 @@ fn cmd_search(args: &Args) -> Result<String, String> {
             .map_or("latency", String::as_str),
     )?;
     let lut = raw.with_objective(objective);
-    let episodes = opt_parse(args, "episodes", 1000usize.max(40 * lut.len()))?;
+    let episodes = opt_parse(args, "episodes", qsdnn::reproduce::episodes_for(&lut))?;
     let seed = opt_parse(args, "seed", 0x5EEDu64)?;
     let method = args.options.get("method").map_or("qsdnn", String::as_str);
     let report: SearchReport = match method {
@@ -1147,6 +1149,12 @@ fn cmd_top(args: &Args) -> Result<String, String> {
     }
 }
 
+/// Every table and figure of the paper, as pretty JSON.
+fn cmd_reproduce(args: &Args) -> Result<String, String> {
+    reject_unknown_options(args, &[])?;
+    serde_json::to_string_pretty(&qsdnn::reproduce::all()).map_err(|e| e.to_string())
+}
+
 /// Dispatches a parsed command line; returns the text to print.
 ///
 /// # Errors
@@ -1162,6 +1170,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         "serve" => cmd_serve(args),
         "submit" => cmd_submit(args),
         "top" => cmd_top(args),
+        "reproduce" => cmd_reproduce(args),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
@@ -1228,6 +1237,8 @@ mod tests {
         let err = run(&parse_args(&argv(&["networks", "--frobnicate", "1"])).unwrap()).unwrap_err();
         assert!(err.contains("unknown option"), "{err}");
         assert!(err.contains("--frobnicate"), "{err}");
+        let err = run(&parse_args(&argv(&["reproduce", "--seed", "1"])).unwrap()).unwrap_err();
+        assert!(err.contains("unknown option"), "{err}");
         // A typo'd key on a real command names the accepted set.
         let err =
             run(&parse_args(&argv(&["search", "--lut", "x.json", "--episods", "50"])).unwrap())

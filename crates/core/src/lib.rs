@@ -21,7 +21,8 @@
 //!
 //! The [`baselines`] module hosts the comparators: Random Search (paper
 //! §VI.B), exact chain DP, exhaustive enumeration, simulated annealing and
-//! the PBQP formulation of Anderson & Gregg.
+//! the PBQP formulation of Anderson & Gregg. The [`reproduce`] module
+//! regenerates the paper's tables and figures as typed rows.
 //!
 //! # Examples
 //!
@@ -46,6 +47,7 @@ pub mod portfolio;
 mod qtable;
 mod replay;
 mod report;
+pub mod reproduce;
 mod schedule;
 mod search;
 mod transfer;
@@ -67,3 +69,27 @@ pub use qsdnn_nn as nn;
 pub use qsdnn_pbqp as pbqp;
 pub use qsdnn_primitives as primitives;
 pub use qsdnn_tensor as tensor;
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Mode;
+    use crate::primitives::Library;
+    use crate::reproduce::{best_single_library, lut, MeanStd, QUICK_REPEATS};
+
+    #[test]
+    fn bsl_is_min_over_libraries() {
+        let lut = lut("lenet5", 1, Mode::Cpu, QUICK_REPEATS);
+        let (lib, cost) = best_single_library(&lut);
+        for l in Library::ALL {
+            let single = lut.cost(&lut.single_library_assignment(l));
+            assert!(single >= cost, "{l} beats reported BSL {lib}");
+        }
+    }
+
+    #[test]
+    fn mean_std_known_values() {
+        let m = MeanStd::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert!((m.mean_ms - 2.5).abs() < 1e-12);
+        assert!((m.std_ms - (1.25f64).sqrt()).abs() < 1e-12);
+    }
+}

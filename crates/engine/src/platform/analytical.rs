@@ -13,8 +13,8 @@
 //!   on small layers; the reason LeNet-5's best GPGPU solution is pure CPU).
 //!
 //! Constants are calibrated so the *relative* shapes of the paper's Table II
-//! hold (see DESIGN.md §2 and EXPERIMENTS.md); they are not claimed to be
-//! microarchitecturally exact.
+//! hold (`tests/paper_claims.rs` pins them; `REPRODUCTION.json` has the
+//! table); they are not claimed to be microarchitecturally exact.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

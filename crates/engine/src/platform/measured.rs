@@ -12,7 +12,7 @@ use super::{AnalyticalPlatform, Platform};
 /// Times each primitive by actually executing its kernel on the host CPU.
 ///
 /// GPU primitives cannot be timed on the host; they are delegated to the
-/// embedded [`AnalyticalPlatform`] (DESIGN.md §2). Host-CPU absolute times
+/// embedded [`AnalyticalPlatform`]. Host-CPU absolute times
 /// will differ from a Cortex-A57, but the *relative* ordering of the
 /// algorithm families (direct ≪ GEMM-lowered < Winograd for 3×3) is
 /// preserved, which is what the search consumes.

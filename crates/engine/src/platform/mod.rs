@@ -13,7 +13,7 @@
 //!   instant; the `sim-tx2` spec is used for all paper-scale experiments);
 //! * [`MeasuredPlatform`](crate::MeasuredPlatform) — wall-clock timing of
 //!   the real Rust kernels on the host CPU (GPU primitives fall back to the
-//!   analytical model; see DESIGN.md §2).
+//!   analytical model, as the host has no GPU to time).
 
 mod analytical;
 mod measured;

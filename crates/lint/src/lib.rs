@@ -132,13 +132,10 @@ impl SourceFile {
         self.rel == "crates/serve/src/protocol.rs"
     }
 
-    /// True for library/binary source (not integration tests, benches, or
-    /// examples) — where the atomic-ordering and lock-discipline rules
-    /// apply.
+    /// True for library/binary source (not integration tests or examples)
+    /// — where the atomic-ordering and lock-discipline rules apply.
     pub fn is_src(&self) -> bool {
-        !self.rel.contains("/tests/")
-            && !self.rel.contains("/benches/")
-            && !self.rel.contains("/examples/")
+        !self.rel.contains("/tests/") && !self.rel.contains("/examples/")
     }
 }
 

@@ -3,8 +3,8 @@
 //! Covers the paper's three task families: image classification (LeNet-5,
 //! AlexNet, VGG-19, GoogLeNet, MobileNet-v1, SqueezeNet-v1.1, ResNet-18),
 //! face recognition (SphereFace-20) and object detection (Tiny-YOLO-v2).
-//! All weights are synthetic; only shapes matter for latency (see
-//! DESIGN.md §2).
+//! All weights are synthetic: every kernel's latency is data-independent,
+//! so only shapes matter.
 //!
 //! # Examples
 //!

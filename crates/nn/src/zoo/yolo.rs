@@ -22,7 +22,7 @@ pub fn tiny_yolo_v2(batch: usize) -> Network {
         let bn = b.batch_norm(&format!("bn{n}"), c);
         let r = b.relu(&format!("leaky{n}"), bn);
         // The sixth pool in the Darknet config is stride-1; floor mode keeps
-        // the 13x13 grid close (12x12 here, see DESIGN.md §5).
+        // the 13x13 grid close (12x12 here: an unpadded 2x2 window drops one).
         let (stride, name) = if n == 6 { (1, "pool6") } else { (2, "poolx") };
         let pname = if n == 6 {
             name.to_string()

@@ -28,7 +28,7 @@ fn gemm_of(primitive: &Primitive) -> Gemm {
 /// inserts compatibility layers beforehand); the result is returned in
 /// `primitive.layout`. GPU primitives execute their reference semantics on
 /// the host — the *cost* of the GPU is modelled by the platform layer, not
-/// here (DESIGN.md §2).
+/// here.
 ///
 /// # Panics
 ///

@@ -16,8 +16,8 @@
 //! * [`exec::execute_layer`] — dispatch from descriptor to kernel.
 //!
 //! GPU primitives (cuDNN/cuBLAS) execute their reference semantics on the
-//! host; their *performance* is modelled by `qsdnn-engine`'s analytical
-//! platform (see DESIGN.md §2 for the substitution rationale).
+//! host, so plans stay checkable without a GPU; their *performance* is
+//! modelled by `qsdnn-engine`'s analytical platform.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Synthetic layer weights.
 //!
 //! Latency of every kernel here is data-independent, so weights are seeded
-//! pseudo-random values (see DESIGN.md §2). Sparsity is applied **at
+//! pseudo-random values. Sparsity is applied **at
 //! generation time** — a fraction `1 - density` of weights is zeroed — so
 //! dense and sparse kernels compute *the same function* and can be
 //! cross-checked element-wise.

@@ -11,8 +11,8 @@
 
 use std::time::Duration;
 
-use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
-use qsdnn::nn::zoo;
+use qsdnn::engine::{Mode, Objective};
+use qsdnn::reproduce::lut;
 use qsdnn::Portfolio;
 use qsdnn_serve::protocol::{PlanRequest, TransferMode};
 use qsdnn_serve::{PlanClient, PlanServer, ServerConfig, Ticket};
@@ -91,9 +91,7 @@ fn request_for(i: usize) -> PlanRequest {
 }
 
 fn sequential_reference(network: &str, profile_repeats: usize) -> qsdnn::PortfolioOutcome {
-    let net = zoo::by_name(network, 1).expect("known network");
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), profile_repeats)
-        .profile(&net, Mode::Gpgpu);
+    let lut = lut(network, 1, Mode::Gpgpu, profile_repeats);
     let scalarized = lut.with_objective(Objective::Latency);
     Portfolio::paper_default(EPISODES, &SEEDS)
         .run_sequential(&scalarized)

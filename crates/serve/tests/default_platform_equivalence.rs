@@ -16,8 +16,8 @@
 //! field absent — same plan key, same fingerprint, and the explicit request
 //! hits the cache entry the implicit one created.
 
-use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
-use qsdnn::nn::zoo;
+use qsdnn::engine::{Mode, Objective};
+use qsdnn::reproduce::lut;
 use qsdnn_serve::protocol::{
     PlanRequest, PlanResponse, ProfileRequest, Request, Response, SearchRequest, TransferMode,
 };
@@ -96,8 +96,7 @@ fn default_platform_requests_are_byte_identical_to_the_pre_registry_service() {
     ));
 
     // 4. Search over a client-supplied LUT.
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3)
-        .profile(&zoo::by_name("toy_branchy", 1).expect("zoo"), Mode::Gpgpu);
+    let lut = lut("toy_branchy", 1, Mode::Gpgpu, 3);
     match client
         .request(&Request::Search(SearchRequest {
             lut,

@@ -10,8 +10,8 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
-use qsdnn::nn::zoo;
+use qsdnn::engine::{Mode, Objective};
+use qsdnn::reproduce::lut;
 use qsdnn_serve::protocol::{
     parse_binary_response, read_binary_frame_resumable, write_binary_message, write_message,
     FrameBuffer, MetricValue, PlanRequest, PlanResponse, Request, Response, ResponseFrame,
@@ -163,8 +163,7 @@ fn run_script() -> Vec<String> {
     );
     out.push(format!("{warm_v2:?}"));
     out.push(format!("{warm_v3:?}"));
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3)
-        .profile(&zoo::by_name("toy_branchy", 1).expect("zoo"), Mode::Gpgpu);
+    let lut = lut("toy_branchy", 1, Mode::Gpgpu, 3);
     match client
         .request(&Request::Search(SearchRequest {
             lut,

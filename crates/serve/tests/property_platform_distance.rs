@@ -14,10 +14,8 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use qsdnn::engine::{
-    AnalyticalPlatform, CostLut, Mode, PlatformRegistry, Profiler, ScenarioDescriptor,
-};
-use qsdnn::nn::zoo;
+use qsdnn::engine::{CostLut, Mode, PlatformRegistry, ScenarioDescriptor};
+use qsdnn::reproduce::lut;
 
 /// The serve layer's donor admission cutoff
 /// (`MAX_DONOR_DISTANCE` in `qsdnn-serve/src/transfer.rs`).
@@ -30,10 +28,7 @@ const FLAT_PLATFORM_PENALTY: f64 = 2.0;
 
 fn shared_lut() -> &'static CostLut {
     static LUT: OnceLock<CostLut> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let net = zoo::by_name("tiny_cnn", 1).expect("zoo network");
-        Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu)
-    })
+    LUT.get_or_init(|| lut("tiny_cnn", 1, Mode::Gpgpu, 2))
 }
 
 /// Same network/LUT on both sides, but a foreign platform name so the

@@ -6,8 +6,8 @@
 
 use std::collections::HashMap;
 
-use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
-use qsdnn::nn::zoo;
+use qsdnn::engine::{Mode, Objective};
+use qsdnn::reproduce::lut;
 use qsdnn::Portfolio;
 use qsdnn_serve::protocol::{PlanRequest, PlanResponse, TransferMode};
 use qsdnn_serve::{PlanClient, PlanServer, ServerConfig, DEFAULT_SHARDS};
@@ -39,9 +39,7 @@ fn request_for(network: &str) -> PlanRequest {
 /// profile with the server's default repeats, scalarize, run the portfolio
 /// sequentially.
 fn sequential_reference(network: &str, profile_repeats: usize) -> qsdnn::PortfolioOutcome {
-    let net = zoo::by_name(network, 1).expect("known network");
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), profile_repeats)
-        .profile(&net, Mode::Gpgpu);
+    let lut = lut(network, 1, Mode::Gpgpu, profile_repeats);
     let scalarized = lut.with_objective(Objective::Latency);
     Portfolio::paper_default(EPISODES, &SEEDS)
         .run_sequential(&scalarized)
@@ -159,8 +157,7 @@ fn search_request_plans_a_client_profiled_lut() {
     let server = PlanServer::start(ServerConfig::default()).expect("bind");
     let mut client = PlanClient::connect(server.local_addr()).expect("connect");
 
-    let net = zoo::tiny_cnn(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3).profile(&net, Mode::Cpu);
+    let lut = lut("tiny_cnn", 1, Mode::Cpu, 3);
     let first = client
         .search(lut.clone(), Objective::Latency, 150, vec![7])
         .expect("search request");
@@ -197,8 +194,7 @@ fn malformed_lut_in_search_request_is_rejected_cleanly() {
     let server = PlanServer::start(ServerConfig::default()).expect("bind");
     let mut client = PlanClient::connect(server.local_addr()).expect("connect");
 
-    let net = zoo::tiny_cnn(1);
-    let good = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Cpu);
+    let good = lut("tiny_cnn", 1, Mode::Cpu, 2);
     // Corrupt it through the wire representation: truncate one layer's
     // time vector so arities no longer match.
     let mut json = serde_json::to_string(&good).expect("serializes");

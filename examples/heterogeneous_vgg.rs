@@ -3,65 +3,39 @@
 //! cuDNN-only implementations must fall back to the Vanilla CPU FC, so the
 //! search routes the three giant FC layers to cuBLAS GEMV (or BLAS on CPU)
 //! and roughly doubles throughput over the best single library. This
-//! example also races every search baseline on the same LUT. Run with:
+//! prints VGG-19's GPGPU rows of Table II and of the optimality audit, as
+//! `qsdnn::reproduce` computes them; the audit races the search baselines
+//! on the same LUT. Run with:
 //!
 //! ```sh
 //! cargo run --release -p qsdnn --example heterogeneous_vgg
 //! ```
 
-use qsdnn::baselines::{
-    pbqp_search, solve_chain_dp, RandomSearch, SimulatedAnnealing, SimulatedAnnealingConfig,
-};
-use qsdnn::engine::{AnalyticalPlatform, Mode, Profiler};
-use qsdnn::nn::zoo;
-use qsdnn::primitives::Library;
-use qsdnn::{QsDnnConfig, QsDnnSearch};
+use qsdnn::engine::Mode;
+use qsdnn::nn::LayerTag;
+use qsdnn::reproduce::{gap_row, table2_row};
 
 fn main() {
-    let net = zoo::vgg19(1);
-    println!(
-        "network: {} ({} layers, {:.1} GMACs)",
-        net.name(),
-        net.len(),
-        net.total_macs() as f64 / 1e9
-    );
-
-    let mut profiler = Profiler::new(AnalyticalPlatform::tx2());
-    let lut = profiler.profile(&net, Mode::Gpgpu);
-
-    let vanilla = lut.cost(&lut.vanilla_assignment());
-    let cudnn = lut.cost(&lut.single_library_assignment(Library::CuDnn));
-    println!("vanilla          : {vanilla:>9.3} ms");
-    println!("cudnn-only (BSL) : {cudnn:>9.3} ms — FC layers fall back to Vanilla!");
-
-    let qs = QsDnnSearch::new(QsDnnConfig::default()).run(&lut);
-    println!(
-        "qs-dnn           : {:>9.3} ms ({:.2}x over cuDNN-only)",
-        qs.best_cost_ms,
-        cudnn / qs.best_cost_ms
-    );
-
-    // Where did the FC layers go?
-    for (l, &ci) in qs.best_assignment.iter().enumerate() {
-        let entry = &lut.layers()[l];
-        if entry.name.starts_with("fc") {
-            println!("  {:<6} -> {}", entry.name, entry.candidates[ci]);
-        }
+    let row = table2_row("vgg19", Mode::Gpgpu);
+    println!("vanilla             : {:>9.3} ms", row.vanilla_ms);
+    for lib in &row.libraries {
+        println!("{:<20}: {:>9.3} ms", lib.library.name(), lib.cost_ms);
     }
-
-    // Race the baselines on the identical LUT.
-    println!("\nbaselines:");
-    let rs = RandomSearch::new(1000, 42).run(&lut);
-    println!("  random search (1000 ep) : {:>9.3} ms", rs.best_cost_ms);
-    let sa = SimulatedAnnealing::new(SimulatedAnnealingConfig::default()).run(&lut);
-    println!("  simulated annealing     : {:>9.3} ms", sa.best_cost_ms);
-    let pbqp = pbqp_search(&lut);
-    println!("  {:<22}  : {:>9.3} ms", pbqp.method, pbqp.best_cost_ms);
-    if let Some((_, dp)) = solve_chain_dp(&lut) {
-        println!("  chain DP (exact optimum): {dp:>9.3} ms");
+    println!("qs-dnn              : {:>9.3} ms", row.qsdnn_ms);
+    for mix in row.plan.iter().filter(|m| m.tag == LayerTag::Fc) {
         println!(
-            "\nqs-dnn is within {:.2}% of the exact optimum",
-            (qs.best_cost_ms / dp - 1.0) * 100.0
+            "  {} FC layers -> {}@{}",
+            mix.layers, mix.library, mix.processor
         );
     }
+
+    let gap = gap_row("vgg19", Mode::Gpgpu);
+    println!("\nbaselines on the same LUT and episode budget:");
+    println!("  random search       : {:>9.3} ms", gap.rs_ms);
+    println!("  simulated annealing : {:>9.3} ms", gap.sa_ms);
+    println!("  bound ({:<11}) : {:>9.3} ms", gap.bound_by, gap.bound_ms);
+    println!(
+        "QS-DNN (one seed) is {:.2}% above the bound",
+        gap.qsdnn_gap_pct
+    );
 }

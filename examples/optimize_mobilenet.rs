@@ -2,54 +2,36 @@
 //!
 //! QS-DNN learns to mix ArmCL's optimized depth-wise kernels (CPU), cuDNN
 //! pointwise convolutions (GPU) and Vanilla/ArmCL ReLU+BatchNorm to avoid
-//! costly extra copies to the GPU — beating the best single library by
-//! >1.4× (paper §VI.A). Run with:
+//! costly extra copies to the GPU — beating the best single library by more
+//! than 1.4× (paper §VI.A). This prints MobileNet's GPGPU row of Table II as
+//! `qsdnn::reproduce` computes it. Run with:
 //!
 //! ```sh
 //! cargo run --release -p qsdnn --example optimize_mobilenet
 //! ```
 
-use std::collections::BTreeMap;
-
-use qsdnn::engine::{AnalyticalPlatform, Mode, Profiler};
-use qsdnn::nn::zoo;
-use qsdnn::primitives::Library;
-use qsdnn::{QsDnnConfig, QsDnnSearch};
+use qsdnn::engine::Mode;
+use qsdnn::reproduce::table2_row;
 
 fn main() {
-    let net = zoo::mobilenet_v1(1);
-    println!("network: {} ({} layers)", net.name(), net.len());
-
-    let mut profiler = Profiler::new(AnalyticalPlatform::tx2());
-    let lut = profiler.profile(&net, Mode::Gpgpu);
-
-    // Best Single Library: the strongest of the per-library global
-    // implementations.
-    let mut bsl = (Library::Vanilla, f64::INFINITY);
-    for lib in Library::ALL {
-        let cost = lut.cost(&lut.single_library_assignment(lib));
-        println!("{:<9}: {:>8.3} ms", lib.name(), cost);
-        if cost < bsl.1 {
-            bsl = (lib, cost);
-        }
+    let row = table2_row("mobilenet_v1", Mode::Gpgpu);
+    for lib in &row.libraries {
+        println!("{:<9}: {:>8.3} ms", lib.library.name(), lib.cost_ms);
     }
-
-    let report = QsDnnSearch::new(QsDnnConfig::default()).run(&lut);
     println!(
         "\nqs-dnn   : {:>8.3} ms  ({:.2}x over BSL = {})",
-        report.best_cost_ms,
-        bsl.1 / report.best_cost_ms,
-        bsl.0.name()
+        row.qsdnn_ms,
+        row.qsdnn_over_bsl_x,
+        row.bsl.name()
     );
 
-    // Which libraries did the agent pick?
-    let mut mix: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for (l, &ci) in report.best_assignment.iter().enumerate() {
-        let prim = lut.candidates(l)[ci];
-        *mix.entry(prim.library.name()).or_default() += 1;
-    }
-    println!("\nlearned library mix (layers per library):");
-    for (lib, count) in mix {
-        println!("  {lib:<9} {count}");
+    println!("\nlearned mix of the best seed's plan:");
+    for mix in &row.plan {
+        let kind = format!("{:?}", mix.tag);
+        println!(
+            "  {kind:<14} {:<7} {:>3} layers",
+            mix.library.name(),
+            mix.layers
+        );
     }
 }

@@ -4,6 +4,7 @@
 
 use qsdnn::engine::{run_network, AnalyticalPlatform, MeasuredPlatform, Mode, Platform, Profiler};
 use qsdnn::nn::zoo;
+use qsdnn::reproduce::lut;
 use qsdnn::tensor::{DataLayout, Tensor};
 use qsdnn::{QsDnnConfig, QsDnnSearch};
 
@@ -104,8 +105,7 @@ fn branchy_network_pipeline_handles_joins() {
 
 #[test]
 fn lut_roundtrips_through_json() {
-    let net = zoo::lenet5(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu);
+    let lut = lut("lenet5", 1, Mode::Gpgpu, 2);
     let json = serde_json::to_string(&lut).expect("serializes");
     let back: qsdnn::engine::CostLut = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(lut, back);

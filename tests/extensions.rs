@@ -1,51 +1,15 @@
 //! Workspace integration test for the paper §VII future-work extensions:
 //! the multi-objective (energy) reward and the linear value-function
-//! approximation.
+//! approximation. `tests/reproduction.rs` holds the energy objective's
+//! plans to their trade-off.
 
-use qsdnn::engine::{AnalyticalPlatform, Mode, Objective, Profiler};
-use qsdnn::nn::zoo;
-use qsdnn::primitives::Processor;
-use qsdnn::{ApproxQsDnnSearch, QsDnnConfig, QsDnnSearch};
-
-fn lut(name: &str, mode: Mode) -> qsdnn::engine::CostLut {
-    let net = zoo::by_name(name, 1).expect("known network");
-    Profiler::with_repeats(AnalyticalPlatform::tx2(), 5).profile(&net, mode)
-}
-
-#[test]
-fn energy_objective_moves_work_off_the_gpu() {
-    let base = lut("mobilenet_v1", Mode::Gpgpu);
-    let episodes = 40 * base.len();
-    let count_gpu = |lut: &qsdnn::engine::CostLut, assign: &[usize]| {
-        assign
-            .iter()
-            .enumerate()
-            .filter(|(l, &ci)| lut.candidates(*l)[ci].processor == Processor::Gpu)
-            .count()
-    };
-    let latency_best = QsDnnSearch::new(QsDnnConfig::with_episodes(episodes))
-        .run(&base.with_objective(Objective::Latency));
-    let energy_best = QsDnnSearch::new(QsDnnConfig::with_episodes(episodes))
-        .run(&base.with_objective(Objective::Energy));
-    let gpu_latency = count_gpu(&base, &latency_best.best_assignment);
-    let gpu_energy = count_gpu(&base, &energy_best.best_assignment);
-    assert!(
-        gpu_energy < gpu_latency,
-        "energy objective must shed GPU layers ({gpu_energy} vs {gpu_latency})"
-    );
-    // Each objective must win its own metric.
-    assert!(
-        base.energy_cost(&energy_best.best_assignment)
-            <= base.energy_cost(&latency_best.best_assignment) + 1e-9
-    );
-    assert!(
-        base.cost(&latency_best.best_assignment) <= base.cost(&energy_best.best_assignment) + 1e-9
-    );
-}
+use qsdnn::engine::{Mode, Objective};
+use qsdnn::reproduce::{lut, QUICK_REPEATS};
+use qsdnn::{ApproxQsDnnSearch, QsDnnConfig};
 
 #[test]
 fn weighted_objective_interpolates() {
-    let base = lut("lenet5", Mode::Gpgpu);
+    let base = lut("lenet5", 1, Mode::Gpgpu, QUICK_REPEATS);
     let a = base.greedy_assignment();
     let t = base.cost(&a);
     let e = base.energy_cost(&a);
@@ -61,7 +25,7 @@ fn weighted_objective_interpolates() {
 #[test]
 fn linear_q_beats_random_exploration_alone() {
     use qsdnn::baselines::RandomSearch;
-    let base = lut("mobilenet_v1", Mode::Gpgpu);
+    let base = lut("mobilenet_v1", 1, Mode::Gpgpu, QUICK_REPEATS);
     let mut lin = 0.0;
     let mut rnd = 0.0;
     for seed in 0..3u64 {
@@ -75,7 +39,7 @@ fn linear_q_beats_random_exploration_alone() {
 
 #[test]
 fn linear_q_report_is_consistent() {
-    let base = lut("squeezenet_v11", Mode::Cpu);
+    let base = lut("squeezenet_v11", 1, Mode::Cpu, QUICK_REPEATS);
     let report = ApproxQsDnnSearch::new(QsDnnConfig::with_episodes(300)).run(&base);
     assert_eq!(report.method, "qs-dnn-linear");
     assert_eq!(report.best_assignment.len(), base.len());
@@ -85,7 +49,7 @@ fn linear_q_report_is_consistent() {
 
 #[test]
 fn energy_survives_serde_roundtrip() {
-    let base = lut("tiny_cnn", Mode::Gpgpu);
+    let base = lut("tiny_cnn", 1, Mode::Gpgpu, QUICK_REPEATS);
     let json = serde_json::to_string(&base).expect("serializes");
     let back: qsdnn::engine::CostLut = serde_json::from_str(&json).expect("deserializes");
     let a = base.vanilla_assignment();

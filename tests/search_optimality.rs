@@ -1,16 +1,15 @@
 //! Workspace integration test: QS-DNN must reach (or closely approach) the
 //! exact optimum where the optimum is computable, and must beat Random
-//! Search and the greedy trap.
+//! Search. `tests/reproduction.rs` holds it to the Fig. 1 greedy trap.
 
 use qsdnn::baselines::{exhaustive_search, pbqp_search, solve_chain_dp, RandomSearch};
-use qsdnn::engine::{toy, AnalyticalPlatform, Mode, Profiler};
-use qsdnn::nn::zoo;
+use qsdnn::engine::Mode;
+use qsdnn::reproduce::lut;
 use qsdnn::{QsDnnConfig, QsDnnSearch};
 
 #[test]
 fn qsdnn_matches_dp_on_lenet_chain() {
-    let net = zoo::lenet5(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 5).profile(&net, Mode::Gpgpu);
+    let lut = lut("lenet5", 1, Mode::Gpgpu, 5);
     let (_, dp) = solve_chain_dp(&lut).expect("LeNet-5 is a chain");
     let qs = QsDnnSearch::new(QsDnnConfig::with_episodes(1000)).run(&lut);
     assert!(
@@ -22,8 +21,7 @@ fn qsdnn_matches_dp_on_lenet_chain() {
 
 #[test]
 fn qsdnn_matches_exhaustive_on_branchy_toy() {
-    let net = zoo::toy_branchy(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 5).profile(&net, Mode::Cpu);
+    let lut = lut("toy_branchy", 1, Mode::Cpu, 5);
     let (_, opt) = exhaustive_search(&lut, 1e7).expect("toy space fits");
     let qs = QsDnnSearch::new(QsDnnConfig::with_episodes(1500)).run(&lut);
     assert!(
@@ -37,8 +35,7 @@ fn qsdnn_matches_exhaustive_on_branchy_toy() {
 fn qsdnn_beats_random_search_on_equal_budget() {
     // MobileNet GPGPU, 5 seeds each, 350 episodes (the paper's Fig. 5
     // near-convergence point).
-    let net = zoo::mobilenet_v1(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3).profile(&net, Mode::Gpgpu);
+    let lut = lut("mobilenet_v1", 1, Mode::Gpgpu, 3);
     let mut qs_mean = 0.0;
     let mut rs_mean = 0.0;
     for seed in 0..5u64 {
@@ -56,22 +53,9 @@ fn qsdnn_beats_random_search_on_equal_budget() {
 }
 
 #[test]
-fn qsdnn_escapes_fig1_greedy_trap() {
-    let lut = toy::fig1_lut();
-    let greedy = lut.cost(&lut.greedy_assignment());
-    let qs = QsDnnSearch::new(QsDnnConfig::with_episodes(300)).run(&lut);
-    assert!(
-        qs.best_cost_ms < greedy,
-        "{} vs greedy {greedy}",
-        qs.best_cost_ms
-    );
-}
-
-#[test]
 fn pbqp_and_dp_agree_on_roster_chains() {
     for name in ["lenet5", "alexnet", "vgg19"] {
-        let net = zoo::by_name(name, 1).unwrap();
-        let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Cpu);
+        let lut = lut(name, 1, Mode::Cpu, 2);
         let (_, dp) = solve_chain_dp(&lut).expect("classification chains");
         let pb = pbqp_search(&lut);
         assert!(
@@ -85,8 +69,7 @@ fn pbqp_and_dp_agree_on_roster_chains() {
 #[test]
 fn search_cost_matches_lut_reevaluation() {
     // The reported best cost must equal re-evaluating the assignment.
-    let net = zoo::squeezenet_v11(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu);
+    let lut = lut("squeezenet_v11", 1, Mode::Gpgpu, 2);
     let qs = QsDnnSearch::new(QsDnnConfig::with_episodes(200)).run(&lut);
     let re = lut.cost(&qs.best_assignment);
     assert!(

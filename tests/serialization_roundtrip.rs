@@ -1,8 +1,9 @@
 //! Serde roundtrips for every persistable artifact: networks, LUTs, search
 //! reports and configurations.
 
-use qsdnn::engine::{AnalyticalPlatform, CostLut, Mode, PlatformConfig, Profiler};
+use qsdnn::engine::{CostLut, Mode, PlatformConfig};
 use qsdnn::nn::{zoo, Network};
+use qsdnn::reproduce::lut;
 use qsdnn::{EpsilonSchedule, QsDnnConfig, QsDnnSearch, SearchReport};
 
 #[test]
@@ -17,8 +18,7 @@ fn network_roundtrip() {
 
 #[test]
 fn lut_roundtrip_preserves_costs() {
-    let net = zoo::tiny_cnn(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu);
+    let lut = lut("tiny_cnn", 1, Mode::Gpgpu, 2);
     let json = serde_json::to_string(&lut).unwrap();
     let back: CostLut = serde_json::from_str(&json).unwrap();
     let assign = back.greedy_assignment();
@@ -29,8 +29,7 @@ fn lut_roundtrip_preserves_costs() {
 
 #[test]
 fn search_report_roundtrip() {
-    let net = zoo::lenet5(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Cpu);
+    let lut = lut("lenet5", 1, Mode::Cpu, 2);
     let report = QsDnnSearch::new(QsDnnConfig::with_episodes(50)).run(&lut);
     let json = serde_json::to_string(&report).unwrap();
     let back: SearchReport = serde_json::from_str(&json).unwrap();
@@ -63,8 +62,7 @@ fn config_roundtrip() {
 #[test]
 fn reports_can_be_keyed_by_network_name() {
     // The report carries enough identity to archive experiment results.
-    let net = zoo::lenet5(1);
-    let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Cpu);
+    let lut = lut("lenet5", 1, Mode::Cpu, 2);
     let report = QsDnnSearch::new(QsDnnConfig::with_episodes(10)).run(&lut);
     assert_eq!(report.network, "lenet5");
     assert_eq!(report.method, "qs-dnn");
