@@ -9,14 +9,6 @@ use crate::kernels::{
 };
 use crate::{Algorithm, LayerWeights, Library, Lowering, Primitive};
 
-fn ensure_layout(t: Tensor, layout: DataLayout) -> Tensor {
-    if t.layout() == layout {
-        t
-    } else {
-        t.to_layout(layout)
-    }
-}
-
 fn gemm_of(primitive: &Primitive) -> Gemm {
     // Library-internal GEMMs (ArmCL, simulated cuDNN) use the packed kernel.
     Gemm::new(primitive.blas.unwrap_or(BlasBackend::OpenBlasLike))
@@ -55,11 +47,11 @@ pub fn execute_layer(
                     primitive.layout,
                 ),
                 (Algorithm::DirectOpt, _) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                    let x = x.as_layout(DataLayout::Nchw);
                     conv_direct::conv_direct_opt(&x, &weights.w, &weights.bias, p, out_shape)
                 }
                 (Algorithm::Gemm, Lowering::Im2col) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                    let x = x.as_layout(DataLayout::Nchw);
                     lowering::conv_im2col_gemm(
                         &x,
                         &weights.w,
@@ -70,7 +62,7 @@ pub fn execute_layer(
                     )
                 }
                 (Algorithm::Gemm, Lowering::Im2row) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nhwc);
+                    let x = x.as_layout(DataLayout::Nhwc);
                     lowering::conv_im2row_gemm(
                         &x,
                         &weights.w,
@@ -81,7 +73,7 @@ pub fn execute_layer(
                     )
                 }
                 (Algorithm::Gemm, Lowering::Kn2row) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                    let x = x.as_layout(DataLayout::Nchw);
                     lowering::conv_kn2row_gemm(
                         &x,
                         &weights.w,
@@ -92,11 +84,11 @@ pub fn execute_layer(
                     )
                 }
                 (Algorithm::Winograd, _) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                    let x = x.as_layout(DataLayout::Nchw);
                     winograd::conv_winograd(&x, &weights.w, &weights.bias, p, out_shape)
                 }
                 (Algorithm::SparseCsr, _) => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                    let x = x.as_layout(DataLayout::Nchw);
                     sparse::conv1x1_sparse(&x, &weights.w, &weights.bias, p, out_shape)
                 }
                 (alg, low) => panic!("no conv kernel for {alg}/{low}"),
@@ -114,7 +106,7 @@ pub fn execute_layer(
                     primitive.layout,
                 ),
                 Algorithm::DirectOpt => {
-                    let x = ensure_layout(x.clone(), DataLayout::Nhwc);
+                    let x = x.as_layout(DataLayout::Nhwc);
                     depthwise::depthwise_opt_nhwc(&x, &weights.w, &weights.bias, p, out_shape)
                 }
                 alg => panic!("no depthwise kernel for {alg}"),
@@ -125,7 +117,7 @@ pub fn execute_layer(
             let nnpack_fast =
                 primitive.library == Library::Nnpack && primitive.algorithm == Algorithm::DirectOpt;
             if nnpack_fast {
-                let x = ensure_layout(x.clone(), DataLayout::Nchw);
+                let x = x.as_layout(DataLayout::Nchw);
                 pool::maxpool_2x2_s2_nchw(&x, out_shape)
             } else {
                 pool::pool_generic(x, p, out_shape, primitive.layout)
@@ -156,7 +148,7 @@ pub fn execute_layer(
         LayerKind::Concat => eltwise::concat(inputs, primitive.layout),
         LayerKind::Add => eltwise::add(inputs[0], inputs[1], primitive.layout),
     };
-    ensure_layout(out, primitive.layout)
+    out.into_layout(primitive.layout)
 }
 
 #[cfg(test)]

@@ -1,31 +1,49 @@
 //! Element-wise and normalization kernels: ReLU, batch-norm, LRN, softmax.
 
 use qsdnn_nn::LrnParams;
-use qsdnn_tensor::{Shape, Tensor};
+use qsdnn_tensor::{DataLayout, Shape, Tensor};
 
 /// ReLU. Element-wise, so the buffer can be processed directly in whatever
 /// layout the input uses; the output keeps that layout.
+///
+/// One branch-free select per element: only values `< 0.0` become `+0.0`,
+/// so `-0.0` and NaN pass through unchanged.
 pub fn relu(input: &Tensor) -> Tensor {
-    let mut out = input.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    out
+    let data = input
+        .as_slice()
+        .iter()
+        .map(|&v| if v < 0.0 { 0.0 } else { v })
+        .collect();
+    Tensor::from_vec(input.shape(), input.layout(), data).expect("same volume as the input")
 }
 
 /// Inference-time batch normalization: `y = x * scale[c] + shift[c]`.
-/// Output keeps the input layout.
+/// Output keeps the input layout, walked in its own memory order.
+///
+/// # Panics
+///
+/// Panics if `scale` or `shift` has fewer entries than the input has
+/// channels.
 pub fn batch_norm(input: &Tensor, scale: &[f32], shift: &[f32]) -> Tensor {
     let s = input.shape();
-    let mut out = Tensor::zeros(s, input.layout());
-    for n in 0..s.n {
-        for c in 0..s.c {
-            let (sc, sh) = (scale[c], shift[c]);
-            for h in 0..s.h {
-                for w in 0..s.w {
-                    out.set(n, c, h, w, input.at(n, c, h, w) * sc + sh);
+    let (scale, shift) = (&scale[..s.c], &shift[..s.c]);
+    let mut out = input.clone();
+    if s.is_empty() {
+        return out;
+    }
+    match input.layout() {
+        DataLayout::Nchw => {
+            for (i, plane) in out.as_mut_slice().chunks_exact_mut(s.spatial()).enumerate() {
+                let (sc, sh) = (scale[i % s.c], shift[i % s.c]);
+                for v in plane {
+                    *v = *v * sc + sh;
+                }
+            }
+        }
+        DataLayout::Nhwc => {
+            for pixel in out.as_mut_slice().chunks_exact_mut(s.c) {
+                for ((v, sc), sh) in pixel.iter_mut().zip(scale).zip(shift) {
+                    *v = *v * sc + sh;
                 }
             }
         }
@@ -94,7 +112,76 @@ pub fn same_shape(input: &Tensor) -> Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsdnn_tensor::DataLayout;
+    use crate::kernels::testutil::{bits, spiky};
+    use proptest::prelude::*;
+
+    /// Batch-norm through the accessors, in logical order.
+    fn batch_norm_oracle(input: &Tensor, scale: &[f32], shift: &[f32]) -> Tensor {
+        let s = input.shape();
+        let mut out = Tensor::zeros(s, input.layout());
+        for n in 0..s.n {
+            for c in 0..s.c {
+                let (sc, sh) = (scale[c], shift[c]);
+                for h in 0..s.h {
+                    for w in 0..s.w {
+                        out.set(n, c, h, w, input.at(n, c, h, w) * sc + sh);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn relu_keeps_negative_zero_and_nan() {
+        let t = Tensor::from_vec(
+            Shape::new(1, 1, 1, 5),
+            DataLayout::Nchw,
+            vec![-0.0, f32::NAN, -f32::NAN, f32::NEG_INFINITY, -1.0],
+        )
+        .unwrap();
+        let got: Vec<u32> = relu(&t).as_slice().iter().map(|v| v.to_bits()).collect();
+        let want = [
+            (-0.0f32).to_bits(),
+            f32::NAN.to_bits(),
+            (-f32::NAN).to_bits(),
+            0.0f32.to_bits(),
+            0.0f32.to_bits(),
+        ];
+        assert_eq!(got, want);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_relu_matches_branching_oracle(
+            n in 1usize..3, c in 1usize..20, h in 1usize..9, w in 1usize..9,
+            layout in 0usize..2, seed in 0u64..1000
+        ) {
+            let t = spiky(Shape::new(n, c, h, w), DataLayout::ALL[layout], seed);
+            let mut want = t.clone();
+            for v in want.as_mut_slice() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+            let got = relu(&t);
+            prop_assert_eq!(got.layout(), t.layout());
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn prop_batch_norm_matches_accessor_oracle(
+            n in 1usize..3, c in 1usize..20, h in 1usize..9, w in 1usize..9,
+            layout in 0usize..2, seed in 0u64..1000
+        ) {
+            let t = spiky(Shape::new(n, c, h, w), DataLayout::ALL[layout], seed);
+            let scale: Vec<f32> = (0..c).map(|i| 0.5 + i as f32 * 0.37).collect();
+            let shift: Vec<f32> = (0..c).map(|i| i as f32 * -0.21).collect();
+            let got = batch_norm(&t, &scale, &shift);
+            prop_assert_eq!(got.layout(), t.layout());
+            prop_assert_eq!(bits(&got), bits(&batch_norm_oracle(&t, &scale, &shift)));
+        }
+    }
 
     #[test]
     fn relu_clamps_negatives_only() {

@@ -10,30 +10,24 @@ use qsdnn_tensor::{DataLayout, Shape, Tensor};
 /// Panics if shapes differ.
 pub fn add(a: &Tensor, b: &Tensor, out_layout: DataLayout) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "add requires equal shapes");
-    let s = a.shape();
-    if a.layout() == b.layout() && a.layout() == out_layout {
-        // Fast path: identical buffers order.
-        let mut out = a.clone();
-        for (o, v) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-            *o += v;
-        }
-        return out;
-    }
-    let mut out = Tensor::zeros(s, out_layout);
-    for n in 0..s.n {
-        for c in 0..s.c {
-            for h in 0..s.h {
-                for w in 0..s.w {
-                    out.set(n, c, h, w, a.at(n, c, h, w) + b.at(n, c, h, w));
-                }
-            }
-        }
+    let mut out = a.to_layout(out_layout);
+    for (o, v) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(b.as_layout(out_layout).as_slice())
+    {
+        *o += v;
     }
     out
 }
 
 /// Channel-wise concatenation (inception modules); inputs must agree on
 /// batch and spatial extents. Output in `out_layout`.
+///
+/// Each input is copied in runs: per image in NCHW (its channels are one
+/// contiguous block of the output image), per pixel in NHWC (its channels
+/// are one contiguous run of the output pixel). An input in the other
+/// layout is converted first.
 ///
 /// # Panics
 ///
@@ -44,6 +38,11 @@ pub fn concat(inputs: &[&Tensor], out_layout: DataLayout) -> Tensor {
     let channels: usize = inputs.iter().map(|t| t.shape().c).sum();
     let out_shape = Shape::new(first.n, channels, first.h, first.w);
     let mut out = Tensor::zeros(out_shape, out_layout);
+    // Output elements between the starts of two consecutive runs.
+    let out_run = match out_layout {
+        DataLayout::Nchw => channels * first.spatial(),
+        DataLayout::Nhwc => channels,
+    };
     let mut c_off = 0;
     for t in inputs {
         let s = t.shape();
@@ -52,13 +51,18 @@ pub fn concat(inputs: &[&Tensor], out_layout: DataLayout) -> Tensor {
             (first.n, first.h, first.w),
             "concat inputs must share batch and spatial extents"
         );
-        for n in 0..s.n {
-            for c in 0..s.c {
-                for h in 0..s.h {
-                    for w in 0..s.w {
-                        out.set(n, c_off + c, h, w, t.at(n, c, h, w));
-                    }
-                }
+        let t = t.as_layout(out_layout);
+        let (run, skip) = match out_layout {
+            DataLayout::Nchw => (s.c * s.spatial(), c_off * s.spatial()),
+            DataLayout::Nhwc => (s.c, c_off),
+        };
+        if run > 0 {
+            for (src, dst) in t
+                .as_slice()
+                .chunks_exact(run)
+                .zip(out.as_mut_slice().chunks_exact_mut(out_run))
+            {
+                dst[skip..skip + run].copy_from_slice(src);
             }
         }
         c_off += s.c;
@@ -69,6 +73,80 @@ pub fn concat(inputs: &[&Tensor], out_layout: DataLayout) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testutil::{bits, spiky};
+    use proptest::prelude::*;
+
+    /// `add` through the accessors, in logical order.
+    fn add_oracle(a: &Tensor, b: &Tensor, out_layout: DataLayout) -> Tensor {
+        let s = a.shape();
+        let mut out = Tensor::zeros(s, out_layout);
+        for n in 0..s.n {
+            for c in 0..s.c {
+                for h in 0..s.h {
+                    for w in 0..s.w {
+                        out.set(n, c, h, w, a.at(n, c, h, w) + b.at(n, c, h, w));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `concat` through the accessors, in logical order.
+    fn concat_oracle(inputs: &[&Tensor], out_layout: DataLayout) -> Tensor {
+        let first = inputs[0].shape();
+        let channels: usize = inputs.iter().map(|t| t.shape().c).sum();
+        let mut out = Tensor::zeros(Shape::new(first.n, channels, first.h, first.w), out_layout);
+        let mut c_off = 0;
+        for t in inputs {
+            let s = t.shape();
+            for n in 0..s.n {
+                for c in 0..s.c {
+                    for h in 0..s.h {
+                        for w in 0..s.w {
+                            out.set(n, c_off + c, h, w, t.at(n, c, h, w));
+                        }
+                    }
+                }
+            }
+            c_off += s.c;
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn prop_concat_matches_accessor_oracle(
+            n in 1usize..3, h in 1usize..7, w in 1usize..7,
+            c0 in 1usize..20, c1 in 1usize..20, c2 in 1usize..20, three in 0usize..2,
+            l0 in 0usize..2, l1 in 0usize..2, l2 in 0usize..2, out in 0usize..2,
+            seed in 0u64..1000
+        ) {
+            let part = |c: usize, l: usize, k: u64| {
+                spiky(Shape::new(n, c, h, w), DataLayout::ALL[l], seed + k)
+            };
+            let parts = [part(c0, l0, 0), part(c1, l1, 1), part(c2, l2, 2)];
+            let refs: Vec<&Tensor> = parts.iter().take(2 + three).collect();
+            let out_layout = DataLayout::ALL[out];
+            let got = concat(&refs, out_layout);
+            prop_assert_eq!(got.layout(), out_layout);
+            prop_assert_eq!(bits(&got), bits(&concat_oracle(&refs, out_layout)));
+        }
+
+        #[test]
+        fn prop_add_matches_accessor_oracle(
+            n in 1usize..3, c in 1usize..20, h in 1usize..7, w in 1usize..7,
+            la in 0usize..2, lb in 0usize..2, out in 0usize..2, seed in 0u64..1000
+        ) {
+            let shape = Shape::new(n, c, h, w);
+            let a = spiky(shape, DataLayout::ALL[la], seed);
+            let b = spiky(shape, DataLayout::ALL[lb], seed + 1);
+            let out_layout = DataLayout::ALL[out];
+            let got = add(&a, &b, out_layout);
+            prop_assert_eq!(got.layout(), out_layout);
+            prop_assert_eq!(bits(&got), bits(&add_oracle(&a, &b, out_layout)));
+        }
+    }
 
     #[test]
     fn add_fast_and_slow_paths_agree() {

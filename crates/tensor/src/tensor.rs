@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -135,27 +137,57 @@ impl Tensor {
     ///
     /// If the layout already matches, this is a plain clone. Otherwise every
     /// element is permuted — exactly the work a *compatibility layer*
-    /// performs at inference time.
+    /// performs at inference time. Per image, NCHW is a `[C][HW]` matrix
+    /// and NHWC its transpose `[HW][C]`, so the conversion is a tiled
+    /// transpose of each image.
     pub fn to_layout(&self, layout: DataLayout) -> Tensor {
         if layout == self.layout {
             return self.clone();
         }
-        let mut out = Tensor::zeros(self.shape, layout);
-        let s = self.shape;
-        for n in 0..s.n {
-            for c in 0..s.c {
-                for h in 0..s.h {
-                    for w in 0..s.w {
-                        out.set(n, c, h, w, self.at(n, c, h, w));
-                    }
-                }
+        let (c, hw) = (self.shape.c, self.shape.spatial());
+        let (rows, cols) = match self.layout {
+            DataLayout::Nchw => (c, hw),
+            DataLayout::Nhwc => (hw, c),
+        };
+        let mut data = vec![0.0; self.data.len()];
+        if !data.is_empty() {
+            for (src, dst) in self
+                .data
+                .chunks_exact(c * hw)
+                .zip(data.chunks_exact_mut(c * hw))
+            {
+                transpose(src, dst, rows, cols);
             }
         }
-        out
+        Tensor {
+            shape: self.shape,
+            layout,
+            data,
+        }
+    }
+
+    /// This tensor in `layout`: borrowed when the layout already matches,
+    /// a converted copy ([`Tensor::to_layout`]) otherwise.
+    pub fn as_layout(&self, layout: DataLayout) -> Cow<'_, Tensor> {
+        if layout == self.layout {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.to_layout(layout))
+        }
+    }
+
+    /// Consumes this tensor and returns it in `layout`, converting only if
+    /// the layout differs.
+    pub fn into_layout(self, layout: DataLayout) -> Tensor {
+        if layout == self.layout {
+            self
+        } else {
+            self.to_layout(layout)
+        }
     }
 
     /// Largest absolute element-wise difference between two tensors of the
-    /// same shape (layouts may differ).
+    /// same shape (layouts may differ). NaN differences are ignored.
     ///
     /// # Errors
     ///
@@ -167,21 +199,19 @@ impl Tensor {
                 right: other.shape,
             });
         }
-        let s = self.shape;
-        let mut max = 0.0f32;
-        for n in 0..s.n {
-            for c in 0..s.c {
-                for h in 0..s.h {
-                    for w in 0..s.w {
-                        let d = (self.at(n, c, h, w) - other.at(n, c, h, w)).abs();
-                        if d > max {
-                            max = d;
-                        }
-                    }
+        let other = other.as_layout(self.layout);
+        Ok(self
+            .data
+            .iter()
+            .zip(&other.data)
+            .fold(0.0f32, |max, (a, b)| {
+                let d = (a - b).abs();
+                if d > max {
+                    d
+                } else {
+                    max
                 }
-            }
-        }
-        Ok(max)
+            }))
     }
 
     /// Whether every element of `self` is within `tol` of the corresponding
@@ -192,6 +222,24 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn approx_eq(&self, other: &Tensor, tol: f32) -> Result<bool, TensorError> {
         Ok(self.max_abs_diff(other)? <= tol)
+    }
+}
+
+/// Writes the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst`, in square tiles so that the strided side of the copy stays in
+/// cache.
+fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    const TILE: usize = 32;
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            let c1 = (c0 + TILE).min(cols);
+            for r in r0..r1 {
+                for (j, &v) in src[r * cols + c0..r * cols + c1].iter().enumerate() {
+                    dst[(c0 + j) * rows + r] = v;
+                }
+            }
+        }
     }
 }
 
@@ -268,7 +316,96 @@ mod tests {
         assert!(a.approx_eq(&b, 0.0).unwrap());
     }
 
+    /// Element-by-element conversion through the accessors: the reference
+    /// the tiled transpose must match bit for bit.
+    fn to_layout_oracle(t: &Tensor, layout: DataLayout) -> Tensor {
+        let s = t.shape();
+        let mut out = Tensor::zeros(s, layout);
+        for n in 0..s.n {
+            for c in 0..s.c {
+                for h in 0..s.h {
+                    for w in 0..s.w {
+                        out.set(n, c, h, w, t.at(n, c, h, w));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `max_abs_diff` as a walk in logical order through the accessors.
+    fn max_abs_diff_oracle(a: &Tensor, b: &Tensor) -> f32 {
+        let s = a.shape();
+        let mut max = 0.0f32;
+        for n in 0..s.n {
+            for c in 0..s.c {
+                for h in 0..s.h {
+                    for w in 0..s.w {
+                        let d = (a.at(n, c, h, w) - b.at(n, c, h, w)).abs();
+                        if d > max {
+                            max = d;
+                        }
+                    }
+                }
+            }
+        }
+        max
+    }
+
+    /// Random values with −0.0, +0.0, NaN and infinities mixed in.
+    fn spiky(shape: Shape, layout: DataLayout, seed: u64) -> Tensor {
+        const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut t = Tensor::random(shape, layout, seed);
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            if (i as u64).wrapping_mul(seed | 1).is_multiple_of(7) {
+                *v = SPECIAL[i % SPECIAL.len()];
+            }
+        }
+        t
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn as_layout_borrows_only_when_layout_matches() {
+        let t = Tensor::random(Shape::new(1, 3, 2, 2), DataLayout::Nchw, 4);
+        assert!(matches!(t.as_layout(DataLayout::Nchw), Cow::Borrowed(_)));
+        let converted = t.as_layout(DataLayout::Nhwc);
+        assert!(matches!(converted, Cow::Owned(_)));
+        assert_eq!(*converted, t.to_layout(DataLayout::Nhwc));
+        assert_eq!(t.clone().into_layout(DataLayout::Nhwc), *converted);
+    }
+
     proptest! {
+        #[test]
+        fn prop_to_layout_matches_accessor_oracle(
+            n in 1usize..3, c in 1usize..70, h in 1usize..12, w in 1usize..12,
+            from in 0usize..2, seed in 0u64..1000
+        ) {
+            let t = spiky(Shape::new(n, c, h, w), DataLayout::ALL[from], seed);
+            for layout in DataLayout::ALL {
+                let got = t.to_layout(layout);
+                prop_assert_eq!(got.layout(), layout);
+                prop_assert_eq!(bits(&got), bits(&to_layout_oracle(&t, layout)));
+            }
+        }
+
+        #[test]
+        fn prop_max_abs_diff_matches_accessor_oracle(
+            n in 1usize..3, c in 1usize..40, h in 1usize..8, w in 1usize..8,
+            la in 0usize..2, lb in 0usize..2, seed in 0u64..1000
+        ) {
+            let shape = Shape::new(n, c, h, w);
+            let a = spiky(shape, DataLayout::ALL[la], seed);
+            let b = spiky(shape, DataLayout::ALL[lb], seed + 1);
+            prop_assert_eq!(
+                a.max_abs_diff(&b).unwrap().to_bits(),
+                max_abs_diff_oracle(&a, &b).to_bits()
+            );
+        }
+
         #[test]
         fn prop_layout_roundtrip(
             n in 1usize..3, c in 1usize..6, h in 1usize..6, w in 1usize..6, seed in 0u64..1000
