@@ -22,9 +22,7 @@ use std::collections::HashMap;
 use qsdnn::baselines::{
     pbqp_search, solve_chain_dp, RandomSearch, SimulatedAnnealing, SimulatedAnnealingConfig,
 };
-use qsdnn::engine::{
-    AnalyticalPlatform, CostLut, MeasuredPlatform, Mode, Objective, PlatformRegistry, Profiler,
-};
+use qsdnn::engine::{CostLut, Mode, Objective, PlatformRegistry, Profiler};
 use qsdnn::nn::zoo;
 use qsdnn::{ApproxQsDnnSearch, QsDnnConfig, QsDnnSearch, SearchReport};
 use qsdnn_serve::protocol::{
@@ -259,38 +257,30 @@ fn cmd_profile(args: &Args) -> Result<String, String> {
     let net = zoo::by_name(name, batch).ok_or_else(|| format!("unknown network `{name}`"))?;
     let mode = parse_mode(args.options.get("mode").map_or("gpgpu", String::as_str))?;
     let repeats = opt_parse(args, "repeats", 50usize)?;
-    let platform = args
-        .options
-        .get("platform")
-        .map_or("analytical", String::as_str);
     // `analytical`/`measured` predate the registry and stay as aliases for
-    // the sim-tx2 model and the host-measured platform; any other value is
-    // resolved as a registry name ("sim-gpu-heavy", specs from
-    // --platform-dir, ...).
-    let lut = match platform {
-        "analytical" => {
-            Profiler::with_repeats(AnalyticalPlatform::tx2(), repeats).profile(&net, mode)
-        }
-        "measured" => Profiler::with_repeats(MeasuredPlatform::new(7), repeats).profile(&net, mode),
-        name => {
-            let mut registry = PlatformRegistry::builtin();
-            if let Some(dir) = args.options.get("platform-dir") {
-                registry
-                    .load_dir(std::path::Path::new(dir))
-                    .map_err(|e| e.to_string())?;
-            }
-            let spec = registry
-                .resolve(name)
-                .map_err(|e| format!("{e} (or use the aliases `analytical`/`measured`)"))?;
-            if !spec.supports(mode) {
-                return Err(format!(
-                    "platform `{}` has no GPU; mode `{mode}` is unavailable on it",
-                    spec.name
-                ));
-            }
-            Profiler::with_repeats(registry.instantiate(spec), repeats).profile(&net, mode)
-        }
+    // `sim-tx2` and `measured-host`; every name resolves in the registry
+    // ("sim-gpu-heavy", specs from --platform-dir, ...).
+    let platform = match args.options.get("platform").map(String::as_str) {
+        None | Some("analytical") => "sim-tx2",
+        Some("measured") => "measured-host",
+        Some(name) => name,
     };
+    let mut registry = PlatformRegistry::builtin();
+    if let Some(dir) = args.options.get("platform-dir") {
+        registry
+            .load_dir(std::path::Path::new(dir))
+            .map_err(|e| e.to_string())?;
+    }
+    let spec = registry
+        .resolve(platform)
+        .map_err(|e| format!("{e} (or use the aliases `analytical`/`measured`)"))?;
+    if !spec.supports(mode) {
+        return Err(format!(
+            "platform `{}` has no GPU; mode `{mode}` is unavailable on it",
+            spec.name
+        ));
+    }
+    let lut = Profiler::with_repeats(registry.instantiate(spec), repeats).profile(&net, mode);
     let out_path = required(args, "out")?;
     let json = serde_json::to_string(&lut).map_err(|e| e.to_string())?;
     std::fs::write(out_path, json).map_err(|e| e.to_string())?;

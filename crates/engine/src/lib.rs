@@ -3,9 +3,10 @@
 //! The engine couples the primitive registry to a heterogeneous platform:
 //!
 //! * [`Platform`] — source of empirical layer times and compatibility-layer
-//!   penalties, with two implementations: [`AnalyticalPlatform`] (the
-//!   calibrated sim-TX2 model used for all paper-scale experiments) and
-//!   [`MeasuredPlatform`] (wall-clock timing of the real kernels);
+//!   penalties, with two implementations, each built from a
+//!   [`PlatformSpec`]: [`AnalyticalPlatform`] (a roofline model; the
+//!   [`PlatformSpec::tx2`] calibration drives all paper-scale experiments)
+//!   and [`MeasuredPlatform`] (wall-clock timing of the real kernels);
 //! * [`Profiler`] — Phase 1 of QS-DNN: benchmarks every primitive type
 //!   network-wide, profiles every compatibility layer (branches included),
 //!   and assembles the [`CostLut`];
@@ -45,7 +46,7 @@ pub use fingerprint::Fnv64;
 pub use lut::{Assignment, CostLut, IncomingEdge, LayerEntry};
 pub use platform::{
     AnalyticalPlatform, CoreSpec, LinkSpec, MeasuredPlatform, Mode, Objective, Platform,
-    PlatformConfig, PlatformError, PlatformKind, PlatformRegistry, PlatformSpec,
+    PlatformError, PlatformKind, PlatformRegistry, PlatformSpec,
 };
 pub use profiler::Profiler;
 pub use scenario::{LayerSummary, ScenarioDescriptor};

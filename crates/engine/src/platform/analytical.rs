@@ -1,4 +1,6 @@
-//! Roofline-style analytical model of the Jetson TX-2 ("sim-TX2").
+//! Roofline-style analytical model of a heterogeneous target, driven by
+//! the numbers of one [`PlatformSpec`] (for the paper's Jetson TX-2, the
+//! [`PlatformSpec::tx2`] calibration, "sim-TX2").
 //!
 //! Each layer time is `max(compute, memory) + launch`:
 //!
@@ -12,9 +14,11 @@
 //! * `launch` — per-kernel dispatch overhead (dominant for GPU primitives
 //!   on small layers; the reason LeNet-5's best GPGPU solution is pure CPU).
 //!
-//! Constants are calibrated so the *relative* shapes of the paper's Table II
-//! hold (`tests/paper_claims.rs` pins them; `REPRODUCTION.json` has the
-//! table); they are not claimed to be microarchitecturally exact.
+//! The per-primitive envelope tables below are TX-2-class; a spec's
+//! `compute_scale` scales them per core type. [`PlatformSpec::tx2`] is
+//! calibrated so the *relative* shapes of the paper's Table II hold
+//! (`tests/paper_claims.rs` pins them; `REPRODUCTION.json` has the table);
+//! they are not claimed to be microarchitecturally exact.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,77 +27,8 @@ use qsdnn_nn::{LayerKind, LayerTag, Network, Node};
 use qsdnn_primitives::{Algorithm, Library, Lowering, Primitive, Processor};
 use qsdnn_tensor::Shape;
 
-use super::Platform;
-
-/// Tunable constants of the analytical model. `Default` is the sim-TX2
-/// calibration used by all paper experiments.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlatformConfig {
-    /// Effective single-thread CPU memory bandwidth (GB/s).
-    pub cpu_bandwidth_gbs: f64,
-    /// Per-kernel CPU call overhead (ms).
-    pub cpu_launch_ms: f64,
-    /// CPU utilization knee (MACs at which efficiency reaches 50%).
-    pub cpu_saturation_macs: f64,
-    /// Effective GPU memory bandwidth (GB/s).
-    pub gpu_bandwidth_gbs: f64,
-    /// Per-kernel GPU launch overhead (ms).
-    pub gpu_launch_ms: f64,
-    /// GPU utilization knee (MACs at which occupancy reaches 50%).
-    pub gpu_saturation_macs: f64,
-    /// CPU↔GPU copy bandwidth over the shared-memory interconnect (GB/s).
-    pub transfer_gbs: f64,
-    /// Fixed CPU↔GPU transfer latency (ms).
-    pub transfer_latency_ms: f64,
-    /// Layout-repack bandwidth on the CPU (GB/s).
-    pub repack_cpu_gbs: f64,
-    /// Layout-repack bandwidth on the GPU (GB/s).
-    pub repack_gpu_gbs: f64,
-    /// Multiplicative measurement-noise amplitude (e.g. 0.03 = ±3%).
-    pub noise: f64,
-    /// Noise RNG seed.
-    pub seed: u64,
-    /// Active power of one CPU core under load (W).
-    pub cpu_power_w: f64,
-    /// Active power of the GPU under load (W).
-    pub gpu_power_w: f64,
-    /// Power drawn while moving data across the interconnect (W).
-    pub transfer_power_w: f64,
-    /// Sustained CPU compute multiplier over the TX-2-class envelope
-    /// tables (1.0 = TX-2; 0, the serde default for configs predating the
-    /// field, is treated as unscaled).
-    #[serde(default)]
-    pub cpu_compute_scale: f64,
-    /// Sustained GPU compute multiplier over the TX-2-class envelope
-    /// tables (1.0 = TX-2; 0, the serde default for configs predating the
-    /// field, is treated as unscaled).
-    #[serde(default)]
-    pub gpu_compute_scale: f64,
-}
-
-impl Default for PlatformConfig {
-    fn default() -> Self {
-        PlatformConfig {
-            cpu_bandwidth_gbs: 8.0,
-            cpu_launch_ms: 0.002,
-            cpu_saturation_macs: 2.0e4,
-            gpu_bandwidth_gbs: 30.0,
-            gpu_launch_ms: 0.05,
-            gpu_saturation_macs: 3.0e6,
-            transfer_gbs: 16.0,
-            transfer_latency_ms: 0.35,
-            repack_cpu_gbs: 4.0,
-            repack_gpu_gbs: 25.0,
-            noise: 0.03,
-            seed: 0xDA7E_2019,
-            cpu_power_w: 1.8,
-            gpu_power_w: 7.0,
-            transfer_power_w: 2.5,
-            cpu_compute_scale: 1.0,
-            gpu_compute_scale: 1.0,
-        }
-    }
-}
+use super::spec::absent_gpu;
+use super::{CoreSpec, Platform, PlatformSpec};
 
 /// Shape-regime multiplier on sustained convolution throughput.
 ///
@@ -275,7 +210,7 @@ fn lowering_scratch_bytes(node: &Node, in_shapes: &[Shape], prim: &Primitive) ->
     }
 }
 
-/// The sim-TX2 analytical platform.
+/// The analytical model of one [`PlatformSpec`].
 ///
 /// # Examples
 ///
@@ -293,41 +228,41 @@ fn lowering_scratch_bytes(node: &Node, in_shapes: &[Shape], prim: &Primitive) ->
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnalyticalPlatform {
-    name: String,
-    config: PlatformConfig,
+    spec: PlatformSpec,
+    /// `spec.gpu`, or finite-but-hopeless sentinel numbers for a CPU-only
+    /// spec, so a mis-routed GPU primitive prices itself out.
+    gpu: CoreSpec,
     rng: SmallRng,
 }
 
 impl AnalyticalPlatform {
-    /// Platform with the default sim-TX2 calibration.
+    /// Platform with the sim-TX2 calibration, [`PlatformSpec::tx2`].
     pub fn tx2() -> Self {
-        AnalyticalPlatform::with_config(PlatformConfig::default())
-    }
-
-    /// Platform with custom constants (ablations, other devices). Reports
-    /// the historical `"sim-tx2"` name; use [`AnalyticalPlatform::from_spec`]
-    /// for named targets.
-    pub fn with_config(config: PlatformConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(config.seed);
-        AnalyticalPlatform {
-            name: "sim-tx2".to_string(),
-            config,
-            rng,
-        }
+        AnalyticalPlatform::from_spec(&PlatformSpec::tx2())
     }
 
     /// Platform driven by a data-described target: the spec's numbers
     /// become the model constants and the spec's name becomes the
     /// platform (and therefore LUT) name.
-    pub fn from_spec(spec: &super::PlatformSpec) -> Self {
-        let mut platform = AnalyticalPlatform::with_config(spec.to_config());
-        platform.name = spec.name.clone();
-        platform
+    pub fn from_spec(spec: &PlatformSpec) -> Self {
+        AnalyticalPlatform {
+            spec: spec.clone(),
+            gpu: spec.gpu.clone().unwrap_or_else(absent_gpu),
+            rng: SmallRng::seed_from_u64(spec.seed),
+        }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
+    /// The spec this platform models.
+    pub(super) fn spec(&self) -> &PlatformSpec {
+        &self.spec
+    }
+
+    /// The core type that runs `processor`'s kernels.
+    fn core(&self, processor: Processor) -> &CoreSpec {
+        match processor {
+            Processor::Cpu => &self.spec.cpu,
+            Processor::Gpu => &self.gpu,
+        }
     }
 
     /// Noise-free base time — what the profiler's repeat-averaging should
@@ -343,24 +278,9 @@ impl AnalyticalPlatform {
         }
         let (mut gmacs, mem_eff) = envelope(prim, node.desc.tag());
         gmacs *= conv_regime_factor(prim, node);
-        let (bw, launch, knee, scale) = match prim.processor {
-            Processor::Cpu => (
-                self.config.cpu_bandwidth_gbs,
-                self.config.cpu_launch_ms,
-                self.config.cpu_saturation_macs,
-                self.config.cpu_compute_scale,
-            ),
-            Processor::Gpu => (
-                self.config.gpu_bandwidth_gbs,
-                self.config.gpu_launch_ms,
-                self.config.gpu_saturation_macs,
-                self.config.gpu_compute_scale,
-            ),
-        };
-        if scale > 0.0 {
-            gmacs *= scale;
-        }
-        let util = macs / (macs + knee);
+        let core = self.core(prim.processor);
+        gmacs *= core.compute_scale;
+        let util = macs / (macs + core.saturation_macs);
         let compute_ms = if macs > 0.0 {
             macs / (gmacs * 1e6 * util.max(1e-9))
         } else {
@@ -384,20 +304,20 @@ impl AnalyticalPlatform {
             + node.output_shape.bytes() as f64
             + weight_bytes
             + lowering_scratch_bytes(node, &in_shapes, prim);
-        let memory_ms = bytes / (bw * mem_eff * 1e6);
+        let memory_ms = bytes / (core.bandwidth_gbs * mem_eff * 1e6);
 
-        compute_ms.max(memory_ms) + launch
+        compute_ms.max(memory_ms) + core.launch_ms
     }
 }
 
 impl Platform for AnalyticalPlatform {
     fn layer_time_ms(&mut self, net: &Network, node: &Node, prim: &Primitive) -> f64 {
         let base = self.base_layer_time_ms(net, node, prim);
-        if base == 0.0 || self.config.noise == 0.0 {
+        if base == 0.0 || self.spec.noise == 0.0 {
             return base;
         }
         let eps: f64 = self.rng.gen_range(-1.0..1.0);
-        base * (1.0 + self.config.noise * eps)
+        base * (1.0 + self.spec.noise * eps)
     }
 
     fn conversion_time_ms(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
@@ -407,39 +327,33 @@ impl Platform for AnalyticalPlatform {
         if same_proc && same_layout {
             return 0.0;
         }
+        // Layout repack on the processor that holds the data afterwards.
+        let repack_ms = |processor| {
+            let core = self.core(processor);
+            bytes / (core.repack_gbs * 1e6) + core.launch_ms
+        };
         if same_proc {
-            // Pure layout repack on whichever processor holds the data.
-            let (bw, launch) = match from.processor {
-                Processor::Cpu => (self.config.repack_cpu_gbs, self.config.cpu_launch_ms),
-                Processor::Gpu => (self.config.repack_gpu_gbs, self.config.gpu_launch_ms),
-            };
-            return bytes / (bw * 1e6) + launch;
+            return repack_ms(from.processor);
         }
         // Cross-processor copy (+ repack at the destination if needed).
-        let mut t = bytes / (self.config.transfer_gbs * 1e6) + self.config.transfer_latency_ms;
+        let link = &self.spec.link;
+        let mut t = bytes / (link.bandwidth_gbs * 1e6) + link.latency_ms;
         if !same_layout {
-            let (bw, launch) = match to.processor {
-                Processor::Cpu => (self.config.repack_cpu_gbs, self.config.cpu_launch_ms),
-                Processor::Gpu => (self.config.repack_gpu_gbs, self.config.gpu_launch_ms),
-            };
-            t += bytes / (bw * 1e6) + launch;
+            t += repack_ms(to.processor);
         }
         t
     }
 
     fn processor_power_w(&self, processor: Processor) -> f64 {
-        match processor {
-            Processor::Cpu => self.config.cpu_power_w,
-            Processor::Gpu => self.config.gpu_power_w,
-        }
+        self.core(processor).power_w
     }
 
     fn transfer_power_w(&self) -> f64 {
-        self.config.transfer_power_w
+        self.spec.link.power_w
     }
 
     fn name(&self) -> &str {
-        &self.name
+        &self.spec.name
     }
 }
 
@@ -508,7 +422,7 @@ mod tests {
             t_gpu > t_cpu,
             "gpu {t_gpu} should lose to cpu {t_cpu} on LeNet pool1"
         );
-        assert!(t_gpu >= p.config().gpu_launch_ms);
+        assert!(t_gpu >= p.core(Processor::Gpu).launch_ms);
     }
 
     #[test]

@@ -7,44 +7,39 @@ use qsdnn_nn::{Network, Node};
 use qsdnn_primitives::{execute_layer, generate_weights, LayerWeights, Primitive, Processor};
 use qsdnn_tensor::{Shape, Tensor};
 
-use super::{AnalyticalPlatform, Platform};
+use super::{AnalyticalPlatform, Platform, PlatformSpec};
 
 /// Times each primitive by actually executing its kernel on the host CPU.
 ///
-/// GPU primitives cannot be timed on the host; they are delegated to the
-/// embedded [`AnalyticalPlatform`]. Host-CPU absolute times
-/// will differ from a Cortex-A57, but the *relative* ordering of the
-/// algorithm families (direct ≪ GEMM-lowered < Winograd for 3×3) is
-/// preserved, which is what the search consumes.
+/// GPU primitives cannot be timed on the host; they are delegated to an
+/// [`AnalyticalPlatform`] built from the same spec, which also holds the
+/// spec's name and seed. Host-CPU absolute times will differ from a
+/// Cortex-A57, but the *relative* ordering of the algorithm families
+/// (direct ≪ GEMM-lowered < Winograd for 3×3) is preserved, which is what
+/// the search consumes.
 pub struct MeasuredPlatform {
-    name: String,
-    seed: u64,
     analytical: AnalyticalPlatform,
     inputs: HashMap<(String, usize), Vec<Tensor>>,
     weights: HashMap<(String, usize), LayerWeights>,
 }
 
 impl MeasuredPlatform {
-    /// Creates a measured platform; `seed` controls synthetic inputs and
-    /// weights. GPU fallback and powers come from the TX-2 spec.
+    /// The registry's [`PlatformSpec::measured_host`] with `seed` in place
+    /// of its seed: `seed` controls the synthetic inputs and weights and
+    /// the GPU fallback's noise, so `new(7)` is exactly `measured-host`.
     pub fn new(seed: u64) -> Self {
-        MeasuredPlatform {
-            name: "measured-host".to_string(),
+        MeasuredPlatform::from_spec(&PlatformSpec {
             seed,
-            analytical: AnalyticalPlatform::tx2(),
-            inputs: HashMap::new(),
-            weights: HashMap::new(),
-        }
+            ..PlatformSpec::measured_host()
+        })
     }
 
     /// Measured platform described by a spec: the spec's name labels the
     /// LUTs, its seed drives the fixtures, and its numbers parameterize
     /// the embedded analytical fallback (GPU primitives, cross-processor
     /// links) and the per-processor powers.
-    pub fn from_spec(spec: &super::PlatformSpec) -> Self {
+    pub fn from_spec(spec: &PlatformSpec) -> Self {
         MeasuredPlatform {
-            name: spec.name.clone(),
-            seed: spec.seed,
             analytical: AnalyticalPlatform::from_spec(spec),
             inputs: HashMap::new(),
             weights: HashMap::new(),
@@ -53,7 +48,7 @@ impl MeasuredPlatform {
 
     fn fixture(&mut self, net: &Network, node: &Node) -> (Vec<Tensor>, LayerWeights) {
         let key = (net.name().to_string(), node.id.0);
-        let seed = self.seed;
+        let seed = self.analytical.spec().seed;
         let inputs = self
             .inputs
             .entry(key.clone())
@@ -109,7 +104,7 @@ impl Platform for MeasuredPlatform {
         if from.layout == to.layout {
             return 0.0;
         }
-        let t = Tensor::random(shape, from.layout, self.seed);
+        let t = Tensor::random(shape, from.layout, self.analytical.spec().seed);
         let start = Instant::now();
         let converted = t.to_layout(to.layout);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
@@ -126,7 +121,7 @@ impl Platform for MeasuredPlatform {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.analytical.name()
     }
 }
 
@@ -194,7 +189,39 @@ mod tests {
             .unwrap();
         let mut p = MeasuredPlatform::new(3);
         let t = p.layer_time_ms(&net, conv, &gpu);
-        assert!(t >= AnalyticalPlatform::tx2().config().gpu_launch_ms * 0.9);
+        let gpu_launch_ms = PlatformSpec::tx2().gpu.expect("tx2 has a gpu").launch_ms;
+        assert!(t >= gpu_launch_ms * 0.9);
+    }
+
+    #[test]
+    fn new_is_the_registry_measured_host() {
+        // `new(7)` and the registry's `measured-host` spec are one
+        // platform: same name, and bit-identical analytical fallback rows
+        // (GPU layer times, cross-processor conversions) call for call.
+        let platforms = crate::PlatformRegistry::builtin();
+        let mut via_new = MeasuredPlatform::new(7);
+        let mut via_spec = platforms.instantiate(&PlatformSpec::measured_host());
+        assert_eq!(via_new.name(), via_spec.name());
+        let net = zoo::tiny_cnn(1);
+        let conv1 = &net.layers()[1];
+        let gpu = registry::candidates(conv1)
+            .into_iter()
+            .find(|c| c.processor == Processor::Gpu)
+            .unwrap();
+        for _ in 0..4 {
+            assert_eq!(
+                via_new.layer_time_ms(&net, conv1, &gpu).to_bits(),
+                via_spec.layer_time_ms(&net, conv1, &gpu).to_bits()
+            );
+        }
+        let shape = Shape::new(1, 32, 16, 16);
+        let cpu = Primitive::vanilla();
+        for (from, to) in [(cpu, gpu), (gpu, cpu)] {
+            assert_eq!(
+                via_new.conversion_time_ms(shape, &from, &to).to_bits(),
+                via_spec.conversion_time_ms(shape, &from, &to).to_bits()
+            );
+        }
     }
 
     #[test]

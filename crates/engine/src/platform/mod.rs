@@ -8,9 +8,10 @@
 //! from a JSON spec directory). Two implementations exist behind the
 //! trait:
 //!
-//! * [`AnalyticalPlatform`](crate::AnalyticalPlatform) — a calibrated
-//!   roofline-style model driven by the spec numbers (deterministic,
-//!   instant; the `sim-tx2` spec is used for all paper-scale experiments);
+//! * [`AnalyticalPlatform`](crate::AnalyticalPlatform) — a roofline-style
+//!   model driven by the spec numbers (deterministic, instant; the
+//!   [`PlatformSpec::tx2`] calibration is used for all paper-scale
+//!   experiments);
 //! * [`MeasuredPlatform`](crate::MeasuredPlatform) — wall-clock timing of
 //!   the real Rust kernels on the host CPU (GPU primitives fall back to the
 //!   analytical model, as the host has no GPU to time).
@@ -20,7 +21,7 @@ mod measured;
 mod registry;
 mod spec;
 
-pub use analytical::{AnalyticalPlatform, PlatformConfig};
+pub use analytical::AnalyticalPlatform;
 pub use measured::MeasuredPlatform;
 pub use registry::{PlatformError, PlatformRegistry};
 pub use spec::{CoreSpec, LinkSpec, PlatformKind, PlatformSpec};

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{Mode, PlatformConfig};
+use super::Mode;
 use crate::Fnv64;
 
 /// Which `Platform` implementation a spec instantiates.
@@ -151,7 +151,7 @@ pub struct PlatformSpec {
 /// Sentinel GPU numbers for CPU-only specs: finite but hopeless, so a
 /// mis-routed GPU primitive prices itself out instead of panicking.
 /// Callers are expected to gate on [`PlatformSpec::supports`] first.
-fn absent_gpu() -> CoreSpec {
+pub(super) fn absent_gpu() -> CoreSpec {
     CoreSpec {
         bandwidth_gbs: 1e-3,
         launch_ms: 1e3,
@@ -163,9 +163,8 @@ fn absent_gpu() -> CoreSpec {
 }
 
 impl PlatformSpec {
-    /// The calibrated sim-TX2 spec — the registry default, numerically
-    /// identical to the historical `PlatformConfig::default()` so
-    /// default-platform requests stay byte-identical.
+    /// The calibrated sim-TX2 spec: the registry default and the
+    /// calibration of every paper experiment.
     pub fn tx2() -> Self {
         PlatformSpec {
             name: "sim-tx2".to_string(),
@@ -281,31 +280,6 @@ impl PlatformSpec {
         }
     }
 
-    /// Lowers the spec to the analytical model's constant block. CPU-only
-    /// specs get finite-but-hopeless sentinel numbers for the GPU side.
-    pub fn to_config(&self) -> PlatformConfig {
-        let gpu = self.gpu.clone().unwrap_or_else(absent_gpu);
-        PlatformConfig {
-            cpu_bandwidth_gbs: self.cpu.bandwidth_gbs,
-            cpu_launch_ms: self.cpu.launch_ms,
-            cpu_saturation_macs: self.cpu.saturation_macs,
-            gpu_bandwidth_gbs: gpu.bandwidth_gbs,
-            gpu_launch_ms: gpu.launch_ms,
-            gpu_saturation_macs: gpu.saturation_macs,
-            transfer_gbs: self.link.bandwidth_gbs,
-            transfer_latency_ms: self.link.latency_ms,
-            repack_cpu_gbs: self.cpu.repack_gbs,
-            repack_gpu_gbs: gpu.repack_gbs,
-            noise: self.noise,
-            seed: self.seed,
-            cpu_power_w: self.cpu.power_w,
-            gpu_power_w: gpu.power_w,
-            transfer_power_w: self.link.power_w,
-            cpu_compute_scale: self.cpu.compute_scale,
-            gpu_compute_scale: gpu.compute_scale,
-        }
-    }
-
     /// Stable 64-bit content fingerprint over every field that can change
     /// a profiled number — what joins the profile cache key and the
     /// scenario descriptor when a non-default platform is selected.
@@ -370,51 +344,33 @@ impl PlatformSpec {
         if self.name.is_empty() {
             return Err("platform spec has an empty name".to_string());
         }
-        let check_core = |label: &str, core: &CoreSpec| -> Result<(), String> {
-            let fields = [
+        // `(field, value, whether zero is allowed)`, in report order.
+        let mut checks = Vec::new();
+        for (label, core) in [("cpu", Some(&self.cpu)), ("gpu", self.gpu.as_ref())] {
+            let Some(core) = core else { continue };
+            for (field, v) in [
                 ("bandwidth_gbs", core.bandwidth_gbs),
                 ("launch_ms", core.launch_ms),
                 ("saturation_macs", core.saturation_macs),
                 ("repack_gbs", core.repack_gbs),
                 ("compute_scale", core.compute_scale),
-            ];
-            for (field, v) in fields {
-                if !v.is_finite() || v <= 0.0 {
-                    return Err(format!(
-                        "{}: {label}.{field} must be finite and > 0, got {v}",
-                        self.name
-                    ));
-                }
+            ] {
+                checks.push((format!("{label}.{field}"), v, false));
             }
-            if !core.power_w.is_finite() || core.power_w < 0.0 {
-                return Err(format!(
-                    "{}: {label}.power_w must be finite and >= 0, got {}",
-                    self.name, core.power_w
-                ));
-            }
-            Ok(())
-        };
-        check_core("cpu", &self.cpu)?;
-        if let Some(gpu) = &self.gpu {
-            check_core("gpu", gpu)?;
+            checks.push((format!("{label}.power_w"), core.power_w, true));
         }
-        let link = [
-            ("link.bandwidth_gbs", self.link.bandwidth_gbs),
-            ("link.latency_ms", self.link.latency_ms),
-        ];
-        for (field, v) in link {
-            if !v.is_finite() || v <= 0.0 {
+        let link = &self.link;
+        checks.push(("link.bandwidth_gbs".to_string(), link.bandwidth_gbs, false));
+        checks.push(("link.latency_ms".to_string(), link.latency_ms, false));
+        checks.push(("link.power_w".to_string(), link.power_w, true));
+        for (field, v, zero_ok) in checks {
+            if !v.is_finite() || v < 0.0 || (v == 0.0 && !zero_ok) {
+                let bound = if zero_ok { ">=" } else { ">" };
                 return Err(format!(
-                    "{}: {field} must be finite and > 0, got {v}",
+                    "{}: {field} must be finite and {bound} 0, got {v}",
                     self.name
                 ));
             }
-        }
-        if !self.link.power_w.is_finite() || self.link.power_w < 0.0 {
-            return Err(format!(
-                "{}: link.power_w must be finite and >= 0, got {}",
-                self.name, self.link.power_w
-            ));
         }
         if !self.noise.is_finite() || !(0.0..1.0).contains(&self.noise) {
             return Err(format!(
@@ -429,11 +385,6 @@ impl PlatformSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tx2_spec_lowers_to_the_historical_default_config() {
-        assert_eq!(PlatformSpec::tx2().to_config(), PlatformConfig::default());
-    }
 
     #[test]
     fn builtin_specs_validate() {
@@ -472,8 +423,12 @@ mod tests {
         assert!(!spec.supports(Mode::Gpgpu));
         // The sentinel GPU numbers are finite, so even a mis-routed GPU
         // primitive yields a huge finite time, never NaN.
-        let cfg = spec.to_config();
-        assert!(cfg.gpu_bandwidth_gbs > 0.0 && cfg.gpu_bandwidth_gbs.is_finite());
+        let net = qsdnn_nn::zoo::tiny_cnn(1);
+        let conv1 = &net.layers()[1];
+        let mut gpu = qsdnn_primitives::registry::candidates(conv1)[0];
+        gpu.processor = qsdnn_primitives::Processor::Gpu;
+        let t = crate::AnalyticalPlatform::from_spec(&spec).base_layer_time_ms(&net, conv1, &gpu);
+        assert!(t.is_finite() && t > 1e3, "mis-routed gpu time {t}");
     }
 
     #[test]

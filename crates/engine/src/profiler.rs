@@ -52,11 +52,6 @@ impl<P: Platform> Profiler<P> {
         Profiler { platform, repeats }
     }
 
-    /// Consumes the profiler, returning the platform.
-    pub fn into_platform(self) -> P {
-        self.platform
-    }
-
     /// Number of whole-network inference sweeps Phase 1 performs: one per
     /// distinct global implementation (per library, its maximum per-layer
     /// variant count), plus one for compatibility profiling (paper §V.A).
@@ -156,13 +151,76 @@ impl<P: Platform> Profiler<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AnalyticalPlatform;
+    use crate::{AnalyticalPlatform, PlatformKind, PlatformRegistry};
     use qsdnn_nn::zoo;
     use qsdnn_primitives::Processor;
 
     fn quick_lut(name: &str, mode: Mode) -> CostLut {
         let net = zoo::by_name(name, 1).expect("known net");
         Profiler::with_repeats(AnalyticalPlatform::tx2(), 3).profile(&net, mode)
+    }
+
+    /// `(platform, network, mode, CostLut::fingerprint)` of a 3-repeat
+    /// profile of every analytical built-in, recorded before `PlatformSpec`
+    /// became the only platform description. A change to the analytical
+    /// model that moves one bit of one LUT fails here; re-record the table
+    /// and say why.
+    #[rustfmt::skip]
+    const GOLDEN_LUTS: [(&str, &str, Mode, u64); 20] = [
+        ("sim-cpu-only", "tiny_cnn", Mode::Cpu, 0x5fd1e0673a9dfb07),
+        ("sim-cpu-only", "lenet5", Mode::Cpu, 0x795e68e0c0d0c71f),
+        ("sim-cpu-only", "toy_branchy", Mode::Cpu, 0xcca636f84b875e74),
+        ("sim-cpu-only", "squeezenet_v11", Mode::Cpu, 0xd8bab32e612e6b4a),
+        ("sim-gpu-heavy", "tiny_cnn", Mode::Cpu, 0xb4b4529886c9dc9a),
+        ("sim-gpu-heavy", "tiny_cnn", Mode::Gpgpu, 0x1e3c234def71ed39),
+        ("sim-gpu-heavy", "lenet5", Mode::Cpu, 0x69553b5fe3859dda),
+        ("sim-gpu-heavy", "lenet5", Mode::Gpgpu, 0x219658e5424be645),
+        ("sim-gpu-heavy", "toy_branchy", Mode::Cpu, 0x7d17f4aca300fc84),
+        ("sim-gpu-heavy", "toy_branchy", Mode::Gpgpu, 0x3cd7f5a40cb678d3),
+        ("sim-gpu-heavy", "squeezenet_v11", Mode::Cpu, 0x256f0eb73dc60ec2),
+        ("sim-gpu-heavy", "squeezenet_v11", Mode::Gpgpu, 0xb9eea31e46c7e845),
+        ("sim-tx2", "tiny_cnn", Mode::Cpu, 0xfcf6561f930c04bb),
+        ("sim-tx2", "tiny_cnn", Mode::Gpgpu, 0x165cde0b522280c5),
+        ("sim-tx2", "lenet5", Mode::Cpu, 0x0eb7390ffecc82c4),
+        ("sim-tx2", "lenet5", Mode::Gpgpu, 0x85608e441d3d0a8c),
+        ("sim-tx2", "toy_branchy", Mode::Cpu, 0x3853257dbaf660fe),
+        ("sim-tx2", "toy_branchy", Mode::Gpgpu, 0x6f813d70b6c6cf6d),
+        ("sim-tx2", "squeezenet_v11", Mode::Cpu, 0x7976118b12095941),
+        ("sim-tx2", "squeezenet_v11", Mode::Gpgpu, 0x5d70d14006ca4df6),
+    ];
+
+    #[test]
+    fn analytical_builtins_profile_to_golden_luts() {
+        let r = PlatformRegistry::builtin();
+        let mut got = Vec::new();
+        for spec in r.specs().filter(|s| s.kind == PlatformKind::Analytical) {
+            for net_name in ["tiny_cnn", "lenet5", "toy_branchy", "squeezenet_v11"] {
+                let net = zoo::by_name(net_name, 1).expect("zoo");
+                for mode in [Mode::Cpu, Mode::Gpgpu] {
+                    if spec.supports(mode) {
+                        let lut =
+                            Profiler::with_repeats(r.instantiate(spec), 3).profile(&net, mode);
+                        got.push((spec.name.as_str(), net_name, mode, lut.fingerprint()));
+                    }
+                }
+            }
+        }
+        let table: String = got
+            .iter()
+            .map(|(p, n, m, fp)| format!("        ({p:?}, {n:?}, Mode::{m:?}, {fp:#018x}),\n"))
+            .collect();
+        assert_eq!(got, GOLDEN_LUTS, "profiled LUTs moved; now:\n{table}");
+    }
+
+    #[test]
+    fn tx2_constructor_matches_the_sim_tx2_golden_rows() {
+        let rows: Vec<_> = GOLDEN_LUTS.iter().filter(|r| r.0 == "sim-tx2").collect();
+        assert_eq!(rows.len(), 8);
+        for &&(_, net_name, mode, fp) in &rows {
+            let net = zoo::by_name(net_name, 1).expect("zoo");
+            let lut = Profiler::with_repeats(AnalyticalPlatform::tx2(), 3).profile(&net, mode);
+            assert_eq!(lut.fingerprint(), fp, "{net_name} {mode}");
+        }
     }
 
     #[test]

@@ -83,11 +83,7 @@ pub fn plan_key_on(
     h.write_u64(lut_fingerprint);
     objective.fingerprint_into(&mut h);
     h.write_u64(portfolio_fingerprint);
-    if let Some((name, fp)) = platform {
-        h.write_str("platform");
-        h.write_str(name);
-        h.write_u64(fp);
-    }
+    write_platform(&mut h, platform);
     format!("{:016x}", h.finish())
 }
 
@@ -128,12 +124,20 @@ pub fn warm_plan_key_on(
     objective.fingerprint_into(&mut h);
     h.write_u64(portfolio_fingerprint);
     h.write_str(donor_key);
+    write_platform(&mut h, platform);
+    format!("{:016x}", h.finish())
+}
+
+/// The one rule for a platform in a content address, shared by the plan,
+/// warm-plan and profile keys: `Some((name, spec_fingerprint))` when the
+/// request engaged a non-default platform, and no bytes at all for `None`,
+/// so default-platform keys keep their historical values.
+pub(crate) fn write_platform(h: &mut Fnv64, platform: Option<(&str, u64)>) {
     if let Some((name, fp)) = platform {
         h.write_str("platform");
         h.write_str(name);
         h.write_u64(fp);
     }
-    format!("{:016x}", h.finish())
 }
 
 /// What the cache can hold: serializable (for the spill tier) and

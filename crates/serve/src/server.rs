@@ -42,7 +42,9 @@ use qsdnn::{EpisodeRecord, Portfolio, PortfolioOutcome, QTable, SearchReport, Tr
 
 use qsdnn_obs::{EventKind, FlightRecorder};
 
-use crate::cache::{plan_key_on, warm_plan_key_on, CacheValue, PlanCache, WireBody};
+use crate::cache::{
+    plan_key_on, warm_plan_key_on, write_platform, CacheValue, PlanCache, WireBody,
+};
 use crate::conn::{json_frame, json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
@@ -590,11 +592,10 @@ impl ServiceState {
             h.write_usize(req.batch);
             h.write_str(req.mode.label());
             h.write_usize(repeats);
-            if engaged {
-                h.write_str("platform");
-                h.write_str(&spec.name);
-                h.write_u64(spec.fingerprint());
-            }
+            write_platform(
+                &mut h,
+                engaged.then(|| (spec.name.as_str(), spec.fingerprint())),
+            );
             format!("{:016x}", h.finish())
         };
         // Profiles are cheap relative to searches but heavily repeated in a

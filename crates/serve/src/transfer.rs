@@ -111,7 +111,8 @@ impl ScenarioIndex {
     /// Durable index: entries persist as `<dir>/<base_key>.json` and
     /// the constructor reloads every parseable file (oldest first by
     /// modification time, trimmed to the bound). Unparseable files — a
-    /// torn write, an old format — are deleted, not fatal.
+    /// torn write, an old format — and orphaned `.json.tmp` files are
+    /// deleted, not fatal.
     ///
     /// # Errors
     ///
@@ -123,7 +124,11 @@ impl ScenarioIndex {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
-            if path.extension().is_some_and(|e| e == "json") {
+            if path.to_str().is_some_and(|p| p.ends_with(".json.tmp")) {
+                // Orphan from a `persist` that died between write and
+                // rename; it never became an entry.
+                let _ = std::fs::remove_file(&path);
+            } else if path.extension().is_some_and(|e| e == "json") {
                 let mtime = entry
                     .metadata()
                     .and_then(|m| m.modified())
@@ -447,6 +452,26 @@ mod tests {
         drop(bounded);
         let reopened = ScenarioIndex::with_dir(&dir, 16).unwrap();
         assert_eq!(reopened.len(), 1, "evicted entries stay gone on disk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn orphaned_tmp_files_are_swept_on_open() {
+        let dir = std::env::temp_dir().join(format!("qsdnn_scidx_tmp_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let index = ScenarioIndex::with_dir(&dir, 16).unwrap();
+            put(&index, desc(1), "b1");
+        }
+        // A writer that died between `write` and `rename` leaves this.
+        let orphan = dir.join("cafef00d00000000.json.tmp");
+        std::fs::write(&orphan, "{\"half\":").unwrap();
+        let reopened = ScenarioIndex::with_dir(&dir, 16).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert!(
+            !orphan.exists(),
+            "orphaned .json.tmp files are deleted on open"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Serde roundtrips for every persistable artifact: networks, LUTs, search
 //! reports and configurations.
 
-use qsdnn::engine::{CostLut, Mode, PlatformConfig};
+use qsdnn::engine::{CostLut, Mode};
 use qsdnn::nn::{zoo, Network};
 use qsdnn::reproduce::lut;
 use qsdnn::{EpsilonSchedule, QsDnnConfig, QsDnnSearch, SearchReport};
@@ -52,11 +52,6 @@ fn config_roundtrip() {
     let json = serde_json::to_string(&cfg).unwrap();
     let back: QsDnnConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(cfg, back);
-
-    let pc = PlatformConfig::default();
-    let json = serde_json::to_string(&pc).unwrap();
-    let back: PlatformConfig = serde_json::from_str(&json).unwrap();
-    assert_eq!(pc, back);
 }
 
 #[test]
