@@ -130,10 +130,10 @@ pub fn usage() -> String {
      [--cache-entries N] [--max-in-flight N] [--transfer auto|off]\n            \
      [--index-entries N] [--metrics-addr host:port] [--slow-ms N]\n            \
      [--platform <name>] [--platform-dir <dir>]\n            \
-     (one readiness loop drives every connection: epoll on Linux, poll(2) on other\n            \
-     unix targets. --metrics-addr serves Prometheus text at\n            \
-     /metrics; requests slower than --slow-ms are logged with a stage breakdown\n            \
-     and journaled as flight-recorder exemplars; SIGTERM or a handler panic\n            \
+     (one poll(2) readiness loop drives every connection. --metrics-addr\n            \
+     serves Prometheus text at /metrics; requests slower than --slow-ms are\n            \
+     logged with a stage breakdown and journaled as flight-recorder\n            \
+     exemplars; SIGTERM or a handler panic\n            \
      flushes the recorder to a post-mortem dump under --spill;\n            \
      --platform-dir loads extra platform specs from *.json files and\n            \
      --platform picks the server's default target)\n  \

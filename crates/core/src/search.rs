@@ -37,7 +37,8 @@ pub struct QsDnnConfig {
     pub alpha: f64,
     /// Discount factor γ.
     pub gamma: f64,
-    /// Experience-replay buffer capacity (0 disables replay).
+    /// Experience-replay buffer capacity, clamped to at least 1; replay
+    /// itself is switched off by `replay: false`, not by a capacity of 0.
     pub replay_capacity: usize,
     /// Whether to run a replay pass after each episode.
     pub replay: bool,

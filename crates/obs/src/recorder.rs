@@ -83,8 +83,9 @@ pub enum EventKind {
     /// Reactor loop took unusually long to process one wakeup.
     /// `a` = loop µs.
     ReactorStall = 12,
-    /// The reactor's readiness wait (`epoll_wait` or `poll`) blocked far
-    /// past its timeout. `a` = wait µs.
+    /// The reactor's readiness wait (`poll`) blocked far past its timeout.
+    /// `a` = wait µs. The name predates the `poll` backend and is kept:
+    /// it is the journal label `epoll_wait_outlier`.
     EpollWaitOutlier = 13,
     /// Worker-pool queue crossed its saturation threshold.
     /// `a` = pool id, `b` = queue depth.

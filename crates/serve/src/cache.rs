@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::UNIX_EPOCH;
 
@@ -60,19 +60,10 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// The LUT fingerprint already covers network, platform, mode and every
 /// profiled number; the objective and portfolio fingerprints cover what the
-/// search will do with them.
-pub fn plan_key(lut_fingerprint: u64, objective: &Objective, portfolio_fingerprint: u64) -> String {
-    plan_key_on(lut_fingerprint, objective, portfolio_fingerprint, None)
-}
-
-/// [`plan_key`] for a scenario pinned to an explicitly selected platform.
-///
-/// `platform` is `Some((name, spec_fingerprint))` only when the request
-/// *engaged* a non-default platform; `None` hashes exactly the bytes
-/// `plan_key` always hashed, so default-platform requests keep their
-/// historical content addresses (and their caches) across the registry
-/// refactor.
-pub fn plan_key_on(
+/// search will do with them. `platform` is `Some((name, spec_fingerprint))`
+/// only when the request *engaged* a non-default platform (see
+/// [`write_platform`]).
+pub fn plan_key(
     lut_fingerprint: u64,
     objective: &Objective,
     portfolio_fingerprint: u64,
@@ -88,30 +79,13 @@ pub fn plan_key_on(
 }
 
 /// Content address of a *warm-started* plan: the scenario identity plus
-/// the donor plan's key. A warm search's outcome depends on which donor
-/// seeded it, so warm plans never share a key with the cold plan for the
-/// same scenario (or with a warm plan seeded by a different donor) — a
-/// later `transfer: "off"` request therefore can never be served a
-/// transferred result.
+/// the donor plan's key, and the same optional platform component as
+/// [`plan_key`]. A warm search's outcome depends on which donor seeded it,
+/// so warm plans never share a key with the cold plan for the same
+/// scenario (or with a warm plan seeded by a different donor) — a later
+/// `transfer: "off"` request therefore can never be served a transferred
+/// result.
 pub fn warm_plan_key(
-    lut_fingerprint: u64,
-    objective: &Objective,
-    portfolio_fingerprint: u64,
-    donor_key: &str,
-) -> String {
-    warm_plan_key_on(
-        lut_fingerprint,
-        objective,
-        portfolio_fingerprint,
-        donor_key,
-        None,
-    )
-}
-
-/// [`warm_plan_key`] with the same optional platform component as
-/// [`plan_key_on`]: `None` preserves the historical bytes, `Some` binds
-/// the warm plan to the explicitly selected target.
-pub fn warm_plan_key_on(
     lut_fingerprint: u64,
     objective: &Objective,
     portfolio_fingerprint: u64,
@@ -372,18 +346,7 @@ impl SpillTier {
     }
 
     fn store(&self, key: &str, json: &str) {
-        let path = self.path_for(key);
-        let tmp = path.with_extension("json.tmp");
-        let durable = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            // fsync *before* the rename: the rename is what makes the
-            // entry durable, so the bytes must already be on disk.
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        if durable.is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        if write_durably(&self.path_for(key), json.as_bytes()).is_err() {
             return;
         }
         let mut index = lock_recover(&self.index);
@@ -403,6 +366,25 @@ impl SpillTier {
     fn len(&self) -> usize {
         lock_recover(&self.index).order.len()
     }
+}
+
+/// Writes `bytes` to `path` through a sibling `.json.tmp` file: write,
+/// fsync, rename. On failure the temporary file is removed and `path` is
+/// untouched, so a reader sees the old record or the whole new one.
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    let written = (|| -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        // fsync *before* the rename: the rename is what makes the record
+        // durable, so the bytes must already be on disk.
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Content-addressed, sharded, single-flight cache. `T` is the cached
@@ -1185,6 +1167,18 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_durable_write_keeps_no_tmp_file() {
+        let dir = std::env::temp_dir().join(format!("qsdnn_durable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("cafe.json");
+        // A directory where the record goes: the rename fails.
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(write_durably(&path, b"{}").is_err());
+        assert!(!dir.join("cafe.json.tmp").exists(), "tmp file left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn disk_tier_is_bounded_and_gcs_oldest_first() {
         let dir = std::env::temp_dir().join(format!("qsdnn_diskgc_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1381,18 +1375,25 @@ mod tests {
     fn warm_keys_never_collide_with_cold_keys() {
         let lut = toy::fig1_lut();
         let p = Portfolio::paper_default(100, &[1]);
-        let cold = plan_key(lut.fingerprint(), &Objective::Latency, p.fingerprint());
+        let cold = plan_key(
+            lut.fingerprint(),
+            &Objective::Latency,
+            p.fingerprint(),
+            None,
+        );
         let warm_a = warm_plan_key(
             lut.fingerprint(),
             &Objective::Latency,
             p.warmed().fingerprint(),
             "donor-a",
+            None,
         );
         let warm_b = warm_plan_key(
             lut.fingerprint(),
             &Objective::Latency,
             p.warmed().fingerprint(),
             "donor-b",
+            None,
         );
         assert_ne!(cold, warm_a, "cold and warm plans are separate artifacts");
         assert_ne!(warm_a, warm_b, "the donor is part of the warm identity");
@@ -1407,22 +1408,33 @@ mod tests {
     fn plan_keys_separate_scenarios() {
         let lut = toy::fig1_lut();
         let p = Portfolio::paper_default(100, &[1]);
-        let base = plan_key(lut.fingerprint(), &Objective::Latency, p.fingerprint());
+        let base = plan_key(
+            lut.fingerprint(),
+            &Objective::Latency,
+            p.fingerprint(),
+            None,
+        );
         assert_eq!(base.len(), 16);
         assert_eq!(
             base,
-            plan_key(lut.fingerprint(), &Objective::Latency, p.fingerprint())
+            plan_key(
+                lut.fingerprint(),
+                &Objective::Latency,
+                p.fingerprint(),
+                None
+            )
         );
         assert_ne!(
             base,
-            plan_key(lut.fingerprint(), &Objective::Energy, p.fingerprint())
+            plan_key(lut.fingerprint(), &Objective::Energy, p.fingerprint(), None)
         );
         assert_ne!(
             base,
             plan_key(
                 toy::small_chain_lut().fingerprint(),
                 &Objective::Latency,
-                p.fingerprint()
+                p.fingerprint(),
+                None
             )
         );
         assert_ne!(
@@ -1430,7 +1442,8 @@ mod tests {
             plan_key(
                 lut.fingerprint(),
                 &Objective::Latency,
-                Portfolio::paper_default(101, &[1]).fingerprint()
+                Portfolio::paper_default(101, &[1]).fingerprint(),
+                None
             )
         );
     }
@@ -1439,19 +1452,27 @@ mod tests {
     fn platform_component_is_absent_by_default_and_separates_targets() {
         let lut = toy::fig1_lut();
         let p = Portfolio::paper_default(100, &[1]);
-        let legacy = plan_key(lut.fingerprint(), &Objective::Latency, p.fingerprint());
+        let legacy = plan_key(
+            lut.fingerprint(),
+            &Objective::Latency,
+            p.fingerprint(),
+            None,
+        );
         // `None` must hash exactly the bytes `plan_key` always hashed:
         // default-platform requests keep their historical addresses.
-        assert_eq!(
-            legacy,
-            plan_key_on(
-                lut.fingerprint(),
-                &Objective::Latency,
-                p.fingerprint(),
-                None
-            )
-        );
-        let pinned = plan_key_on(
+        let historical = |tag: &str, donor: Option<&str>| {
+            let mut h = Fnv64::new();
+            h.write_str(tag);
+            h.write_u64(lut.fingerprint());
+            Objective::Latency.fingerprint_into(&mut h);
+            h.write_u64(p.fingerprint());
+            if let Some(donor) = donor {
+                h.write_str(donor);
+            }
+            format!("{:016x}", h.finish())
+        };
+        assert_eq!(legacy, historical("qsdnn-plan-v1", None));
+        let pinned = plan_key(
             lut.fingerprint(),
             &Objective::Latency,
             p.fingerprint(),
@@ -1460,7 +1481,7 @@ mod tests {
         assert_ne!(legacy, pinned);
         assert_ne!(
             pinned,
-            plan_key_on(
+            plan_key(
                 lut.fingerprint(),
                 &Objective::Latency,
                 p.fingerprint(),
@@ -1474,20 +1495,12 @@ mod tests {
             &Objective::Latency,
             p.fingerprint(),
             "donor",
+            None,
         );
-        assert_eq!(
-            warm_legacy,
-            warm_plan_key_on(
-                lut.fingerprint(),
-                &Objective::Latency,
-                p.fingerprint(),
-                "donor",
-                None,
-            )
-        );
+        assert_eq!(warm_legacy, historical("qsdnn-plan-warm-v1", Some("donor")));
         assert_ne!(
             warm_legacy,
-            warm_plan_key_on(
+            warm_plan_key(
                 lut.fingerprint(),
                 &Objective::Latency,
                 p.fingerprint(),

@@ -42,10 +42,9 @@
 //!   reactor thread drives every connection through it, so thousands of
 //!   pipelined clients cost O(workers + dispatchers) threads, not
 //!   O(connections); every request runs on one bounded dispatcher pool.
-//!   Only the readiness syscall differs by platform: `epoll` on Linux,
-//!   `poll(2)` on Android, Apple targets and the BSDs (direct
-//!   `extern "C"` FFI over `std::os::fd`). The build target chooses —
-//!   there is no switch. No other target builds the crate.
+//!   The loop waits with `poll(2)` on every target — Linux, Android,
+//!   Apple targets and the BSDs — through direct `extern "C"` FFI over
+//!   `std::os::fd`. No other target builds the crate.
 //!
 //! # Quickstart
 //!
@@ -94,7 +93,7 @@
 )))]
 compile_error!(
     "qsdnn-serve builds on Linux, Android, Apple targets and the BSDs only: its reactor binds \
-     epoll (Linux) or poll(2) with those targets' nfds_t, and no Windows backend exists"
+     poll(2) with those targets' nfds_t, and no Windows backend exists"
 );
 
 mod cache;

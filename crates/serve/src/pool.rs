@@ -66,25 +66,14 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Starts `threads` workers (at least one).
     pub fn new(threads: usize) -> Self {
-        WorkerPool::named("qsdnn-worker", threads)
+        WorkerPool::named_observed("qsdnn-worker", threads, None, None)
     }
 
     /// Starts `threads` workers (at least one) named `<prefix>-<i>`, so a
     /// second pool with a different role (e.g. the server's request
-    /// dispatchers) is tellable apart in thread listings.
-    pub fn named(prefix: &str, threads: usize) -> Self {
-        WorkerPool::named_with_gauges(prefix, threads, None)
-    }
-
-    /// [`named`](WorkerPool::named), additionally exporting queue-depth
-    /// and busy-worker gauges.
-    pub fn named_with_gauges(prefix: &str, threads: usize, gauges: Option<PoolGauges>) -> Self {
-        WorkerPool::named_observed(prefix, threads, gauges, None)
-    }
-
-    /// [`named_with_gauges`](WorkerPool::named_with_gauges), additionally
-    /// journaling worker activity and queue saturation to the flight
-    /// recorder.
+    /// dispatchers) is tellable apart in thread listings. `gauges` exports
+    /// queue depth and busy workers; `recorder` journals worker activity
+    /// and queue saturation to the flight recorder.
     pub fn named_observed(
         prefix: &str,
         threads: usize,
@@ -114,12 +103,6 @@ impl WorkerPool {
             gauges,
             recorder,
         }
-    }
-
-    /// Pool sized to the machine: one worker per available core, capped.
-    pub fn with_default_size() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, usize::from);
-        WorkerPool::new(cores.clamp(2, 32))
     }
 
     /// Number of workers.

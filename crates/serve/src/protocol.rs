@@ -915,9 +915,8 @@ pub struct PostmortemDump {
     /// Milliseconds the server had been up.
     #[serde(default)]
     pub uptime_ms: u64,
-    /// Readiness backend the server's reactor ran on (`epoll` on Linux,
-    /// `poll` on other unix targets; dumps from older servers may read
-    /// `threads`).
+    /// Readiness backend the server's reactor ran on: `poll` (dumps from
+    /// older servers may read `epoll` or `threads`).
     #[serde(default)]
     pub io: String,
     /// Events ever recorded.

@@ -21,11 +21,11 @@
 //! readability, so TCP flow control pushes back on the client while every
 //! other connection proceeds.
 //!
-//! Only the readiness syscall differs by platform, behind [`Readiness`]:
-//! `epoll` on Linux (`poll` rescans every fd per wait, which roughly
-//! triples a cached round trip at 1000 connections; see the serve README),
-//! `poll(2)` elsewhere, picked by the build target alone. Both are direct
-//! `extern "C"` FFI: no vendored libc for a handful of syscalls.
+//! Readiness is `poll(2)` on every target, through direct `extern "C"`
+//! FFI: no vendored libc for one syscall. `poll` rescans every fd per
+//! wait, so a cached round trip slows as idle connections pile up (about
+//! 80 µs p50 at 1000, see the serve README); the benchmark workloads
+//! hold two.
 
 #![allow(unsafe_code)]
 
@@ -33,6 +33,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -46,14 +47,8 @@ use crate::pool::WorkerPool;
 use crate::server::ServiceState;
 use crate::ServeError;
 
-/// The readiness backend of this build target.
-#[cfg(target_os = "linux")]
-type Backend = epoll::Epoll;
-#[cfg(not(target_os = "linux"))]
-type Backend = poll::PollSet;
-
-/// Label of this target's readiness backend (`epoll` or `poll`).
-pub(crate) const BACKEND: &str = <Backend as Readiness>::NAME;
+/// Label of the readiness backend, reported as a post-mortem dump's `io`.
+pub(crate) const BACKEND: &str = "poll";
 
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -68,8 +63,8 @@ const TICK: Duration = Duration::from_millis(100);
 const STALL_THRESHOLD: Duration = Duration::from_millis(10);
 
 /// A wait that overstays its requested timeout by more than this journals
-/// an `epoll_wait_outlier` event (whichever backend waited) — scheduler
-/// starvation the latency histograms can't attribute.
+/// an `epoll_wait_outlier` event (a wire name older than the `poll`
+/// backend) — scheduler starvation the latency histograms can't attribute.
 const WAIT_OUTLIER_SLACK: Duration = Duration::from_millis(100);
 
 /// How long shutdown keeps delivering in-flight replies before abandoning
@@ -93,17 +88,17 @@ const TOKEN_FIRST_CONN: u64 = 2;
 
 /// What a registered fd is watched for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Interest {
-    pub(crate) read: bool,
-    pub(crate) write: bool,
+struct Interest {
+    read: bool,
+    write: bool,
 }
 
 impl Interest {
-    pub(crate) const NONE: Interest = Interest {
+    const NONE: Interest = Interest {
         read: false,
         write: false,
     };
-    pub(crate) const READ: Interest = Interest {
+    const READ: Interest = Interest {
         read: true,
         write: false,
     };
@@ -112,280 +107,127 @@ impl Interest {
 /// What one wait reported for one fd: bytes (or EOF) to read, room to
 /// write, or an error or hang-up (reported whatever the interest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Ready {
-    pub(crate) readable: bool,
-    pub(crate) writable: bool,
-    pub(crate) hangup: bool,
+struct Ready {
+    readable: bool,
+    writable: bool,
+    hangup: bool,
 }
 
-/// A level-triggered readiness set over raw fds, each registered under a
-/// caller-chosen token. `wait` blocks until something is ready or the
-/// timeout passes, then replaces the contents of `ready` with every fd
-/// that is ready for what it is watched for, or has hung up; an
-/// interrupted wait reports nothing. No event format leaks out of it.
-pub(crate) trait Readiness: Sized + Send + 'static {
-    /// Stable lowercase label.
-    const NAME: &'static str;
-    fn new() -> io::Result<Self>;
-    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    fn delete(&mut self, fd: RawFd) -> io::Result<()>;
-    fn wait(&mut self, ready: &mut Vec<(u64, Ready)>, timeout: Duration) -> io::Result<()>;
-}
+// Raw `poll(2)` bindings. The flag values are the same on Linux, Apple
+// targets and the BSDs; only POSIX flags are used (no `POLLRDHUP`).
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
 
-/// A wait timeout in the milliseconds both syscalls take.
-fn timeout_ms(timeout: Duration) -> i32 {
-    timeout.as_millis().min(i32::MAX as u128) as i32
-}
-
-/// A wait that returned -1: an interrupted one reports nothing.
-fn wait_failed() -> io::Result<()> {
-    match io::Error::last_os_error() {
-        e if e.kind() == io::ErrorKind::Interrupted => Ok(()),
-        e => Err(e),
-    }
-}
-
-/// Raw Linux epoll bindings. Constants match the kernel UAPI headers for
-/// every Linux target this workspace builds on.
+/// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` in
+/// bionic, Apple's libc and the BSDs — the targets `lib.rs` admits.
 #[cfg(target_os = "linux")]
-mod epoll {
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::os::raw::c_int;
-    use std::time::Duration;
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
 
-    use super::{timeout_ms, wait_failed, Interest, Readiness, Ready};
-
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// `struct epoll_event`. The x86-64 kernel ABI packs it to 12 bytes;
-    /// every other architecture uses natural alignment — same split libc
-    /// makes.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
-    }
-
-    /// Thin safe wrapper over one epoll instance.
-    pub(crate) struct Epoll {
-        fd: OwnedFd,
-        /// Events taken per wait; level triggering re-reports the rest.
-        events: Vec<EpollEvent>,
-    }
-
-    impl Epoll {
-        fn ctl(&self, op: c_int, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
-            // EPOLLRDHUP rides with EPOLLIN, never alone: once the read
-            // side is done (or paused), a half-closed socket would
-            // otherwise re-report RDHUP on every single wait — a busy loop
-            // that burns the core until the connection drains.
-            let mut events = if interest.write { EPOLLOUT } else { 0 };
-            if interest.read {
-                events |= EPOLLIN | EPOLLRDHUP;
-            }
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            // SAFETY: `ev` is a live stack value for the duration of the
-            // call; epoll_ctl only reads it. Both fds are open (self.fd is
-            // owned, `fd` is the caller's live socket).
-            if unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-    }
-
-    impl Readiness for Epoll {
-        const NAME: &'static str = "epoll";
-
-        fn new() -> io::Result<Epoll> {
-            // SAFETY: epoll_create1 takes no pointers; the flag constant
-            // is the kernel's own. A negative return is checked before use.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                // SAFETY: fd was just returned by epoll_create1 (checked
-                // >= 0) and has no other owner; OwnedFd takes sole custody.
-                fd: unsafe { OwnedFd::from_raw_fd(fd) },
-                events: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, interest, token)
-        }
-
-        fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest, token)
-        }
-
-        fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, Interest::NONE, 0)
-        }
-
-        fn wait(&mut self, ready: &mut Vec<(u64, Ready)>, timeout: Duration) -> io::Result<()> {
-            ready.clear();
-            let (epfd, max) = (self.fd.as_raw_fd(), self.events.len() as c_int);
-            // SAFETY: the pointer and length describe `self.events`, live
-            // and exclusively borrowed for the call; the kernel writes at
-            // most that many entries and reports how many via the return.
-            let n = unsafe { epoll_wait(epfd, self.events.as_mut_ptr(), max, timeout_ms(timeout)) };
-            if n < 0 {
-                return wait_failed();
-            }
-            for ev in self.events.iter().take(n as usize) {
-                // Copy out of the (possibly packed) event before use.
-                let (token, bits) = (ev.data, ev.events);
-                let readiness = Ready {
-                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                };
-                ready.push((token, readiness));
-            }
-            Ok(())
-        }
-    }
+/// `struct pollfd`, identical on every unix.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-/// Raw `poll(2)` bindings, for every target but Linux — and for Linux
-/// tests, where the differential test below holds them to `epoll` on the
-/// same sockets. The flag values are the same on Linux, Apple targets and
-/// the BSDs; only POSIX flags are used (no `POLLRDHUP`).
-#[cfg(any(test, not(target_os = "linux")))]
-mod poll {
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_short};
-    use std::time::Duration;
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
 
-    use super::{timeout_ms, wait_failed, Interest, Readiness, Ready};
+/// A level-triggered readiness set over raw fds, each registered under
+/// a caller-chosen token: every registered fd as one `pollfd` array,
+/// handed whole to each `poll`, plus a map from fd to its slot and
+/// token. Delete is `swap_remove`, so slots stay dense.
+struct PollSet {
+    fds: Vec<PollFd>,
+    slots: HashMap<RawFd, (usize, u64)>,
+}
 
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
+fn mask(interest: Interest) -> c_short {
+    let read = if interest.read { POLLIN } else { 0 };
+    read | if interest.write { POLLOUT } else { 0 }
+}
 
-    /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` in
-    /// bionic, Apple's libc and the BSDs — the targets `lib.rs` admits.
-    #[cfg(target_os = "linux")]
-    type NfdsT = std::os::raw::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NfdsT = std::os::raw::c_uint;
-
-    /// `struct pollfd`, identical on every unix.
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
+impl PollSet {
+    fn new() -> PollSet {
+        PollSet {
+            fds: Vec::new(),
+            slots: HashMap::new(),
+        }
     }
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    /// Registers `fd`; an fd already in the set is `AlreadyExists`.
+    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        if self.slots.contains_key(&fd) {
+            return Err(io::ErrorKind::AlreadyExists.into());
+        }
+        self.slots.insert(fd, (self.fds.len(), token));
+        self.fds.push(PollFd {
+            fd,
+            events: mask(interest),
+            revents: 0,
+        });
+        Ok(())
     }
 
-    /// Every registered fd as one `pollfd` array, handed whole to each
-    /// `poll`, plus a map from fd to its slot and token. Delete is
-    /// `swap_remove`, so slots stay dense.
-    pub(crate) struct PollSet {
-        fds: Vec<PollFd>,
-        slots: HashMap<RawFd, (usize, u64)>,
+    /// Replaces a registered fd's token and interest; an fd not in the
+    /// set is `NotFound`.
+    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let (slot, slot_token) = self.slots.get_mut(&fd).ok_or(io::ErrorKind::NotFound)?;
+        let pfd = self.fds.get_mut(*slot).ok_or(io::ErrorKind::NotFound)?;
+        pfd.events = mask(interest);
+        *slot_token = token;
+        Ok(())
     }
 
-    fn mask(interest: Interest) -> c_short {
-        let read = if interest.read { POLLIN } else { 0 };
-        read | if interest.write { POLLOUT } else { 0 }
+    /// Unregisters `fd`; an fd not in the set is `NotFound`.
+    fn delete(&mut self, fd: RawFd) -> io::Result<()> {
+        let (slot, _) = self.slots.remove(&fd).ok_or(io::ErrorKind::NotFound)?;
+        if slot < self.fds.len() {
+            self.fds.swap_remove(slot);
+        }
+        if let Some(moved) = self.fds.get(slot) {
+            self.slots.entry(moved.fd).and_modify(|(s, _)| *s = slot);
+        }
+        Ok(())
     }
 
-    impl Readiness for PollSet {
-        const NAME: &'static str = "poll";
-
-        fn new() -> io::Result<PollSet> {
-            Ok(PollSet {
-                fds: Vec::new(),
-                slots: HashMap::new(),
-            })
+    /// Blocks until something is ready or `timeout` passes, then
+    /// replaces the contents of `ready` with every fd that is ready for
+    /// what it is watched for, or has hung up (whatever its interest).
+    /// An interrupted wait reports nothing.
+    fn wait(&mut self, ready: &mut Vec<(u64, Ready)>, timeout: Duration) -> io::Result<()> {
+        ready.clear();
+        let nfds = self.fds.len() as NfdsT;
+        let timeout_ms = timeout.as_millis().min(c_int::MAX as u128) as c_int;
+        // SAFETY: the pointer and length describe `self.fds`, live and
+        // exclusively borrowed for the call; the kernel reads each
+        // entry and writes only its `revents`.
+        if unsafe { poll(self.fds.as_mut_ptr(), nfds, timeout_ms) } < 0 {
+            let e = io::Error::last_os_error();
+            return match e.kind() {
+                io::ErrorKind::Interrupted => Ok(()),
+                _ => Err(e),
+            };
         }
-
-        fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.slots.contains_key(&fd) {
-                return Err(io::ErrorKind::AlreadyExists.into());
-            }
-            self.slots.insert(fd, (self.fds.len(), token));
-            self.fds.push(PollFd {
-                fd,
-                events: mask(interest),
-                revents: 0,
-            });
-            Ok(())
+        for pfd in self.fds.iter().filter(|pfd| pfd.revents != 0) {
+            let Some(&(_, token)) = self.slots.get(&pfd.fd) else {
+                continue;
+            };
+            let readiness = Ready {
+                readable: pfd.revents & POLLIN != 0,
+                writable: pfd.revents & POLLOUT != 0,
+                hangup: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
+            };
+            ready.push((token, readiness));
         }
-
-        fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let (slot, slot_token) = self.slots.get_mut(&fd).ok_or(io::ErrorKind::NotFound)?;
-            let pfd = self.fds.get_mut(*slot).ok_or(io::ErrorKind::NotFound)?;
-            pfd.events = mask(interest);
-            *slot_token = token;
-            Ok(())
-        }
-
-        fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-            let (slot, _) = self.slots.remove(&fd).ok_or(io::ErrorKind::NotFound)?;
-            if slot < self.fds.len() {
-                self.fds.swap_remove(slot);
-            }
-            if let Some(moved) = self.fds.get(slot) {
-                self.slots.entry(moved.fd).and_modify(|(s, _)| *s = slot);
-            }
-            Ok(())
-        }
-
-        fn wait(&mut self, ready: &mut Vec<(u64, Ready)>, timeout: Duration) -> io::Result<()> {
-            ready.clear();
-            let nfds = self.fds.len() as NfdsT;
-            // SAFETY: the pointer and length describe `self.fds`, live and
-            // exclusively borrowed for the call; the kernel reads each
-            // entry and writes only its `revents`.
-            if unsafe { poll(self.fds.as_mut_ptr(), nfds, timeout_ms(timeout)) } < 0 {
-                return wait_failed();
-            }
-            for pfd in self.fds.iter().filter(|pfd| pfd.revents != 0) {
-                let Some(&(_, token)) = self.slots.get(&pfd.fd) else {
-                    continue;
-                };
-                let readiness = Ready {
-                    readable: pfd.revents & POLLIN != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                };
-                ready.push((token, readiness));
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }
 
@@ -447,11 +289,42 @@ pub(crate) fn start(
     listener: TcpListener,
     state: Arc<ServiceState>,
 ) -> Result<(JoinHandle<()>, Waker), ServeError> {
-    Reactor::<Backend>::start(listener, state)
+    listener.set_nonblocking(true)?;
+    let mut readiness = PollSet::new();
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let waker = Waker {
+        tx: Arc::new(wake_tx),
+    };
+    readiness.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+    readiness.add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
+    let completions = Arc::new(Completions {
+        queue: Mutex::new(Vec::new()),
+        waker: waker.clone(),
+    });
+    let mut reactor = Reactor {
+        readiness,
+        listener,
+        listener_armed: true,
+        accept_backoff: ACCEPT_BACKOFF_MIN,
+        accept_resume: None,
+        conns: HashMap::new(),
+        next_token: TOKEN_FIRST_CONN,
+        dispatchers: state.dispatcher_pool(),
+        state,
+        completions,
+        drain_deadline: None,
+        wake_rx,
+    };
+    let handle = std::thread::Builder::new()
+        .name("qsdnn-reactor".into())
+        .spawn(move || reactor.run())?;
+    Ok((handle, waker))
 }
 
-struct Reactor<R> {
-    readiness: R,
+struct Reactor {
+    readiness: PollSet,
     listener: TcpListener,
     /// Whether the listener is currently watched for readability
     /// (disarmed during accept back-off and shutdown).
@@ -472,45 +345,7 @@ struct Reactor<R> {
     wake_rx: UnixStream,
 }
 
-impl<R: Readiness> Reactor<R> {
-    fn start(
-        listener: TcpListener,
-        state: Arc<ServiceState>,
-    ) -> Result<(JoinHandle<()>, Waker), ServeError> {
-        listener.set_nonblocking(true)?;
-        let mut readiness = R::new()?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let waker = Waker {
-            tx: Arc::new(wake_tx),
-        };
-        readiness.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        readiness.add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker: waker.clone(),
-        });
-        let mut reactor = Reactor {
-            readiness,
-            listener,
-            listener_armed: true,
-            accept_backoff: ACCEPT_BACKOFF_MIN,
-            accept_resume: None,
-            conns: HashMap::new(),
-            next_token: TOKEN_FIRST_CONN,
-            dispatchers: state.dispatcher_pool(),
-            state,
-            completions,
-            drain_deadline: None,
-            wake_rx,
-        };
-        let handle = std::thread::Builder::new()
-            .name("qsdnn-reactor".into())
-            .spawn(move || reactor.run())?;
-        Ok((handle, waker))
-    }
-
+impl Reactor {
     fn run(&mut self) {
         let mut ready = Vec::with_capacity(256);
         let instrumented = self.state.metrics.enabled();
@@ -838,14 +673,11 @@ impl<R: Readiness> Reactor<R> {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
-    use super::epoll::Epoll;
-    use super::poll::PollSet;
     use super::*;
     use crate::protocol::{
-        write_message, PlanRequest, PlanResponse, ProfileRequest, Request, TaggedRequest,
-        TransferMode,
+        write_message, PlanRequest, ProfileRequest, Request, TaggedRequest, TransferMode,
     };
     use crate::{PlanClient, ServerConfig};
     use qsdnn::engine::{Mode, Objective};
@@ -854,51 +686,6 @@ mod tests {
     const READY_WITHIN: Duration = Duration::from_secs(2);
     /// Short wait for steps that expect silence.
     const QUIET: Duration = Duration::from_millis(50);
-
-    /// One `epoll` and one `PollSet` holding the same fds under the same
-    /// tokens, so every step reads one kernel state through both.
-    struct Both {
-        epoll: Epoll,
-        poll: PollSet,
-    }
-
-    impl Both {
-        fn add(&mut self, fd: &impl AsRawFd, token: u64, interest: Interest) {
-            self.epoll
-                .add(fd.as_raw_fd(), token, interest)
-                .expect("epoll add");
-            self.poll
-                .add(fd.as_raw_fd(), token, interest)
-                .expect("poll add");
-        }
-
-        fn modify(&mut self, fd: &impl AsRawFd, token: u64, interest: Interest) {
-            let raw = fd.as_raw_fd();
-            self.epoll
-                .modify(raw, token, interest)
-                .expect("epoll modify");
-            self.poll.modify(raw, token, interest).expect("poll modify");
-        }
-
-        fn delete(&mut self, fd: &impl AsRawFd) {
-            self.epoll.delete(fd.as_raw_fd()).expect("epoll delete");
-            self.poll.delete(fd.as_raw_fd()).expect("poll delete");
-        }
-
-        /// Waits on both backends and requires the same `(token, Ready)`
-        /// set from each.
-        fn step(&mut self, what: &str, timeout: Duration) -> Vec<(u64, Ready)> {
-            let (mut from_epoll, mut from_poll) = (Vec::new(), Vec::new());
-            self.epoll
-                .wait(&mut from_epoll, timeout)
-                .expect("epoll wait");
-            self.poll.wait(&mut from_poll, timeout).expect("poll wait");
-            from_epoll.sort();
-            from_poll.sort();
-            assert_eq!(from_epoll, from_poll, "{what}: the backends disagree");
-            from_epoll
-        }
-    }
 
     const READABLE: Ready = Ready {
         readable: true,
@@ -911,92 +698,143 @@ mod tests {
         hangup: false,
     };
 
-    /// The differential oracle for the portable backend: one event script
-    /// through `epoll` and `poll(2)` at once, identical readiness at every
-    /// step.
+    /// One wait on `set`, its `(token, Ready)` pairs sorted.
+    fn step(set: &mut PollSet, timeout: Duration) -> Vec<(u64, Ready)> {
+        let mut ready = Vec::new();
+        set.wait(&mut ready, timeout).expect("poll wait");
+        ready.sort();
+        ready
+    }
+
+    /// A connected `(peer, ours)` pair with our end nonblocking.
+    fn connected(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (ours, _) = listener.accept().expect("accept");
+        ours.set_nonblocking(true).expect("nonblocking");
+        (peer, ours)
+    }
+
+    /// One event script through a `PollSet`: the expected readiness at
+    /// every step, including a token that moves slots on a delete.
     #[test]
-    fn epoll_and_poll_report_the_same_readiness_at_every_step() {
+    fn a_poll_set_reports_the_scripted_readiness_at_every_step() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let connected = || {
-            let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            let (ours, _) = listener.accept().expect("accept");
-            ours.set_nonblocking(true).expect("nonblocking");
-            (peer, ours)
-        };
-        let (mut peer_a, mut a) = connected();
-        let (mut peer_b, b) = connected();
-        let (mut peer_c, c) = connected();
+        let (mut peer_a, mut a) = connected(&listener);
+        let (mut peer_b, b) = connected(&listener);
+        let (mut peer_c, c) = connected(&listener);
         let (wake_rx, wake_tx) = UnixStream::pair().expect("socket pair");
         wake_rx.set_nonblocking(true).expect("nonblocking");
         wake_tx.set_nonblocking(true).expect("nonblocking");
         let waker = Waker {
             tx: Arc::new(wake_tx),
         };
-        let mut both = Both {
-            epoll: Epoll::new().expect("epoll"),
-            poll: PollSet::new().expect("poll"),
-        };
-        both.add(&wake_rx, 1, Interest::READ);
-        both.add(&a, 10, Interest::READ);
-        both.add(&b, 11, Interest::READ);
-        both.add(&c, 12, Interest::READ);
+        let mut set = PollSet::new();
+        set.add(wake_rx.as_raw_fd(), 1, Interest::READ)
+            .expect("add");
+        set.add(a.as_raw_fd(), 10, Interest::READ).expect("add");
+        set.add(b.as_raw_fd(), 11, Interest::READ).expect("add");
+        set.add(c.as_raw_fd(), 12, Interest::READ).expect("add");
 
         let idle = Duration::from_millis(150);
         let started = Instant::now();
-        assert_eq!(both.step("idle", idle), []);
+        assert_eq!(step(&mut set, idle), [], "idle");
         let waited = started.elapsed();
         assert!(
-            waited >= 2 * idle - Duration::from_millis(10) && waited < 2 * idle + READY_WITHIN,
-            "two idle waits of {idle:?} took {waited:?}"
+            waited >= idle - Duration::from_millis(5) && waited < idle + READY_WITHIN,
+            "an idle wait of {idle:?} took {waited:?}"
         );
 
         peer_a.write_all(b"hello").expect("peer write");
-        assert_eq!(both.step("peer write", READY_WITHIN), [(10, READABLE)]);
+        assert_eq!(step(&mut set, READY_WITHIN), [(10, READABLE)], "peer write");
         let read_write = Interest {
             read: true,
             write: true,
         };
-        both.modify(&a, 10, read_write);
+        set.modify(a.as_raw_fd(), 10, read_write).expect("modify");
         let both_ways = Ready {
             readable: true,
             writable: true,
             hangup: false,
         };
-        assert_eq!(both.step("read+write", READY_WITHIN), [(10, both_ways)]);
+        assert_eq!(
+            step(&mut set, READY_WITHIN),
+            [(10, both_ways)],
+            "read+write"
+        );
         let write_only = Interest {
             read: false,
             write: true,
         };
-        both.modify(&a, 10, write_only);
-        assert_eq!(both.step("write-only", READY_WITHIN), [(10, WRITABLE)]);
-        both.modify(&a, 10, Interest::READ);
+        set.modify(a.as_raw_fd(), 10, write_only).expect("modify");
+        assert_eq!(step(&mut set, READY_WITHIN), [(10, WRITABLE)], "write-only");
+        set.modify(a.as_raw_fd(), 10, Interest::READ)
+            .expect("modify");
         let mut buf = [0u8; 16];
         assert_eq!(a.read(&mut buf).expect("read"), 5);
-        assert_eq!(both.step("drained", QUIET), []);
+        assert_eq!(step(&mut set, QUIET), [], "drained");
 
         waker.wake();
-        assert_eq!(both.step("wake", READY_WITHIN), [(1, READABLE)]);
+        assert_eq!(step(&mut set, READY_WITHIN), [(1, READABLE)], "wake");
         assert_eq!((&wake_rx).read(&mut buf).expect("wake byte"), 1);
-        assert_eq!(both.step("wake drained", QUIET), []);
+        assert_eq!(step(&mut set, QUIET), [], "wake drained");
 
         // `b` sits in the middle of the poll array: deleting it moves `c`
         // into its slot, which must keep answering under its own token.
         peer_b.write_all(b"x").expect("peer write");
-        assert_eq!(both.step("b readable", READY_WITHIN), [(11, READABLE)]);
-        both.delete(&b);
-        assert_eq!(both.step("deleted fd", QUIET), []);
+        assert_eq!(step(&mut set, READY_WITHIN), [(11, READABLE)], "b readable");
+        set.delete(b.as_raw_fd()).expect("delete");
+        assert_eq!(step(&mut set, QUIET), [], "deleted fd");
         peer_c.write_all(b"y").expect("peer write");
-        assert_eq!(both.step("moved slot", READY_WITHIN), [(12, READABLE)]);
-        both.modify(&c, 12, Interest::NONE);
-        assert_eq!(both.step("no interest", QUIET), []);
+        assert_eq!(step(&mut set, READY_WITHIN), [(12, READABLE)], "moved slot");
+        set.modify(c.as_raw_fd(), 12, Interest::NONE)
+            .expect("modify");
+        assert_eq!(step(&mut set, QUIET), [], "no interest");
 
         drop(peer_a);
-        let closed = both.step("peer close", READY_WITHIN);
+        let closed = step(&mut set, READY_WITHIN);
         assert!(
             matches!(closed.as_slice(), [(10, r)] if r.readable || r.hangup),
             "a peer close must report readable EOF or a hang-up: {closed:?}"
         );
         assert_eq!(a.read(&mut buf).expect("read at EOF"), 0);
+    }
+
+    /// What the script above does not reach: registering twice, touching
+    /// an fd that was never registered, and deleting the last slot, which
+    /// moves nothing.
+    #[test]
+    fn a_poll_set_rejects_double_adds_and_unknown_fds() {
+        use io::ErrorKind::{AlreadyExists, NotFound};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (mut peer_a, a) = connected(&listener);
+        let (mut peer_b, b) = connected(&listener);
+        let (_peer_c, c) = connected(&listener);
+        let mut set = PollSet::new();
+        set.add(a.as_raw_fd(), 10, Interest::READ).expect("add");
+        set.add(b.as_raw_fd(), 11, Interest::READ).expect("add");
+
+        let again = set.add(a.as_raw_fd(), 12, Interest::READ);
+        assert_eq!(again.expect_err("double add").kind(), AlreadyExists);
+        let modified = set.modify(c.as_raw_fd(), 12, Interest::READ);
+        assert_eq!(modified.expect_err("unknown fd").kind(), NotFound);
+        let deleted = set.delete(c.as_raw_fd());
+        assert_eq!(deleted.expect_err("unknown fd").kind(), NotFound);
+
+        // The rejected add left `a` under its first token.
+        peer_a.write_all(b"a").expect("peer write");
+        assert_eq!(step(&mut set, READY_WITHIN), [(10, READABLE)], "a");
+
+        // `c` takes the last slot; deleting it swaps nothing.
+        set.add(c.as_raw_fd(), 12, Interest::READ).expect("add");
+        set.delete(c.as_raw_fd()).expect("delete last");
+        peer_b.write_all(b"b").expect("peer write");
+        assert_eq!(
+            step(&mut set, READY_WITHIN),
+            [(10, READABLE), (11, READABLE)],
+            "after the last slot went"
+        );
+        let twice = set.delete(c.as_raw_fd());
+        assert_eq!(twice.expect_err("deleted twice").kind(), NotFound);
     }
 
     fn plan(network: &str, episodes: usize) -> PlanRequest {
@@ -1013,21 +851,12 @@ mod tests {
         }
     }
 
-    /// Zeroes the only nondeterministic fields a plan reply carries.
-    fn normalized(mut reply: PlanResponse) -> String {
-        reply.best.wall_time_ms = 0.0;
-        for member in &mut reply.members {
-            member.wall_time_ms = 0.0;
-        }
-        format!("{reply:?}")
-    }
-
-    /// A short end-to-end script against a reactor on backend `R`: v3
-    /// handshake, cold plan, hit, a pipelined batch, a client served
-    /// beside one that never reads, then a bounded shutdown with the
-    /// never-reader still connected.
-    fn run_script<R: Readiness>() -> Vec<String> {
-        let name = R::NAME;
+    /// A short end-to-end script against a reactor: v3 handshake, cold
+    /// plan, hit, a pipelined batch, a client served beside one that never
+    /// reads, then a bounded shutdown with the never-reader still
+    /// connected.
+    #[test]
+    fn a_reactor_answers_the_script() {
         let state = ServiceState::new(ServerConfig {
             threads: 2,
             max_in_flight: 4,
@@ -1037,23 +866,22 @@ mod tests {
         .expect("state");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (reactor, waker) = Reactor::<R>::start(listener, Arc::clone(&state)).expect("start");
-        let mut out = Vec::new();
+        let (reactor, waker) = start(listener, Arc::clone(&state)).expect("start");
 
         let mut client = PlanClient::connect(addr).expect("connect");
-        assert!(client.is_binary(), "{name}: the v3 handshake failed");
+        assert!(client.is_binary(), "the v3 handshake failed");
         let cold = client.plan(plan("tiny_cnn", 120)).expect("cold plan");
-        assert!(!cold.cache_hit, "{name}: the first plan must search");
-        out.push(normalized(cold));
+        assert!(!cold.cache_hit, "the first plan must search");
         let hit = client.plan(plan("tiny_cnn", 120)).expect("hit");
-        assert!(hit.cache_hit, "{name}: the repeat must hit");
-        out.push(normalized(hit));
+        assert!(hit.cache_hit, "the repeat must hit");
+        assert_eq!(hit.best.best_assignment, cold.best.best_assignment);
         let batch: Vec<PlanRequest> = (0..6)
             .map(|i| plan(["tiny_cnn", "toy_branchy"][i % 2], 130 + i))
             .collect();
-        for reply in client.plan_many(&batch).expect("pipelined batch") {
-            out.push(normalized(reply));
-        }
+        let replies = client.plan_many(&batch).expect("pipelined batch");
+        let networks: Vec<&str> = replies.iter().map(|r| r.network.as_str()).collect();
+        let asked: Vec<&str> = batch.iter().map(|r| r.network.as_str()).collect();
+        assert_eq!(networks, asked, "pipelined replies in request order");
 
         // Fat replies (≈100 KB each, a whole LUT) for a peer that never
         // reads them: ≈10 MB, more than the kernel buffers, so they pile up
@@ -1071,7 +899,7 @@ mod tests {
         }
         let parked = Instant::now() + Duration::from_secs(60);
         while state.metrics.outbox_high_water_bytes.get() < 1 << 20 {
-            assert!(Instant::now() < parked, "{name}: no replies parked");
+            assert!(Instant::now() < parked, "no replies parked");
             std::thread::sleep(Duration::from_millis(10));
         }
         let mut beside = PlanClient::connect(addr).expect("second client");
@@ -1079,34 +907,16 @@ mod tests {
             .set_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         let served = beside.plan(plan("toy_branchy", 120)).expect("served");
-        out.push(normalized(served));
+        assert_eq!(served.network, "toy_branchy");
 
         state.shutting_down.store(true, Ordering::SeqCst);
         waker.wake();
         let deadline = Instant::now() + SHUTDOWN_DRAIN + Duration::from_secs(4);
         while !reactor.is_finished() {
-            assert!(Instant::now() < deadline, "{name}: shutdown wedged");
+            assert!(Instant::now() < deadline, "shutdown wedged");
             std::thread::sleep(Duration::from_millis(10));
         }
         reactor.join().expect("reactor thread");
         drop(silent);
-        out
-    }
-
-    #[test]
-    fn a_reactor_on_poll_answers_the_script_exactly_as_on_epoll() {
-        let (on_poll, on_epoll) = std::thread::scope(|s| {
-            let on_poll = s.spawn(run_script::<PollSet>);
-            let on_epoll = s.spawn(run_script::<Epoll>);
-            (on_poll.join(), on_epoll.join())
-        });
-        let (on_poll, on_epoll) = (
-            on_poll.expect("poll script"),
-            on_epoll.expect("epoll script"),
-        );
-        assert_eq!(on_poll.len(), on_epoll.len());
-        for (i, (p, e)) in on_poll.iter().zip(&on_epoll).enumerate() {
-            assert_eq!(p, e, "script step {i} diverged between poll and epoll");
-        }
     }
 }

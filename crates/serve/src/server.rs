@@ -42,9 +42,7 @@ use qsdnn::{EpisodeRecord, Portfolio, PortfolioOutcome, QTable, SearchReport, Tr
 
 use qsdnn_obs::{EventKind, FlightRecorder};
 
-use crate::cache::{
-    plan_key_on, warm_plan_key_on, write_platform, CacheValue, PlanCache, WireBody,
-};
+use crate::cache::{plan_key, warm_plan_key, write_platform, CacheValue, PlanCache, WireBody};
 use crate::conn::{json_frame, json_line, Job, Reply};
 use crate::exposition::MetricsExposition;
 use crate::metrics::{
@@ -401,7 +399,7 @@ impl<'a> Scenario<'a> {
             spec,
             platform,
             vanilla_cost_ms: scalarized.cost(&scalarized.vanilla_assignment()),
-            base_key: plan_key_on(
+            base_key: plan_key(
                 lut.fingerprint(),
                 &spec.objective,
                 portfolio.fingerprint(),
@@ -504,7 +502,6 @@ impl ServiceState {
             Arc::clone(&recorder),
         );
         let threads = if config.threads == 0 {
-            // Mirrors `WorkerPool::with_default_size`.
             std::thread::available_parallelism()
                 .map_or(4, usize::from)
                 .clamp(2, 32)
@@ -932,7 +929,7 @@ impl ServiceState {
     ) -> Result<PlanResponse, ServeError> {
         let (entry, distance) = (donor.entry, donor.distance);
         let warm_portfolio = portfolio.warmed();
-        let warm_key = warm_plan_key_on(
+        let warm_key = warm_plan_key(
             scenario.lut.fingerprint(),
             &scenario.spec.objective,
             warm_portfolio.fingerprint(),

@@ -28,6 +28,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use qsdnn::engine::ScenarioDescriptor;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::write_durably;
 use crate::protocol::WarmStartInfo;
 
 /// Default bound on indexed scenarios. Distance lookups scan linearly, so
@@ -184,10 +185,7 @@ impl ScenarioIndex {
         };
         // Best effort: a lost index file only costs a future warm start.
         if let Ok(json) = serde_json::to_string(entry) {
-            let tmp = path.with_extension("json.tmp");
-            if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
+            let _ = write_durably(&path, json.as_bytes());
         }
     }
 

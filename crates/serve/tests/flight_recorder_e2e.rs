@@ -41,10 +41,9 @@ fn spill_dir() -> std::path::PathBuf {
 /// Cold plan, then a warm-started batch sweep step, then a cache hit —
 /// enough traffic to light up every event source — then assert the
 /// journal, the exemplars, and the task table all tell that story. Named
-/// for the readiness backend it runs on under Linux, which the dump
-/// reports.
+/// for the readiness backend it runs on, which the dump reports.
 #[test]
-fn flight_recorder_explains_requests_on_the_epoll_layer() {
+fn flight_recorder_explains_requests_on_the_poll_layer() {
     let dir = spill_dir();
     let server = PlanServer::start(ServerConfig {
         threads: 2,
@@ -176,12 +175,7 @@ fn flight_recorder_explains_requests_on_the_epoll_layer() {
     let dump: PostmortemDump = serde_json::from_str(&json).expect("dump parses");
     assert_eq!(dump.reason, "e2e-test");
     assert_eq!(dump.version, PROTOCOL_VERSION);
-    let backend = if cfg!(target_os = "linux") {
-        "epoll"
-    } else {
-        "poll"
-    };
-    assert_eq!(dump.io, backend, "the dump names the readiness backend");
+    assert_eq!(dump.io, "poll", "the dump names the readiness backend");
     assert!(dump.events_total > 0);
     assert!(!dump.events.is_empty(), "dump carries no journal");
     assert!(!dump.exemplars.is_empty(), "dump carries no exemplars");
