@@ -1,6 +1,6 @@
 //! Content-addressed, sharded plan cache with single-flight coalescing,
 //! a hard per-shard capacity invariant, LRU eviction and a bounded,
-//! crash-safe JSON spill tier.
+//! crash-safe, checksummed binary spill tier.
 //!
 //! Keys are stable fingerprints of *(LUT, objective, portfolio spec)* — see
 //! [`plan_key`] — so any two requests that could possibly produce different
@@ -29,15 +29,21 @@
 //! **Eviction:** the victim is the least-recently-used ready entry (true
 //! LRU via a per-shard generation counter).
 //!
-//! **Spill tier:** computed artifacts persist as `<dir>/<key>.json`. The
-//! writer fsyncs before the atomic rename, so a crash never leaves a torn
-//! file behind the durable name; construction sweeps the directory,
-//! garbage-collecting orphaned `.json.tmp` files and trimming the on-disk
-//! entry count (oldest first) to its own bound.
+//! **Spill tier:** computed artifacts persist as `<dir>/<key>.plan`, one
+//! record each: a fixed header (magic, format version, body length, the
+//! body's FNV-1a-64) and the value's v3 body ([`CacheValue::to_spill`]).
+//! The writer fsyncs before the atomic rename, so a crash never leaves a
+//! torn file behind the durable name. A record that fails its header,
+//! length or checksum, or whose body does not decode, is a miss: the file
+//! is deleted, counted (`qsdnn_spill_corrupt_total`) and the value
+//! recomputed — it never answers. Construction sweeps the directory,
+//! deleting orphaned `*.tmp` files and old-format `<key>.json` records
+//! and trimming the on-disk entry count (oldest first) to its own bound.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::UNIX_EPOCH;
 
@@ -46,6 +52,7 @@ use qsdnn::PortfolioOutcome;
 use qsdnn_obs::{EventKind, FlightRecorder};
 use serde::{Deserialize, Serialize};
 
+use crate::codec;
 use crate::protocol::WireMode;
 
 /// Locks a cache mutex, recovering from poisoning. Every mutation under
@@ -114,11 +121,39 @@ pub(crate) fn write_platform(h: &mut Fnv64, platform: Option<(&str, u64)>) {
     }
 }
 
-/// What the cache can hold: serializable (for the spill tier) and
-/// cloneable.
-pub trait CacheValue: Serialize + Deserialize + Clone {}
+/// What the cache can hold: cloneable, and writable to the spill tier as
+/// one record — a fixed header (magic, format version, body length and
+/// the body's FNV-1a-64) followed by the value's v3 body.
+///
+/// The default methods write and read the body through the tree codec.
+/// An override must keep the bytes and the values those give (a typed
+/// codec under `codec.rs`'s byte-identity rule), so there is one file
+/// format whichever side wrote it.
+pub trait CacheValue: Serialize + Deserialize + Clone {
+    /// The spill record for this value; `None` when it cannot be encoded
+    /// (it is then not spilled).
+    fn to_spill(&self) -> Option<Vec<u8>> {
+        codec::spill_record(|out| codec::encode_value_into(&self.serialize(), out, 0))
+    }
 
-impl CacheValue for PortfolioOutcome {}
+    /// The value in a spill record; `None` when the header, length or
+    /// checksum fails or the body does not decode.
+    fn from_spill(record: &[u8]) -> Option<Self> {
+        codec::decode_body(codec::spill_body(record)?).ok()
+    }
+}
+
+/// Plans spill through the typed codec: a reload reads the body straight
+/// into the outcome instead of building its `Value` tree first.
+impl CacheValue for PortfolioOutcome {
+    fn to_spill(&self) -> Option<Vec<u8>> {
+        codec::spill_record(|out| codec::encode_outcome(self, out))
+    }
+
+    fn from_spill(record: &[u8]) -> Option<Self> {
+        codec::decode_outcome(codec::spill_body(record)?).ok()
+    }
+}
 
 impl CacheValue for CostLut {}
 
@@ -195,8 +230,8 @@ pub const DEFAULT_MAX_ENTRIES: usize = 4096;
 /// other's locks without fragmenting the capacity budget.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Default cap on spilled `.json` files (the durable tier is cheap but not
-/// free; oldest entries are garbage-collected past this).
+/// Default cap on spilled `.plan` records (the durable tier is cheap but
+/// not free; oldest entries are garbage-collected past this).
 pub const DEFAULT_MAX_DISK_ENTRIES: usize = 16384;
 
 /// A rendered response body, shared by a cache entry and replies.
@@ -275,12 +310,17 @@ impl<T> Default for Shard<T> {
     }
 }
 
+/// Extension of a spill record: `<dir>/<key>.plan`.
+const SPILL_EXT: &str = "plan";
+
 /// The bounded durable tier: an index of spilled keys in age order, used
 /// to garbage-collect the oldest files past the on-disk bound.
 struct SpillTier {
     dir: PathBuf,
     max_disk_entries: usize,
     index: Mutex<DiskIndex>,
+    /// Records refused on reload (bad header, length, checksum or body).
+    corrupt: AtomicU64,
 }
 
 #[derive(Default)]
@@ -291,31 +331,41 @@ struct DiskIndex {
 }
 
 impl SpillTier {
-    /// Opens the tier: creates the directory, deletes orphaned `.json.tmp`
-    /// files left by a crashed writer, indexes the surviving `.json`
-    /// entries by age and trims them to the bound.
+    /// Opens the tier: creates the directory and [sweeps](SpillTier::sweep)
+    /// it.
     fn open(dir: PathBuf, max_disk_entries: usize) -> std::io::Result<SpillTier> {
         std::fs::create_dir_all(&dir)?;
         let tier = SpillTier {
             dir,
             max_disk_entries,
             index: Mutex::new(DiskIndex::default()),
+            corrupt: AtomicU64::new(0),
         };
         tier.sweep()?;
         Ok(tier)
     }
 
+    /// Deletes `*.tmp` orphans left by a crashed writer and `<key>.json`
+    /// records of the old JSON format, indexes the surviving `.plan`
+    /// records by age and trims them to the bound. Every other name —
+    /// `scenarios/`, `postmortem-*.dump` — is left alone.
     fn sweep(&self) -> std::io::Result<()> {
         let mut files: Vec<(String, std::time::SystemTime)> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".json.tmp") {
-                // Orphan from a writer that died between create and
-                // rename; it was never part of the durable tier.
-                let _ = std::fs::remove_file(entry.path());
-            } else if let Some(key) = name.strip_suffix(".json") {
+            let path = entry.path();
+            let Some(ext) = path.extension().and_then(|e| e.to_str()) else {
+                continue;
+            };
+            if ext == "tmp" || ext == "json" {
+                // An orphan from a writer that died between create and
+                // rename was never part of the durable tier; an old JSON
+                // record is not this format and must not be misread.
+                let _ = std::fs::remove_file(&path);
+            } else if ext == SPILL_EXT {
+                let Some(key) = path.file_stem().and_then(|k| k.to_str()) else {
+                    continue;
+                };
                 let mtime = entry
                     .metadata()
                     .and_then(|m| m.modified())
@@ -338,15 +388,15 @@ impl SpillTier {
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+        self.dir.join(format!("{key}.{SPILL_EXT}"))
     }
 
-    fn load(&self, key: &str) -> Option<String> {
-        std::fs::read_to_string(self.path_for(key)).ok()
+    fn load(&self, key: &str) -> Option<Vec<u8>> {
+        std::fs::read(self.path_for(key)).ok()
     }
 
-    fn store(&self, key: &str, json: &str) {
-        if write_durably(&self.path_for(key), json.as_bytes()).is_err() {
+    fn store(&self, key: &str, record: &[u8]) {
+        if write_durably(&self.path_for(key), record).is_err() {
             return;
         }
         let mut index = lock_recover(&self.index);
@@ -362,17 +412,31 @@ impl SpillTier {
         }
     }
 
+    /// Drops a record that failed to reload: the file goes, the key leaves
+    /// the index, and the refusal is counted.
+    fn discard(&self, key: &str) {
+        let mut index = lock_recover(&self.index);
+        let _ = std::fs::remove_file(self.path_for(key));
+        if index.present.remove(key) {
+            index.order.retain(|k| k != key);
+        }
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Spilled entries currently indexed.
     fn len(&self) -> usize {
         lock_recover(&self.index).order.len()
     }
 }
 
-/// Writes `bytes` to `path` through a sibling `.json.tmp` file: write,
-/// fsync, rename. On failure the temporary file is removed and `path` is
-/// untouched, so a reader sees the old record or the whole new one.
+/// Writes `bytes` to `path` through a sibling temporary file, `path`'s
+/// name with `.tmp` appended: write, fsync, rename. On failure the
+/// temporary file is removed and `path` is untouched, so a reader sees the
+/// old record or the whole new one.
 pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     let written = (|| -> std::io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -439,11 +503,11 @@ impl<T: CacheValue> PlanCache<T> {
         cache
     }
 
-    /// Cache that additionally persists every computed artifact as
-    /// `<dir>/<key>.json` and warm-starts from such files on miss. Opening
-    /// sweeps the directory: orphaned `.json.tmp` files are deleted and
-    /// the on-disk entry count is trimmed (oldest first) to
-    /// [`DEFAULT_MAX_DISK_ENTRIES`].
+    /// Cache that additionally persists every computed artifact as a
+    /// `<dir>/<key>.plan` record and warm-starts from such files on miss.
+    /// Opening sweeps the directory: orphaned `*.tmp` files and
+    /// old-format `<key>.json` records are deleted and the on-disk entry
+    /// count is trimmed (oldest first) to [`DEFAULT_MAX_DISK_ENTRIES`].
     ///
     /// # Errors
     ///
@@ -481,7 +545,7 @@ impl<T: CacheValue> PlanCache<T> {
         self
     }
 
-    /// Returns the cache with a different bound on spilled `.json` files
+    /// Returns the cache with a different bound on spilled `.plan` records
     /// (min 1); trims the directory immediately if it is over. No effect
     /// without a spill directory.
     pub fn with_max_disk_entries(mut self, max_disk_entries: usize) -> Self {
@@ -531,15 +595,21 @@ impl<T: CacheValue> PlanCache<T> {
         }
     }
 
+    /// The value spilled under `key`. A record that fails its checks is
+    /// discarded and reads as absent, so the caller recomputes.
     fn load_spilled(&self, key: &str) -> Option<T> {
-        let json = self.spill.as_ref()?.load(key)?;
-        serde_json::from_str(&json).ok()
+        let spill = self.spill.as_ref()?;
+        let value = T::from_spill(&spill.load(key)?);
+        if value.is_none() {
+            spill.discard(key);
+        }
+        value
     }
 
     fn spill(&self, key: &str, outcome: &T) {
         if let Some(spill) = &self.spill {
-            if let Ok(json) = serde_json::to_string(outcome) {
-                spill.store(key, &json);
+            if let Some(record) = outcome.to_spill() {
+                spill.store(key, &record);
             }
         }
     }
@@ -898,9 +968,18 @@ impl<T: CacheValue> PlanCache<T> {
         self.len() == 0
     }
 
-    /// Spilled `.json` entries currently on disk (0 without a spill dir).
+    /// Spilled `.plan` records currently on disk (0 without a spill dir).
     pub fn spilled_entries(&self) -> usize {
         self.spill.as_ref().map_or(0, SpillTier::len)
+    }
+
+    /// Spill records refused on reload since construction — torn,
+    /// bit-flipped or undecodable files, each deleted and recomputed (0
+    /// without a spill dir).
+    pub fn spill_corrupt(&self) -> u64 {
+        self.spill
+            .as_ref()
+            .map_or(0, |spill| spill.corrupt.load(Ordering::Relaxed))
     }
 }
 
@@ -1194,8 +1273,120 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(on_disk.len(), 2);
-        assert!(on_disk.contains(&"d.json".to_string()), "newest survives");
-        assert!(!on_disk.contains(&"a.json".to_string()), "oldest GC'd");
+        assert!(on_disk.contains(&"d.plan".to_string()), "newest survives");
+        assert!(!on_disk.contains(&"a.plan".to_string()), "oldest GC'd");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every torn copy of a real outcome's record (each truncation
+    /// length) and every single-bit flip of it is refused: the header
+    /// holds the length, and FNV-1a-64 changes on any one changed byte.
+    #[test]
+    fn torn_and_bit_flipped_spill_records_are_refused() {
+        let fresh = outcome();
+        assert_eq!(fresh.best.curve.len(), 60, "a real search's curve");
+        let mut record = fresh.to_spill().expect("encodable");
+        assert_eq!(PortfolioOutcome::from_spill(&record), Some(fresh));
+        for len in 0..record.len() {
+            let torn = &record[..len];
+            assert!(PortfolioOutcome::from_spill(torn).is_none(), "cut at {len}");
+        }
+        for bit in 0..record.len() * 8 {
+            record[bit / 8] ^= 1 << (bit % 8);
+            assert!(PortfolioOutcome::from_spill(&record).is_none(), "bit {bit}");
+            record[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// A damaged record on disk never answers: the lookup is a miss, the
+    /// file is deleted, the key leaves the index, the refusal is counted,
+    /// and the recompute is the fresh outcome — through `peek` and
+    /// through `get_or_compute` alike.
+    #[test]
+    fn a_damaged_spill_file_is_deleted_counted_and_recomputed() {
+        let dir = std::env::temp_dir().join(format!("qsdnn_damaged_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fresh = outcome();
+        {
+            let cache = PlanCache::<PortfolioOutcome>::with_spill_dir(&dir).unwrap();
+            cache.get_or_compute("other", || fresh.clone());
+            cache.get_or_compute("k", || fresh.clone());
+        }
+        let path = dir.join("k.plan");
+        let record = std::fs::read(&path).unwrap();
+        let n = record.len();
+        let mut damaged: Vec<Vec<u8>> = [0, 1, 23, 24, 25, n / 2, n - 1]
+            .iter()
+            .map(|&len| record[..len].to_vec())
+            .collect();
+        for (at, bit) in [
+            (0, 0),
+            (4, 1),
+            (8, 2),
+            (16, 3),
+            (24, 4),
+            (n / 2, 5),
+            (n - 1, 7),
+        ] {
+            let mut flipped = record.clone();
+            flipped[at] ^= 1 << bit;
+            damaged.push(flipped);
+        }
+        for (i, bytes) in damaged.iter().enumerate() {
+            // A fresh instance: nothing resident, both records indexed.
+            let cache = PlanCache::<PortfolioOutcome>::with_spill_dir(&dir).unwrap();
+            assert_eq!(cache.spilled_entries(), 2, "sample {i}");
+            std::fs::write(&path, bytes).unwrap();
+            let refused = || {
+                assert!(!path.exists(), "sample {i}: the damaged file is deleted");
+                assert_eq!(cache.spilled_entries(), 1, "sample {i}: unindexed");
+                assert_eq!(cache.spill_corrupt(), 1, "sample {i}: counted once");
+            };
+            if i % 2 == 0 {
+                assert!(cache.peek("k").is_none(), "sample {i}: never answers");
+                refused();
+            }
+            let (out, served) = cache.get_or_compute("k", || {
+                refused();
+                fresh.clone()
+            });
+            assert!(!served, "sample {i}: recomputed");
+            assert_eq!(*out, fresh, "sample {i}");
+            // The recompute is spilled again, whole.
+            assert_eq!(cache.spilled_entries(), 2, "sample {i}");
+            assert_eq!(std::fs::read(&path).unwrap(), record, "sample {i}");
+            // One request answered (a peek miss counts nothing): a miss.
+            let s = cache.stats();
+            assert_eq!(s.hits + s.misses + s.coalesced + s.spill_loads, 1);
+            assert_eq!(s.misses, 1, "sample {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record of the old JSON format is swept at open, not misread: its
+    /// key recomputes.
+    #[test]
+    fn an_old_json_spill_file_is_deleted_at_open_and_recomputed() {
+        let dir = std::env::temp_dir().join(format!("qsdnn_oldjson_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("scenarios")).unwrap();
+        let fresh = outcome();
+        let old = dir.join("0123456789abcdef.json");
+        std::fs::write(&old, serde_json::to_string(&fresh).unwrap()).unwrap();
+        let dump = dir.join("postmortem-1.dump");
+        std::fs::write(&dump, "{}").unwrap();
+        let cache = PlanCache::<PortfolioOutcome>::with_spill_dir(&dir).unwrap();
+        assert!(!old.exists(), "old-format record swept");
+        assert!(
+            dump.exists() && dir.join("scenarios").is_dir(),
+            "others kept"
+        );
+        assert_eq!(cache.spilled_entries(), 0);
+        let (out, served) = cache.get_or_compute("0123456789abcdef", || fresh.clone());
+        assert!(!served, "the key recomputes");
+        assert_eq!(*out, fresh);
+        assert_eq!(cache.stats().spill_loads, 0);
+        assert_eq!(cache.spill_corrupt(), 0, "swept, never read");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,14 +1,15 @@
 //! Body codecs of both framings: one field list per plan-reply struct,
 //! two renderings of it.
 //!
-//! Every plan reply is `PlanResponse` and the six structs inside it. Each
-//! has exactly one `wire_struct!` field list below — field order, type,
-//! and whether the derive defaults it — and that list generates four
-//! codecs: the v3 body writer and reader, and the JSON-lines (v1/v2)
-//! writer and reader. A field added to a struct but not to its list fails
-//! to compile. Every other message rides the vendored `serde::Value`
-//! tree in both framings, and the tree is the oracle the typed codecs are
-//! held to (`tests/codec_differential.rs`).
+//! Every plan reply is `PlanResponse` and the six structs inside it; the
+//! spill record of a plan is a `PortfolioOutcome`, which is built from
+//! three of them. Each has exactly one `wire_struct!` field list below —
+//! field order, type, and whether the derive defaults it — and that list
+//! generates four codecs: the v3 body writer and reader, and the
+//! JSON-lines (v1/v2) writer and reader. A field added to a struct but not
+//! to its list fails to compile. Every other message rides the vendored
+//! `serde::Value` tree in both framings, and the tree is the oracle the
+//! typed codecs are held to (`tests/codec_differential.rs`).
 //!
 //! # The binary framing (protocol v3)
 //!
@@ -48,6 +49,22 @@
 //! typed one is tested against (`tests/codec_differential.rs`), and v3
 //! peers on either side of this split interoperate.
 //!
+//! # Spill records
+//!
+//! The plan cache's spill tier writes each value as one record: a 24-byte
+//! header, then the value's v3 body.
+//!
+//! ```text
+//! "QSPL"  format version (u32)  body length (u64)  FNV-1a-64 of the body (u64)
+//! ```
+//!
+//! A record whose magic, version, length or checksum fails is refused
+//! before its body is read. A plan's body (a `PortfolioOutcome`, whole
+//! curve included) is read and written by the typed codec
+//! ([`encode_outcome`]/[`decode_outcome`]); any other cached value's by
+//! the tree codec. Under the byte-identity rule both write the same
+//! bytes, so there is one file format, and the tree is again the oracle.
+//!
 //! # The JSON framing (protocol v1/v2)
 //!
 //! The same rule, against the vendored `serde_json`. The typed writer
@@ -69,7 +86,8 @@
 use std::borrow::Cow;
 use std::io::Write as _;
 
-use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
+use qsdnn::engine::Fnv64;
+use qsdnn::{EpisodeRecord, MemberSummary, PortfolioOutcome, SearchReport};
 use serde::{Serialize, Value};
 
 use crate::protocol::{
@@ -1199,6 +1217,82 @@ wire_struct!(PlanResponse {
     trace: Option<TraceInfo> = default,
 });
 
+wire_struct!(PortfolioOutcome {
+    best: SearchReport = required,
+    winner_index: usize = required,
+    winner: String = required,
+    members: Vec<MemberSummary> = required,
+});
+
+// ---------------------------------------------------------------------------
+// Spill records
+// ---------------------------------------------------------------------------
+
+/// First bytes of every spill record.
+const SPILL_MAGIC: [u8; 4] = *b"QSPL";
+/// The record layout's version; a record of any other is refused.
+const SPILL_VERSION: u32 = 1;
+/// Magic, version (`u32`), body length (`u64`), body FNV-1a-64 (`u64`).
+const SPILL_HEADER_BYTES: usize = 24;
+
+fn spill_checksum(body: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(body);
+    h.finish()
+}
+
+/// One spill record: the fixed header, then the v3 body `encode` writes.
+/// `None` when the body cannot be encoded.
+pub(crate) fn spill_record(
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<(), ServeError>,
+) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(256);
+    out.extend_from_slice(&SPILL_MAGIC);
+    out.extend_from_slice(&SPILL_VERSION.to_le_bytes());
+    out.resize(SPILL_HEADER_BYTES, 0);
+    encode(&mut out).ok()?;
+    let body = out.get(SPILL_HEADER_BYTES..)?;
+    let len = (body.len() as u64).to_le_bytes();
+    let sum = spill_checksum(body).to_le_bytes();
+    out.get_mut(8..16)?.copy_from_slice(&len);
+    out.get_mut(16..SPILL_HEADER_BYTES)?.copy_from_slice(&sum);
+    Some(out)
+}
+
+/// The body of a sound spill record; `None` when the magic, version,
+/// length or checksum does not hold. FNV-1a changes on any one changed
+/// byte, so a torn or bit-flipped record never gets past here.
+pub(crate) fn spill_body(record: &[u8]) -> Option<&[u8]> {
+    let (header, body) = record.split_at_checked(SPILL_HEADER_BYTES)?;
+    let word = |at: usize| -> Option<u64> {
+        Some(u64::from_le_bytes(header.get(at..at + 8)?.try_into().ok()?))
+    };
+    let sound = header.get(..4) == Some(&SPILL_MAGIC[..])
+        && header.get(4..8) == Some(&SPILL_VERSION.to_le_bytes()[..])
+        && word(8)? == body.len() as u64
+        && word(16)? == spill_checksum(body);
+    sound.then_some(body)
+}
+
+/// Writes a portfolio outcome as its v3 body through the typed codec:
+/// the bytes [`encode_body`] writes for it.
+pub(crate) fn encode_outcome(
+    outcome: &PortfolioOutcome,
+    out: &mut Vec<u8>,
+) -> Result<(), ServeError> {
+    out.reserve(512 + outcome.best.curve.len() * <EpisodeRecord as WireDecode>::MIN_WIRE);
+    outcome.encode(out)
+}
+
+/// Reads a portfolio outcome from a v3 body through the typed codec: the
+/// value [`decode_body`] reads from it.
+pub(crate) fn decode_outcome(body: &[u8]) -> Result<PortfolioOutcome, ServeError> {
+    let mut r = BinReader::new(body);
+    let outcome = PortfolioOutcome::decode(&mut r, 0)?;
+    r.finish()?;
+    Ok(outcome)
+}
+
 /// The key under which the externally-tagged [`Response`] carries a plan.
 const PLAN_VARIANT: &str = "Plan";
 
@@ -1476,6 +1570,13 @@ mod tests {
         check_against_derive("StageTiming", &trace.stages[0]);
         check_against_derive("TraceInfo", trace);
         check_against_derive("PlanResponse", &plan);
+        let outcome = PortfolioOutcome {
+            best: plan.best.clone(),
+            winner_index: 3,
+            winner: plan.winner.clone(),
+            members: plan.members.clone(),
+        };
+        check_against_derive("PortfolioOutcome", &outcome);
     }
 
     /// What a frame decodes into is never reserved larger than the frame,
@@ -1497,6 +1598,7 @@ mod tests {
         check::<EpisodeRecord>("EpisodeRecord");
         check::<MemberSummary>("MemberSummary");
         check::<StageTiming>("StageTiming");
+        check::<PortfolioOutcome>("PortfolioOutcome");
         check::<usize>("usize");
     }
 

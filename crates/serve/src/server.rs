@@ -1332,9 +1332,10 @@ impl ServiceState {
     /// directory; `None` without a spill dir or when the write fails (a
     /// dying process must not die harder over its own post-mortem).
     ///
-    /// The filename deliberately does **not** end in `.json`: the spill
-    /// tier's startup sweep indexes (and eventually garbage-collects)
-    /// every `*.json` file in this directory as a cache entry.
+    /// The filename deliberately ends in `.dump`: the spill tier's
+    /// startup sweep deletes every `*.json` and `*.tmp` file in this
+    /// directory and indexes (and eventually garbage-collects) every
+    /// `*.plan` file as a cache entry.
     pub(crate) fn write_postmortem(&self, reason: &str) -> Option<std::path::PathBuf> {
         let dir = self.config.spill_dir.as_ref()?;
         let json = serde_json::to_string_pretty(&self.postmortem_dump(reason)).ok()?;
@@ -1406,9 +1407,13 @@ impl ServiceState {
             "Flight-recorder events journaled since start",
             self.metrics.recorder().events_total(),
         ));
-        for (cache, shards) in [
-            ("plan", self.plans.shard_stats()),
-            ("profile", self.profiles.shard_stats()),
+        for (cache, shards, spill_corrupt) in [
+            ("plan", self.plans.shard_stats(), self.plans.spill_corrupt()),
+            (
+                "profile",
+                self.profiles.shard_stats(),
+                self.profiles.spill_corrupt(),
+            ),
         ] {
             let mut entries = Vec::new();
             let mut requests = Vec::new();
@@ -1458,6 +1463,15 @@ impl ServiceState {
                     "Entries evicted, by cache and shard",
                     Kind::Counter,
                     evictions,
+                ),
+                (
+                    "qsdnn_spill_corrupt_total",
+                    "Spill records refused on reload (deleted and recomputed), by cache",
+                    Kind::Counter,
+                    vec![SampleSnapshot {
+                        labels: vec![("cache".to_string(), cache.to_string())],
+                        value: SampleValue::Counter(spill_corrupt),
+                    }],
                 ),
             ] {
                 snap.merge(qsdnn_obs::Snapshot {

@@ -14,19 +14,25 @@
 //! envelope check, then `from_value` — and the typed side is
 //! `encode_json_response` and `parse_response_frame`, on bare and tagged
 //! lines alike.
+//!
+//! The last part holds the plan cache's spill records to the same rule:
+//! a `PortfolioOutcome` written and read by the typed codec against the
+//! tree codec's `CacheValue` defaults, on real outcomes of zoo networks.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
-use qsdnn::{EpisodeRecord, MemberSummary, SearchReport};
+use qsdnn::engine::{AnalyticalPlatform, Fnv64, Mode, Profiler};
+use qsdnn::nn::zoo;
+use qsdnn::{EpisodeRecord, MemberSummary, Portfolio, PortfolioOutcome, SearchReport};
 use qsdnn_serve::protocol::{
-    decode_body, decode_response, encode_body, encode_json_response, encode_response,
+    decode_body, decode_response, decode_value, encode_body, encode_json_response, encode_response,
     parse_response_frame, PlanResponse, Response, ResponseFrame, StageTiming, TaggedResponse,
     TraceInfo, WarmStartInfo,
 };
-use qsdnn_serve::ServeError;
+use qsdnn_serve::{CacheValue, ServeError};
 
 const STRINGS: [&str; 7] = [
     "",
@@ -1147,4 +1153,120 @@ fn the_json_mutation_generator_produces_both_verdicts() {
         }
     }
     assert!(accepted >= 40 && refused >= 40, "{accepted} / {refused}");
+}
+
+// ---------------------------------------------------------------------------
+// Spill records
+// ---------------------------------------------------------------------------
+
+/// The spill tier through the tree codec: a newtype serializes as the
+/// outcome it wraps and keeps `CacheValue`'s default (tree) methods.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ViaTree(PortfolioOutcome);
+
+impl CacheValue for ViaTree {}
+
+/// Real outcomes of three zoo networks, one of them branchy. tiny_cnn at
+/// 400 episodes is won by a QS-DNN member, so its outcome carries a
+/// 400-record curve; the other two are won by an exact solver.
+fn zoo_outcomes() -> Vec<PortfolioOutcome> {
+    [("tiny_cnn", 400), ("lenet5", 200), ("toy_branchy", 200)]
+        .into_iter()
+        .map(|(network, episodes)| {
+            let net = zoo::by_name(network, 1).expect("zoo network");
+            let lut =
+                Profiler::with_repeats(AnalyticalPlatform::tx2(), 2).profile(&net, Mode::Gpgpu);
+            Portfolio::paper_default(episodes, &[1, 2])
+                .run_sequential(&lut)
+                .expect("applicable")
+        })
+        .collect()
+}
+
+/// A spill record around `body`, its layout written out by hand.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut checksum = Fnv64::new();
+    checksum.write(body);
+    let mut record = b"QSPL".to_vec();
+    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    record.extend_from_slice(&checksum.finish().to_le_bytes());
+    record.extend_from_slice(body);
+    record
+}
+
+/// Both spill decoders on one record, each decoded outcome re-encoded by
+/// the tree codec so that equal means equal down to the bits.
+fn both_spill(record: &[u8]) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+    let bits = |o: PortfolioOutcome| encode_body(&o).expect("a decoded outcome encodes");
+    (
+        PortfolioOutcome::from_spill(record).map(bits),
+        ViaTree::from_spill(record).map(|t| bits(t.0)),
+    )
+}
+
+#[test]
+fn typed_spill_records_are_the_trees_and_decode_to_its_outcome() {
+    let outcomes = zoo_outcomes();
+    assert!(
+        outcomes.iter().any(|o| o.best.curve.len() == 400),
+        "one outcome carries its whole curve"
+    );
+    for outcome in outcomes {
+        let what = outcome.best.network.clone();
+        let typed = outcome.to_spill().expect("typed encode");
+        assert_eq!(
+            typed,
+            ViaTree(outcome.clone()).to_spill().expect("tree encode"),
+            "{what}"
+        );
+        assert_eq!(typed, seal(&encode_body(&outcome).unwrap()), "{what}");
+        let back = PortfolioOutcome::from_spill(&typed).expect("typed decode");
+        let tree = ViaTree::from_spill(&typed).expect("tree decode").0;
+        assert_eq!(back, tree, "{what}");
+        assert_eq!(back, outcome, "{what}");
+    }
+}
+
+/// Past the checksum the typed reader is held to the tree: bodies whose
+/// fields come in another order, or that are cut or have a byte replaced
+/// and are then sealed again, decode to the same outcome or are refused
+/// by both. Every position of the two curve-less bodies, and every 577th
+/// of the long one (a prime stride, so the positions land on every field
+/// of a curve record).
+#[test]
+fn resealed_spill_bodies_never_separate_the_decoders() {
+    let (mut accepted, mut refused) = (0u32, 0u32);
+    for outcome in zoo_outcomes() {
+        let body = encode_body(&outcome).unwrap();
+        let Value::Object(mut fields) = decode_value(&body).unwrap() else {
+            panic!("an outcome is an object");
+        };
+        fields.reverse();
+        let reordered = seal(&encode_body(&Value::Object(fields)).unwrap());
+        let (typed, tree) = both_spill(&reordered);
+        assert!(typed.is_some() && typed == tree, "fields reversed");
+
+        let stride = if body.len() > 4096 { 577 } else { 1 };
+        for at in (0..body.len()).step_by(stride) {
+            let mut check = |damaged: &[u8], what: &str| {
+                let (typed, tree) = both_spill(&seal(damaged));
+                assert!(typed == tree, "{}: {what}", outcome.best.network);
+                if typed.is_some() {
+                    accepted += 1;
+                } else {
+                    refused += 1;
+                }
+            };
+            check(&body[..at], &format!("cut at {at}"));
+            for byte in (0x00..=0x09).chain([0x40, 0xff]) {
+                if body[at] != byte {
+                    let mut damaged = body.clone();
+                    damaged[at] = byte;
+                    check(&damaged, &format!("byte {at} = {byte:#04x}"));
+                }
+            }
+        }
+    }
+    assert!(accepted > 500 && refused > 500, "{accepted} / {refused}");
 }

@@ -18,7 +18,7 @@ use qsdnn_serve::{PlanClient, PlanServer, ServerConfig};
 /// catalog both exposure paths must list (global engine/core families
 /// ride along but depend on process-wide test ordering, so they are
 /// asserted separately).
-const SERVE_FAMILIES: [&str; 19] = [
+const SERVE_FAMILIES: [&str; 20] = [
     "qsdnn_build_info",
     "qsdnn_recorder_events_total",
     "qsdnn_request_us",
@@ -38,6 +38,7 @@ const SERVE_FAMILIES: [&str; 19] = [
     "qsdnn_cache_entries",
     "qsdnn_cache_requests_total",
     "qsdnn_cache_evictions_total",
+    "qsdnn_spill_corrupt_total",
 ];
 
 fn config() -> ServerConfig {
