@@ -151,7 +151,7 @@ pub fn usage() -> String {
      dumps the flight-recorder journal and slow-request exemplars and\n            \
      --request tasks shows what every worker thread is doing right now;\n            \
      --protocol 2 pins the JSON wire framing — the default, 3, negotiates\n            \
-     the binary framing with automatic JSON fallback on older servers)\n  \
+     the binary framing)\n  \
      qsdnn-cli top --addr <host:port> [--interval-ms N] [--frames N]\n            \
      (live dashboard: worker task table, rolling p50/p99 request latency and\n            \
      event rate from flight-recorder deltas; --frames N renders N frames and\n            \
@@ -752,9 +752,9 @@ fn cmd_submit(args: &Args) -> Result<String, String> {
         ],
     )?;
     let addr = required(args, "addr")?;
-    // --protocol 2 pins the JSON framing (older servers, wire debugging);
-    // the default negotiates the v3 binary framing with automatic JSON
-    // fallback against pre-v3 servers.
+    // --protocol 2 pins the JSON framing (older servers, wire debugging,
+    // the whole learning curve); the default negotiates the v3 binary
+    // framing.
     let protocol = opt_parse(args, "protocol", 3u32)?;
     let mut client = match protocol {
         3 => PlanClient::connect(addr.as_str()),

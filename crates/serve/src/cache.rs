@@ -31,7 +31,7 @@
 //!
 //! **Spill tier:** computed artifacts persist as `<dir>/<key>.plan`, one
 //! record each: a fixed header (magic, format version, body length, the
-//! body's FNV-1a-64) and the value's v3 body ([`CacheValue::to_spill`]).
+//! body's checksum) and the value's v3 body ([`CacheValue::to_spill`]).
 //! The writer fsyncs before the atomic rename, so a crash never leaves a
 //! torn file behind the durable name. A record that fails its header,
 //! length or checksum, or whose body does not decode, is a miss: the file
@@ -123,17 +123,17 @@ pub(crate) fn write_platform(h: &mut Fnv64, platform: Option<(&str, u64)>) {
 
 /// What the cache can hold: cloneable, and writable to the spill tier as
 /// one record — a fixed header (magic, format version, body length and
-/// the body's FNV-1a-64) followed by the value's v3 body.
+/// the body's checksum) followed by the value's v3 body.
 ///
-/// The default methods write and read the body through the tree codec.
-/// An override must keep the bytes and the values those give (a typed
-/// codec under `codec.rs`'s byte-identity rule), so there is one file
-/// format whichever side wrote it.
+/// The body is always written through the tree codec, so there is one
+/// file format. The default reader goes through the tree too; an override
+/// may read the body with a typed reader, which must accept what the tree
+/// accepts, to the same value (`codec.rs`'s reader rule).
 pub trait CacheValue: Serialize + Deserialize + Clone {
     /// The spill record for this value; `None` when it cannot be encoded
     /// (it is then not spilled).
     fn to_spill(&self) -> Option<Vec<u8>> {
-        codec::spill_record(|out| codec::encode_value_into(&self.serialize(), out, 0))
+        codec::spill_record(self)
     }
 
     /// The value in a spill record; `None` when the header, length or
@@ -143,13 +143,9 @@ pub trait CacheValue: Serialize + Deserialize + Clone {
     }
 }
 
-/// Plans spill through the typed codec: a reload reads the body straight
-/// into the outcome instead of building its `Value` tree first.
+/// Plans reload through the typed reader: the body goes straight into the
+/// outcome instead of building its `Value` tree first.
 impl CacheValue for PortfolioOutcome {
-    fn to_spill(&self) -> Option<Vec<u8>> {
-        codec::spill_record(|out| codec::encode_outcome(self, out))
-    }
-
     fn from_spill(record: &[u8]) -> Option<Self> {
         codec::decode_outcome(codec::spill_body(record)?).ok()
     }

@@ -20,15 +20,14 @@
 //! next read resumes the same line or frame.
 //!
 //! [`PlanClient::connect`] negotiates the **v3 binary framing** (see the
-//! protocol module docs) and transparently falls back to the JSON v2
-//! handshake against a pre-v3 server — the typed API is identical either
-//! way, and decoded responses are bit-identical by construction except
-//! that a v3 plan reply's learning curve is down-sampled
-//! ([`crate::summary_curve`]). [`PlanClient::connect_with_version`] at 2
-//! fetches the whole curve.
+//! protocol module docs); [`PlanClient::connect_with_version`] pins an
+//! older revision, whose JSON framing the typed API speaks the same way.
+//! Decoded responses are bit-identical across framings except that a v3
+//! plan reply's learning curve is down-sampled ([`crate::summary_curve`]);
+//! a v2 connection fetches the whole curve.
 
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use qsdnn::engine::{CostLut, Objective};
@@ -69,7 +68,7 @@ pub struct PlanClient {
     /// pong are already in place for the binary reader.
     frames: FrameBuffer,
     /// Wire framing in effect: JSON during the handshake (and for life
-    /// against a pre-v3 server), binary after a v3 pong.
+    /// on a connection pinned below v3), binary after a v3 pong.
     mode: WireMode,
     next_id: u64,
     /// Tickets submitted but not yet returned to the caller.
@@ -81,29 +80,18 @@ pub struct PlanClient {
 
 impl PlanClient {
     /// Connects and verifies the protocol revision with a ping,
-    /// negotiating the v3 binary framing. A pre-v3 server answers the
-    /// ping with a version-mismatch error; the client then redoes the
-    /// handshake at v2 on a fresh connection and stays on JSON framing —
-    /// same typed API, and plan replies carry their whole curve.
+    /// negotiating the v3 binary framing: [`PlanClient::connect_with_version`]
+    /// at [`PROTOCOL_VERSION`].
     ///
     /// # Errors
     ///
-    /// Fails on connection errors or a protocol-version mismatch that
-    /// even the v2 fallback cannot bridge.
+    /// Fails on connection errors or when the server rejects the version.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        // Resolve once so the fallback handshake dials the same server.
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        match Self::connect_with_version(&addrs[..], PROTOCOL_VERSION) {
-            Err(ServeError::Remote(message)) if message.contains("protocol mismatch") => {
-                Self::connect_with_version(&addrs[..], 2)
-            }
-            other => other,
-        }
+        Self::connect_with_version(addr, PROTOCOL_VERSION)
     }
 
-    /// [`PlanClient::connect`] pinned to one protocol revision, with no
-    /// fallback: the connection speaks binary frames iff `version`
-    /// negotiates them (v3+), JSON lines otherwise.
+    /// Connects at one protocol revision: the connection speaks binary
+    /// frames iff `version` negotiates them (v3+), JSON lines otherwise.
     ///
     /// # Errors
     ///

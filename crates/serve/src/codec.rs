@@ -1,15 +1,20 @@
-//! Body codecs of both framings: one field list per plan-reply struct,
-//! two renderings of it.
+//! Body codecs of both framings: one writer each, and typed readers for
+//! the plan reply.
 //!
-//! Every plan reply is `PlanResponse` and the six structs inside it; the
-//! spill record of a plan is a `PortfolioOutcome`, which is built from
-//! three of them. Each has exactly one `wire_struct!` field list below —
-//! field order, type, and whether the derive defaults it — and that list
-//! generates four codecs: the v3 body writer and reader, and the
-//! JSON-lines (v1/v2) writer and reader. A field added to a struct but not
-//! to its list fails to compile. Every other message rides the vendored
-//! `serde::Value` tree in both framings, and the tree is the oracle the
-//! typed codecs are held to (`tests/codec_differential.rs`).
+//! Every message leaves through the vendored `serde::Value` tree: the v3
+//! framing writes it with [`encode_body`], the JSON-lines framing (v1/v2)
+//! with `serde_json`. One writer per framing means one byte layout per
+//! message, with nothing to keep in step.
+//!
+//! Reading is where a plan reply's size shows: a default reply carries a
+//! 2000-episode learning curve, and through the tree that is one `String`
+//! per key and one `Vec` per object, ≈ 10k allocations a reply. So
+//! `PlanResponse` and the six structs inside it, and the spill record of a
+//! plan (a `PortfolioOutcome`, built from three of them), are also read
+//! straight against the bytes. Each has exactly one `wire_struct!` field
+//! list below — field, type, and whether the derive defaults it — and that
+//! list generates both typed readers, v3 and JSON. A field added to a
+//! struct but not to its list fails to compile.
 //!
 //! # The binary framing (protocol v3)
 //!
@@ -24,55 +29,37 @@
 //! 0x08 object  count, (key len, key bytes, value)*
 //! ```
 //!
-//! Two codecs speak it, one per message, never both:
+//! [`encode_body`] writes any `Serialize` message; [`decode_body`] reads
+//! any `Deserialize` one through the tree. [`decode_response`] reads a
+//! `Response::Plan` body with the typed reader and every other variant
+//! through the tree.
 //!
-//! * **The tree codec** ([`encode_body`]/[`decode_body`]) goes through the
-//!   vendored `serde::Value` — the tree the JSON framing writes — so any
-//!   `Serialize` type rides the wire without per-type code. Requests and
-//!   the control-plane replies (`Stats`, `Metrics`, `Events`, `Tasks`,
-//!   `Platforms`, `Profile`, `Pong`, `Error`) use it.
-//! * **The typed codec** ([`encode_response`]/[`decode_response`] on a
-//!   `Response::Plan`) reads and writes [`PlanResponse`] and the six
-//!   structs inside it straight against the bytes. A default plan reply
-//!   carries a 2000-episode learning curve; through the tree that is one
-//!   `String` per key and one `Vec` per object, ≈ 10k allocations a reply.
-//!
-//! **The byte-identity rule.** The typed codec is an implementation of
-//! the same wire, not a second format: typed encode emits exactly the
-//! bytes `encode_body(&Response::Plan(..))` emits (derive field order,
-//! same tags, floats as raw bits), and typed decode accepts exactly what
-//! the tree path accepts and produces `==` values — fields in any order,
-//! unknown fields skipped (but still validated: tags, counts, UTF-8,
-//! depth), a missing `#[serde(default)]` field defaulted, the first of a
-//! duplicated key winning, numbers coerced as the shim's `as_f64` /
-//! `as_u64` do, `Option` from `null`. The tree codec is the oracle the
-//! typed one is tested against (`tests/codec_differential.rs`), and v3
-//! peers on either side of this split interoperate.
+//! **The reader rule.** A typed reader accepts exactly what the tree path
+//! accepts and produces `==` values — fields in any order, unknown fields
+//! skipped (but still validated: tags, counts, UTF-8, depth), a missing
+//! `#[serde(default)]` field defaulted, the first of a duplicated key
+//! winning, numbers coerced as the shim's `as_f64` / `as_u64` do, `Option`
+//! from `null`. The tree is the oracle the typed readers are held to
+//! (`tests/codec_differential.rs`), so a peer cannot tell which one read
+//! its bytes.
 //!
 //! # Spill records
 //!
 //! The plan cache's spill tier writes each value as one record: a 24-byte
-//! header, then the value's v3 body.
+//! header, then the value's v3 body as [`encode_body`] writes it.
 //!
 //! ```text
-//! "QSPL"  format version (u32)  body length (u64)  FNV-1a-64 of the body (u64)
+//! "QSPL"  format version (u32)  body length (u64)  checksum of the body (u64)
 //! ```
 //!
 //! A record whose magic, version, length or checksum fails is refused
-//! before its body is read. A plan's body (a `PortfolioOutcome`, whole
-//! curve included) is read and written by the typed codec
-//! ([`encode_outcome`]/[`decode_outcome`]); any other cached value's by
-//! the tree codec. Under the byte-identity rule both write the same
-//! bytes, so there is one file format, and the tree is again the oracle.
+//! before its body is read. A plan's body is read by the typed reader
+//! ([`decode_outcome`]), any other cached value's through the tree.
 //!
 //! # The JSON framing (protocol v1/v2)
 //!
-//! The same rule, against the vendored `serde_json`. The typed writer
-//! ([`encode_json_response`] on a `Response::Plan`) emits exactly the
-//! text `serde_json::to_string` emits: derive key order, its escaping
-//! rules, floats through `Display` with `.0` appended when the text has
-//! no `.`/`e`/`E` (so `-0.0` keeps its sign), non-finite floats and
-//! `None` as `null`. The typed reader (the plan route of
+//! The same reader rule, against the vendored `serde_json`. The typed
+//! reader (the plan route of
 //! [`parse_response_frame`](crate::protocol::parse_response_frame))
 //! accepts exactly what `serde_json::parse` and `Deserialize` accept, to
 //! `==` values: whitespace anywhere, fields in any order, unknown fields
@@ -80,13 +67,10 @@
 //! every escape in keys and strings alike, numbers classified as the
 //! parser classifies them and coerced through `Value::as_u64`/`as_f64`
 //! (so `7.0` and `7e0` are valid counts), the same depth guard, and
-//! trailing characters refused. A plan reply's JSON body is what a
-//! server attaches to the cache entry for JSON-framed hits.
+//! trailing characters refused.
 
 use std::borrow::Cow;
-use std::io::Write as _;
 
-use qsdnn::engine::Fnv64;
 use qsdnn::{EpisodeRecord, MemberSummary, PortfolioOutcome, SearchReport};
 use serde::{Serialize, Value};
 
@@ -144,7 +128,7 @@ pub(crate) fn encode_value_into(
     }
     match v {
         Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => b.encode(out)?,
+        Value::Bool(b) => out.push(if *b { TAG_TRUE } else { TAG_FALSE }),
         Value::Int(i) => {
             out.push(TAG_INT);
             out.extend_from_slice(&i.to_le_bytes());
@@ -153,8 +137,14 @@ pub(crate) fn encode_value_into(
             out.push(TAG_UINT);
             out.extend_from_slice(&u.to_le_bytes());
         }
-        Value::Float(f) => f.encode(out)?,
-        Value::String(s) => s.encode(out)?,
+        Value::Float(f) => {
+            out.push(TAG_FLOAT);
+            out.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        Value::String(s) => {
+            out.push(TAG_STRING);
+            encode_str(s, out)?;
+        }
         Value::Array(items) => {
             out.push(TAG_ARRAY);
             encode_len(items.len(), out)?;
@@ -402,14 +392,8 @@ pub fn decode_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError>
 }
 
 // ---------------------------------------------------------------------------
-// Typed codec: plan replies
+// Typed readers: plan replies
 // ---------------------------------------------------------------------------
-
-/// Writes `self` as the bytes the tree codec writes for
-/// `self.serialize()`.
-trait WireEncode {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError>;
-}
 
 /// Reads `Self` from whatever the tree codec followed by
 /// `Self::deserialize` would accept, to the same value.
@@ -425,13 +409,6 @@ trait WireDecode: Sized {
     fn decode(r: &mut BinReader<'_>, depth: usize) -> Result<Self, ServeError>;
 }
 
-impl WireEncode for bool {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        out.push(if *self { TAG_TRUE } else { TAG_FALSE });
-        Ok(())
-    }
-}
-
 impl WireDecode for bool {
     const MIN_WIRE: usize = 1;
 
@@ -441,14 +418,6 @@ impl WireDecode for bool {
             TAG_TRUE => Ok(true),
             _ => Err(r.err("expected bool")),
         }
-    }
-}
-
-impl WireEncode for usize {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        out.push(TAG_UINT);
-        out.extend_from_slice(&(*self as u64).to_le_bytes());
-        Ok(())
     }
 }
 
@@ -470,14 +439,6 @@ impl WireDecode for usize {
     }
 }
 
-impl WireEncode for f64 {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        out.push(TAG_FLOAT);
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-        Ok(())
-    }
-}
-
 impl WireDecode for f64 {
     const MIN_WIRE: usize = 9;
 
@@ -492,13 +453,6 @@ impl WireDecode for f64 {
     }
 }
 
-impl WireEncode for String {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        out.push(TAG_STRING);
-        encode_str(self, out)
-    }
-}
-
 impl WireDecode for String {
     const MIN_WIRE: usize = HEADER_WIRE;
 
@@ -506,18 +460,6 @@ impl WireDecode for String {
         match r.u8()? {
             TAG_STRING => Ok(r.string()?.to_string()),
             _ => Err(r.err("expected string")),
-        }
-    }
-}
-
-impl<T: WireEncode> WireEncode for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        match self {
-            Some(v) => v.encode(out),
-            None => {
-                out.push(TAG_NULL);
-                Ok(())
-            }
         }
     }
 }
@@ -531,14 +473,6 @@ impl<T: WireDecode> WireDecode for Option<T> {
             return Ok(None);
         }
         T::decode(r, depth).map(Some)
-    }
-}
-
-impl<T: WireEncode> WireEncode for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        out.push(TAG_ARRAY);
-        encode_len(self.len(), out)?;
-        self.iter().try_for_each(|item| item.encode(out))
     }
 }
 
@@ -567,13 +501,6 @@ impl<T: WireDecode> WireDecode for Vec<T> {
     }
 }
 
-/// Writes `self` as the text `serde_json::to_string` writes for
-/// `self.serialize()`. Infallible: the shim's writer fails only past its
-/// depth guard, and no plan reply nests that deep.
-trait JsonEncode {
-    fn write_json(&self, out: &mut Vec<u8>);
-}
-
 /// Reads `Self` from whatever `serde_json::parse` followed by
 /// `Self::deserialize` would accept, to the same value.
 trait JsonDecode: Sized {
@@ -581,12 +508,6 @@ trait JsonDecode: Sized {
     /// parser counts it, carried so that a skipped unknown field trips
     /// the depth guard where the parser would.
     fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError>;
-}
-
-impl JsonEncode for bool {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(if *self { b"true" } else { b"false" });
-    }
 }
 
 impl JsonDecode for bool {
@@ -600,13 +521,6 @@ impl JsonDecode for bool {
     }
 }
 
-impl JsonEncode for usize {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        // Writing to a `Vec` cannot fail.
-        let _ = write!(out, "{self}");
-    }
-}
-
 impl JsonDecode for usize {
     /// Any non-negative integral number, as `Value::as_u64` reads one.
     fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
@@ -616,66 +530,11 @@ impl JsonDecode for usize {
     }
 }
 
-impl JsonEncode for f64 {
-    /// The shim's `write_f64`: non-finite is `null`, and a finite value
-    /// stays recognisably floating-point.
-    fn write_json(&self, out: &mut Vec<u8>) {
-        if !self.is_finite() {
-            out.extend_from_slice(b"null");
-            return;
-        }
-        let start = out.len();
-        let _ = write!(out, "{self}");
-        let text = out.get(start..).unwrap_or_default();
-        if !text.iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
-            out.extend_from_slice(b".0");
-        }
-    }
-}
-
 impl JsonDecode for f64 {
     /// Any number, as `Value::as_f64` reads one.
     fn read_json(r: &mut JsonReader<'_>, _depth: usize) -> Result<Self, ServeError> {
         let f = r.number("expected f64")?.as_f64();
         f.ok_or_else(|| r.err("expected f64"))
-    }
-}
-
-/// A string as the shim's `write_escaped` writes it: quotes, backslashes
-/// and control characters escaped, everything else (non-ASCII included)
-/// raw.
-fn write_json_str(s: &str, out: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
-    out.push(b'"');
-    // Unescaped bytes are copied a run at a time.
-    let mut run = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let escape: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0x08 => b"\\b",
-            0x0C => b"\\f",
-            0x00..=0x1F => b"",
-            _ => continue,
-        };
-        out.extend_from_slice(bytes.get(run..i).unwrap_or_default());
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.extend_from_slice(escape);
-        }
-        run = i + 1;
-    }
-    out.extend_from_slice(bytes.get(run..).unwrap_or_default());
-    out.push(b'"');
-}
-
-impl JsonEncode for String {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_json_str(self, out);
     }
 }
 
@@ -689,15 +548,6 @@ impl JsonDecode for String {
     }
 }
 
-impl<T: JsonEncode> JsonEncode for Option<T> {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        match self {
-            Some(v) => v.write_json(out),
-            None => out.extend_from_slice(b"null"),
-        }
-    }
-}
-
 impl<T: JsonDecode> JsonDecode for Option<T> {
     fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError> {
         r.ws();
@@ -705,19 +555,6 @@ impl<T: JsonDecode> JsonDecode for Option<T> {
             return r.literal("null").map(|()| None);
         }
         T::read_json(r, depth).map(Some)
-    }
-}
-
-impl<T: JsonEncode> JsonEncode for Vec<T> {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        out.push(b'[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            item.write_json(out);
-        }
-        out.push(b']');
     }
 }
 
@@ -1066,26 +903,14 @@ impl<'a> JsonReader<'a> {
     }
 }
 
-/// The typed codecs of one derive-serialized struct, from its field list:
-/// every field in declaration order, its type, and whether the derive
-/// treats its absence as `Default::default()` (`default`, i.e.
-/// `#[serde(default)]`) or as an error (`required`). A field added to the
-/// struct but not here fails to compile (decode) and fails
-/// `typed_field_lists_match_the_derives` (encode), in both framings.
+/// The typed readers of one derive-serialized struct, from its field
+/// list: every field, its type, and whether the derive treats its absence
+/// as `Default::default()` (`default`, i.e. `#[serde(default)]`) or as an
+/// error (`required`). A field added to the struct but not here fails to
+/// compile; a wrong `default`/`required` fails
+/// `typed_field_lists_match_the_derives`, in both framings.
 macro_rules! wire_struct {
     ($ty:ident { $($field:ident: $fty:ty = $kind:ident),+ $(,)? }) => {
-        impl WireEncode for $ty {
-            fn encode(&self, out: &mut Vec<u8>) -> Result<(), ServeError> {
-                out.push(TAG_OBJECT);
-                encode_len([$(stringify!($field)),+].len(), out)?;
-                $(
-                    encode_str(stringify!($field), out)?;
-                    self.$field.encode(out)?;
-                )+
-                Ok(())
-            }
-        }
-
         impl WireDecode for $ty {
             const MIN_WIRE: usize = HEADER_WIRE $(+ wire_struct!(@min $kind $field: $fty))+;
 
@@ -1112,14 +937,6 @@ macro_rules! wire_struct {
             }
         }
 
-        impl JsonEncode for $ty {
-            fn write_json(&self, out: &mut Vec<u8>) {
-                let this = self;
-                wire_struct!(@json_fields this, out, "{"; $($field),+);
-                out.push(b'}');
-            }
-        }
-
         impl JsonDecode for $ty {
             fn read_json(r: &mut JsonReader<'_>, depth: usize) -> Result<Self, ServeError> {
                 $(let mut $field: Option<$fty> = None;)+
@@ -1140,12 +957,6 @@ macro_rules! wire_struct {
             }
         }
     };
-    (@json_fields $this:ident, $out:ident, $sep:literal; $field:ident $(, $rest:ident)*) => {
-        $out.extend_from_slice(concat!($sep, "\"", stringify!($field), "\":").as_bytes());
-        $this.$field.write_json($out);
-        wire_struct!(@json_fields $this, $out, ","; $($rest),*);
-    };
-    (@json_fields $this:ident, $out:ident, $sep:literal;) => {};
     (@min default $field:ident: $fty:ty) => { 0 };
     (@min required $field:ident: $fty:ty) => {
         4 + stringify!($field).len() + <$fty as WireDecode>::MIN_WIRE
@@ -1231,26 +1042,38 @@ wire_struct!(PortfolioOutcome {
 /// First bytes of every spill record.
 const SPILL_MAGIC: [u8; 4] = *b"QSPL";
 /// The record layout's version; a record of any other is refused.
-const SPILL_VERSION: u32 = 1;
-/// Magic, version (`u32`), body length (`u64`), body FNV-1a-64 (`u64`).
+const SPILL_VERSION: u32 = 2;
+/// Magic, version (`u32`), body length (`u64`), body checksum (`u64`).
 const SPILL_HEADER_BYTES: usize = 24;
 
+/// FNV-1a-64 folded over the body's little-endian `u64` words, then over
+/// the tail bytes one at a time: one multiply per 8 bytes instead of per
+/// byte. Each step `h ← (h ⊕ w)·P` is injective in `w` for a given `h`
+/// (xor is) and a bijection in `h` for a given `w` (the FNV prime `P` is
+/// odd, so multiplying by it is invertible mod 2⁶⁴). Two bodies of one
+/// length that differ in one word reach that step with the same `h` and
+/// leave it with different ones, and every later step keeps them apart —
+/// so any single changed word, byte or bit changes the sum.
 fn spill_checksum(body: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(body);
-    h.finish()
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+    let words = body.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(OFFSET, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().unwrap_or_default()))
+    });
+    tail.iter().fold(h, |h, &b| step(h, u64::from(b)))
 }
 
-/// One spill record: the fixed header, then the v3 body `encode` writes.
-/// `None` when the body cannot be encoded.
-pub(crate) fn spill_record(
-    encode: impl FnOnce(&mut Vec<u8>) -> Result<(), ServeError>,
-) -> Option<Vec<u8>> {
+/// One spill record: the fixed header, then `value`'s v3 body as
+/// [`encode_body`] writes it. `None` when the body cannot be encoded.
+pub(crate) fn spill_record<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&SPILL_MAGIC);
     out.extend_from_slice(&SPILL_VERSION.to_le_bytes());
     out.resize(SPILL_HEADER_BYTES, 0);
-    encode(&mut out).ok()?;
+    encode_value_into(&value.serialize(), &mut out, 0).ok()?;
     let body = out.get(SPILL_HEADER_BYTES..)?;
     let len = (body.len() as u64).to_le_bytes();
     let sum = spill_checksum(body).to_le_bytes();
@@ -1260,8 +1083,9 @@ pub(crate) fn spill_record(
 }
 
 /// The body of a sound spill record; `None` when the magic, version,
-/// length or checksum does not hold. FNV-1a changes on any one changed
-/// byte, so a torn or bit-flipped record never gets past here.
+/// length or checksum does not hold. The checksum changes on any one
+/// changed word ([`spill_checksum`]) and the length on any cut, so a torn
+/// or bit-flipped record never gets past here.
 pub(crate) fn spill_body(record: &[u8]) -> Option<&[u8]> {
     let (header, body) = record.split_at_checked(SPILL_HEADER_BYTES)?;
     let word = |at: usize| -> Option<u64> {
@@ -1274,17 +1098,7 @@ pub(crate) fn spill_body(record: &[u8]) -> Option<&[u8]> {
     sound.then_some(body)
 }
 
-/// Writes a portfolio outcome as its v3 body through the typed codec:
-/// the bytes [`encode_body`] writes for it.
-pub(crate) fn encode_outcome(
-    outcome: &PortfolioOutcome,
-    out: &mut Vec<u8>,
-) -> Result<(), ServeError> {
-    out.reserve(512 + outcome.best.curve.len() * <EpisodeRecord as WireDecode>::MIN_WIRE);
-    outcome.encode(out)
-}
-
-/// Reads a portfolio outcome from a v3 body through the typed codec: the
+/// Reads a portfolio outcome from a v3 body through the typed reader: the
 /// value [`decode_body`] reads from it.
 pub(crate) fn decode_outcome(body: &[u8]) -> Result<PortfolioOutcome, ServeError> {
     let mut r = BinReader::new(body);
@@ -1296,32 +1110,9 @@ pub(crate) fn decode_outcome(body: &[u8]) -> Result<PortfolioOutcome, ServeError
 /// The key under which the externally-tagged [`Response`] carries a plan.
 const PLAN_VARIANT: &str = "Plan";
 
-/// Encodes a server → client message as a v3 body: a plan reply through
-/// the typed codec, every other variant through the tree codec. The
-/// bytes are those of [`encode_body`] either way.
-///
-/// # Errors
-///
-/// Fails on a string or collection longer than `u32` can declare.
-pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ServeError> {
-    let Response::Plan(plan) = resp else {
-        return encode_body(resp);
-    };
-    // Nearly all of a plan reply is its curve, whose records are all of
-    // one size: sized up front, the body is not regrown a dozen times and
-    // the copy attached to the cache entry carries no doubling slack.
-    let curve_wire = plan.best.curve.len() * <EpisodeRecord as WireDecode>::MIN_WIRE;
-    let mut out = Vec::with_capacity(512 + curve_wire);
-    out.push(TAG_OBJECT);
-    encode_len(1, &mut out)?;
-    encode_str(PLAN_VARIANT, &mut out)?;
-    plan.encode(&mut out)?;
-    Ok(out)
-}
-
 /// Decodes a v3 body as a server → client message: a body whose single
-/// variant key is `Plan` through the typed codec, every other through the
-/// tree codec. The value is that of [`decode_body`] either way.
+/// variant key is `Plan` through the typed reader, every other through the
+/// tree. The value is that of [`decode_body`] either way.
 ///
 /// # Errors
 ///
@@ -1338,29 +1129,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, ServeError> {
     let plan = PlanResponse::decode(&mut r, 1)?;
     r.finish()?;
     Ok(Response::Plan(plan))
-}
-
-/// Bytes one learning-curve record takes as JSON with full-precision
-/// floats, for sizing a plan reply up front.
-const JSON_RECORD_BYTES: usize = 112;
-
-/// Writes a server → client message as JSON text (no newline): a plan
-/// reply through the typed writer, every other variant through the tree.
-/// The text is that of `serde_json::to_string` either way.
-///
-/// # Errors
-///
-/// Fails only where the shim's writer does, past its depth guard — which
-/// no message of this protocol reaches.
-pub fn encode_json_response(resp: &Response) -> Result<Vec<u8>, ServeError> {
-    let Response::Plan(plan) = resp else {
-        return serde_json::to_vec(resp).map_err(|e| ServeError::Protocol(e.to_string()));
-    };
-    let mut out = Vec::with_capacity(512 + plan.best.curve.len() * JSON_RECORD_BYTES);
-    out.extend_from_slice(b"{\"Plan\":");
-    plan.write_json(&mut out);
-    out.push(b'}');
-    Ok(out)
 }
 
 /// What the typed reader makes of one JSON line, for
@@ -1488,12 +1256,6 @@ mod tests {
         Ok(value)
     }
 
-    fn typed_json<T: JsonEncode>(value: &T) -> String {
-        let mut out = Vec::new();
-        value.write_json(&mut out);
-        String::from_utf8(out).expect("the writer emits UTF-8")
-    }
-
     fn typed_read_json<T: JsonDecode>(text: &str) -> Result<T, ServeError> {
         let mut r = JsonReader::new(text);
         let value = T::read_json(&mut r, 0)?;
@@ -1502,41 +1264,20 @@ mod tests {
     }
 
     /// Holds one struct's `wire_struct!` field list against its derives,
-    /// in both framings: the keys the typed encoders write must be the
-    /// derive's, in its order, and dropping any one field must succeed or
-    /// fail in the typed decoders exactly as it does in the derive
-    /// (`default` vs `required`).
+    /// in both framings: the typed readers give the sample back from the
+    /// tree's bytes and text, and dropping any one field must succeed or
+    /// fail in them exactly as it does in the derive (`default` vs
+    /// `required`).
     fn check_against_derive<T>(name: &str, sample: &T)
     where
-        T: WireEncode
-            + WireDecode
-            + JsonEncode
-            + JsonDecode
-            + Serialize
-            + Deserialize
-            + PartialEq
-            + std::fmt::Debug,
+        T: WireDecode + JsonDecode + Serialize + Deserialize + PartialEq + std::fmt::Debug,
     {
         let Value::Object(derived) = sample.serialize() else {
             panic!("{name} does not serialize as an object");
         };
-        let mut typed = Vec::new();
-        sample.encode(&mut typed).expect("typed encode");
-        let Value::Object(written) = decode_value(&typed).expect("typed bytes decode") else {
-            panic!("{name}: the typed encoder did not write an object");
-        };
-        let keys = |fields: &[(String, Value)]| -> Vec<String> {
-            fields.iter().map(|(k, _)| k.clone()).collect()
-        };
-        assert_eq!(
-            keys(&written),
-            keys(&derived),
-            "{name}: wire_struct! field list (left) differs from the struct's derive (right)"
-        );
-        assert_eq!(typed, encode_body(sample).expect("tree encode"), "{name}");
-        assert_eq!(&typed_decode::<T>(&typed).expect("typed decode"), sample);
-        let json = typed_json(sample);
-        assert_eq!(json, serde_json::to_string(sample).expect("tree"), "{name}");
+        let bytes = encode_body(sample).expect("tree encode");
+        assert_eq!(&typed_decode::<T>(&bytes).expect("typed decode"), sample);
+        let json = serde_json::to_string(sample).expect("tree");
         assert_eq!(&typed_read_json::<T>(&json).expect("typed read"), sample);
 
         for (i, (field, _)) in derived.iter().enumerate() {
@@ -1577,6 +1318,45 @@ mod tests {
             members: plan.members.clone(),
         };
         check_against_derive("PortfolioOutcome", &outcome);
+    }
+
+    /// The spill record of one small fixed outcome, pinned: its header
+    /// (magic, format version, body length, checksum) and the FNV-1a-64 of
+    /// the whole record. A change to the record layout, the body bytes or
+    /// the checksum must change `SPILL_VERSION`, and this test with it.
+    #[test]
+    fn the_spill_record_of_a_fixed_outcome_is_pinned() {
+        let plan = sample_plan();
+        let outcome = PortfolioOutcome {
+            best: plan.best,
+            winner_index: 3,
+            winner: plan.winner,
+            members: plan.members,
+        };
+        let record = spill_record(&outcome).expect("encodable");
+        let header: String = record[..SPILL_HEADER_BYTES]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let mut whole = qsdnn::engine::Fnv64::new();
+        whole.write(&record);
+        // "QSPL", version 2, a 547-byte body, its checksum.
+        let pinned = concat!(
+            "5153504c",
+            "02000000",
+            "2302000000000000",
+            "a0d2c35fddd30c82"
+        );
+        assert_eq!(header, pinned);
+        assert_eq!(
+            (record.len(), whole.finish()),
+            (571, 11_812_330_317_259_199_021)
+        );
+        assert_eq!(spill_body(&record), Some(&record[SPILL_HEADER_BYTES..]));
+        assert_eq!(
+            decode_outcome(spill_body(&record).unwrap()).expect("decodes"),
+            outcome
+        );
     }
 
     /// What a frame decodes into is never reserved larger than the frame,
@@ -1661,14 +1441,14 @@ mod tests {
     }
 
     /// Every control character, quote, backslash, non-ASCII and
-    /// non-BMP character is written as the shim writes it, and every
-    /// escape the parser reads (surrogate pairs included) reads back.
+    /// non-BMP character reads back as the shim wrote it, and every
+    /// escape the parser reads (surrogate pairs included) reads as the
+    /// parser reads it.
     #[test]
     fn json_strings_escape_and_unescape_as_the_shim_does() {
         let mut every: String = (0u8..0x80).map(char::from).collect();
         every.push_str("é ネ 🔥 \u{7f} \u{85} \u{2028}");
-        let json = typed_json(&every);
-        assert_eq!(json, serde_json::to_string(&every).expect("tree"));
+        let json = serde_json::to_string(&every).expect("tree");
         assert_eq!(typed_read_json::<String>(&json).expect("read"), every);
         for text in [
             r#""\u0065pisode""#,

@@ -27,8 +27,8 @@ use std::time::Instant;
 
 use crate::metrics::{RequestSpan, ServeMetrics, Stage};
 use crate::protocol::{
-    binary_error_frame, encode_json_response, negotiates_binary, parse_binary_request,
-    parse_request_frame, BinaryFrameStatus, FrameBuffer, Request, RequestFrame, Response, WireMode,
+    binary_error_frame, negotiates_binary, parse_binary_request, parse_request_frame,
+    BinaryFrameStatus, FrameBuffer, Request, RequestFrame, Response, WireMode,
     BINARY_FRAME_OVERHEAD, MAX_FRAME_BYTES,
 };
 use crate::ServeError;
@@ -375,7 +375,7 @@ fn error_reply(mode: WireMode, id: Option<u64>, message: String) -> Vec<u8> {
 /// ever does, the client still gets a well-formed error line rather than
 /// silence or a torn frame.
 pub(crate) fn json_line(id: Option<u64>, resp: Response) -> Vec<u8> {
-    match encode_json_response(&resp) {
+    match serde_json::to_vec(&resp) {
         Ok(body) => json_frame(id, &body),
         Err(_) => {
             b"{\"Error\":{\"message\":\"internal error: reply serialization failed\"}}\n".to_vec()
@@ -383,9 +383,9 @@ pub(crate) fn json_line(id: Option<u64>, resp: Response) -> Vec<u8> {
     }
 }
 
-/// Frames a rendered reply body ([`encode_json_response`]) as one JSON
-/// line: `{"id":N,"resp":` body `}` when `id` is given, the bare body
-/// otherwise — the bytes `serde_json` writes for the
+/// Frames a rendered reply body (a [`Response`] as `serde_json` writes
+/// it) as one JSON line: `{"id":N,"resp":` body `}` when `id` is given,
+/// the bare body otherwise — the bytes `serde_json` writes for the
 /// [`TaggedResponse`](crate::protocol::TaggedResponse) or the bare
 /// [`Response`].
 pub(crate) fn json_frame(id: Option<u64>, body: &[u8]) -> Vec<u8> {

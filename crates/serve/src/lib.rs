@@ -17,7 +17,8 @@
 //!   a stable fingerprint of *(LUT, objective, portfolio spec)*, split over
 //!   N independent shards (each its own lock, single-flight coalescing and
 //!   hard capacity bound — in-flight computes included), evicted LRU,
-//!   with a bounded, crash-safe JSON spill tier that survives restarts.
+//!   with a bounded, crash-safe, checksummed binary spill tier that
+//!   survives restarts.
 //! * **Scenario transfer** ([`ScenarioIndex`]) — every cached plan
 //!   registers a structural [`ScenarioDescriptor`](qsdnn::engine::ScenarioDescriptor);
 //!   a plan-cache miss warm-starts its search from the nearest cached

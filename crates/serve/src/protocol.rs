@@ -50,20 +50,15 @@
 //! body length beyond the frame bound) is unrecoverable: one error frame,
 //! then close.
 //!
-//! Which code turns a message into that value's bytes depends on the
-//! message, and each message has exactly one: requests and the
-//! control-plane replies (`Stats`, `Metrics`, `Events`, `Tasks`,
-//! `Platforms`, `Profile`, `Pong`, `Error`) go through the `Value` tree
-//! ([`encode_body`]/[`decode_body`]); a plan reply is written and read
-//! straight against [`PlanResponse`]
-//! ([`encode_response`]/[`decode_response`]).
-//! The two are byte-identical on the wire by rule: the typed encoder
-//! emits what `encode_body` would, the typed decoder accepts what
-//! `decode_body` would, to `==` values. The JSON framing splits the same
-//! way, under the same rule against `serde_json`: a plan reply is written
-//! by [`encode_json_response`] and read by [`parse_response_frame`]
-//! straight against [`PlanResponse`], everything else through the tree.
-//! The tag table, the codecs and the rule's fine print live in
+//! One writer turns every message into that value's bytes: the `Value`
+//! tree ([`encode_body`]), the tree the JSON framing hands to `serde_json`.
+//! Requests and the control-plane replies (`Stats`, `Metrics`, `Events`,
+//! `Tasks`, `Platforms`, `Profile`, `Pong`, `Error`) are read back through
+//! the tree too ([`decode_body`]); a plan reply, in either framing, is read
+//! straight against [`PlanResponse`] ([`decode_response`],
+//! [`parse_response_frame`]). Those typed readers accept what the tree
+//! accepts, to `==` values, so the wire cannot tell which one read it. The
+//! tag table, the codecs and the reader rule's fine print live in
 //! `codec.rs`, re-exported here.
 
 use std::io::{Read, Write};
@@ -73,9 +68,7 @@ use qsdnn::{MemberSummary, SearchReport};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::{CacheStats, ShardStats};
-pub use crate::codec::{
-    decode_body, decode_response, decode_value, encode_body, encode_json_response, encode_response,
-};
+pub use crate::codec::{decode_body, decode_response, decode_value, encode_body};
 use crate::codec::{decode_json_plan_line, PlanLine};
 use crate::ServeError;
 
@@ -1330,7 +1323,7 @@ pub fn parse_binary_request(frame: &BinaryFrame) -> Result<RequestFrame, ServeEr
 }
 
 /// Decodes a binary frame's body as a response ([`decode_response`]: a
-/// plan reply through the typed codec), preserving the header id.
+/// plan reply through the typed reader), preserving the header id.
 ///
 /// # Errors
 ///
@@ -1926,7 +1919,7 @@ mod tests {
             cost_ms: 2.0,
             best_so_far_ms: 1.0,
         };
-        let body = encode_response(&Response::Plan(PlanResponse {
+        let body = encode_body(&Response::Plan(PlanResponse {
             network: "lenet5".into(),
             plan_key: "00ff".into(),
             cache_hit: true,

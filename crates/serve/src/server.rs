@@ -52,11 +52,10 @@ use crate::metrics::{
 use crate::pool::{PoolRecorder, WorkerPool};
 use crate::portfolio::{run_portfolio_parallel_with, WarmStart};
 use crate::protocol::{
-    default_episodes, encode_binary_frame, encode_json_response, encode_response, EventMsg,
-    EventsResponse, ExemplarMsg, MetricsResponse, PlanRequest, PlanResponse, PlatformInfo,
-    PlatformsResponse, PostmortemDump, ProfileRequest, ProfileResponse, Request, Response,
-    StageTiming, StatsResponse, TaskMsg, TasksResponse, TransferMode, WarmStartInfo, WireMode,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    default_episodes, encode_binary_frame, encode_body, EventMsg, EventsResponse, ExemplarMsg,
+    MetricsResponse, PlanRequest, PlanResponse, PlatformInfo, PlatformsResponse, PostmortemDump,
+    ProfileRequest, ProfileResponse, Request, Response, StageTiming, StatsResponse, TaskMsg,
+    TasksResponse, TransferMode, WarmStartInfo, WireMode, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::reactor::Waker;
 use crate::transfer::{ScenarioEntry, ScenarioIndex, DEFAULT_DONOR_CANDIDATES};
@@ -90,7 +89,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Search worker threads (0 = one per core, clamped to [2, 32]).
     pub threads: usize,
-    /// Optional plan spill directory (content-addressed JSON files).
+    /// Optional plan spill directory (content-addressed, checksummed
+    /// binary `.plan` records).
     pub spill_dir: Option<std::path::PathBuf>,
     /// Profiling repeats used when a request passes `repeats == 0`.
     pub profile_repeats: usize,
@@ -1189,11 +1189,12 @@ impl ServiceState {
                 let mut body = match mode {
                     WireMode::Binary => {
                         let plan = entry.response(&outcome, summary_report(&outcome.best));
-                        encode_response(&Response::Plan(plan))?
+                        encode_body(&Response::Plan(plan))?
                     }
                     WireMode::Json => {
                         let plan = entry.response(&outcome, outcome.best.clone());
-                        encode_json_response(&Response::Plan(plan))?
+                        serde_json::to_vec(&Response::Plan(plan))
+                            .map_err(|e| ServeError::Protocol(e.to_string()))?
                     }
                 };
                 // The body lives as long as the entry: no growth slack.
@@ -1211,9 +1212,11 @@ impl ServiceState {
                     if let Response::Plan(plan) = &mut resp {
                         plan.best.curve = summary_curve(&plan.best.curve);
                     }
-                    encode_response(&resp)?
+                    encode_body(&resp)?
                 }
-                WireMode::Json => encode_json_response(&resp)?,
+                WireMode::Json => {
+                    serde_json::to_vec(&resp).map_err(|e| ServeError::Protocol(e.to_string()))?
+                }
             })),
         }
     }

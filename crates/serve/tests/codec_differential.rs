@@ -1,8 +1,8 @@
-//! Differential test of the typed v3 plan-reply codec against the tree
-//! codec, which is its oracle: the wire must not be able to tell them
-//! apart. For arbitrary plan replies the typed encoder's bytes are the
-//! tree encoder's bytes, and for valid bodies mutated in every way a
-//! peer built from another commit (or a hostile one) could produce —
+//! Differential test of the typed v3 plan-reply reader against the tree
+//! codec, which is its oracle and the only writer: the wire must not be
+//! able to tell which reader read it. Arbitrary plan replies written by
+//! the tree read back through both, and for valid bodies mutated in every
+//! way a peer built from another commit (or a hostile one) could produce —
 //! fields reordered, dropped, unknown, duplicated, numbers re-tagged,
 //! values swapped for junk, bytes flipped or cut — the two decoders
 //! return the same value or both refuse. CI also runs this file with
@@ -12,25 +12,24 @@
 //! The second half does the same for the JSON framing (v1/v2). There the
 //! oracle is the tree path written out below — `serde_json::parse`, the
 //! envelope check, then `from_value` — and the typed side is
-//! `encode_json_response` and `parse_response_frame`, on bare and tagged
-//! lines alike.
+//! `parse_response_frame`, on bare and tagged lines alike.
 //!
 //! The last part holds the plan cache's spill records to the same rule:
-//! a `PortfolioOutcome` written and read by the typed codec against the
-//! tree codec's `CacheValue` defaults, on real outcomes of zoo networks.
+//! a `PortfolioOutcome` record, written by the tree, read by the typed
+//! reader against the tree codec's `CacheValue` default, on real outcomes
+//! of zoo networks.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
 
-use qsdnn::engine::{AnalyticalPlatform, Fnv64, Mode, Profiler};
+use qsdnn::engine::{AnalyticalPlatform, Mode, Profiler};
 use qsdnn::nn::zoo;
 use qsdnn::{EpisodeRecord, MemberSummary, Portfolio, PortfolioOutcome, SearchReport};
 use qsdnn_serve::protocol::{
-    decode_body, decode_response, decode_value, encode_body, encode_json_response, encode_response,
-    parse_response_frame, PlanResponse, Response, ResponseFrame, StageTiming, TaggedResponse,
-    TraceInfo, WarmStartInfo,
+    decode_body, decode_response, decode_value, encode_body, parse_response_frame, PlanResponse,
+    Response, ResponseFrame, StageTiming, TaggedResponse, TraceInfo, WarmStartInfo,
 };
 use qsdnn_serve::{CacheValue, ServeError};
 
@@ -373,10 +372,11 @@ fn empty_and_5000_point_curves_are_byte_identical_and_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(5000);
     for curve_len in [0, 1, 5000] {
         let resp = Response::Plan(random_plan(&mut rng, curve_len));
-        let typed = encode_response(&resp).expect("typed encode");
-        assert!(typed == encode_body(&resp).expect("tree encode"));
-        assert_eq!(decode_response(&typed).expect("typed decode"), resp);
-        assert_eq!(decode_body::<Response>(&typed).expect("tree decode"), resp);
+        let body = encode_body(&resp).expect("tree encode");
+        let typed = decode_response(&body).expect("typed decode");
+        assert!(encode_body(&typed).expect("re-encode") == body);
+        assert_eq!(typed, resp);
+        assert_eq!(decode_body::<Response>(&body).expect("tree decode"), resp);
     }
 }
 
@@ -388,8 +388,7 @@ fn every_other_variant_still_rides_the_tree() {
             message: "nope".into(),
         },
     ] {
-        let body = encode_response(&resp).expect("encode");
-        assert_eq!(body, encode_body(&resp).expect("tree encode"));
+        let body = encode_body(&resp).expect("encode");
         assert_eq!(decode_response(&body).expect("decode"), resp);
     }
 }
@@ -592,17 +591,18 @@ fn integral_numbers_decode_under_any_numeric_tag() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Typed encode is the tree encode, byte for byte, and both decoders
-    /// give the reply back.
+    /// Both decoders give the tree's reply back, and the typed decoder's
+    /// value re-encodes to the same bytes.
     #[test]
     fn arbitrary_plan_replies_are_byte_identical_and_roundtrip(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let curve_len = rng.gen_range(0..40);
         let resp = Response::Plan(random_plan(&mut rng, curve_len));
-        let typed = encode_response(&resp).expect("typed encode");
-        prop_assert!(typed == encode_body(&resp).expect("tree encode"), "seed {}", seed);
-        prop_assert_eq!(&decode_response(&typed).expect("typed decode"), &resp);
-        prop_assert_eq!(&decode_body::<Response>(&typed).expect("tree decode"), &resp);
+        let body = encode_body(&resp).expect("tree encode");
+        let typed = decode_response(&body).expect("typed decode");
+        prop_assert!(encode_body(&typed).expect("re-encode") == body, "seed {}", seed);
+        prop_assert_eq!(&typed, &resp);
+        prop_assert_eq!(&decode_body::<Response>(&body).expect("tree decode"), &resp);
     }
 
     /// Valid replies mutated at the tree level — permuted, dropped,
@@ -854,11 +854,12 @@ fn empty_and_5000_point_curves_are_json_identical_and_roundtrip() {
         let mut tree = plan_tree(&random_plan(&mut rng, curve_len));
         finite(&mut tree);
         let resp = Response::Plan(serde_json::from_value(&tree).expect("a finite plan"));
-        let text = encode_json_response(&resp).expect("typed encode");
-        assert!(text == serde_json::to_vec(&resp).expect("tree encode"));
-        let text = String::from_utf8(text).expect("UTF-8");
+        let text = serde_json::to_string(&resp).expect("tree encode");
         match parse_response_frame(&text).expect("typed decode") {
-            ResponseFrame::Untagged(back) => assert_eq!(back, resp),
+            ResponseFrame::Untagged(back) => {
+                assert!(serde_json::to_string(&back).expect("re-encode") == text);
+                assert_eq!(back, resp);
+            }
             other => panic!("a bare reply read as {other:?}"),
         }
     }
@@ -872,9 +873,7 @@ fn every_other_variant_still_rides_the_json_tree() {
             message: "nope \"Plan\"".into(),
         },
     ] {
-        let text = encode_json_response(&resp).expect("encode");
-        assert_eq!(text, serde_json::to_vec(&resp).expect("tree encode"));
-        let text = String::from_utf8(text).expect("UTF-8");
+        let text = serde_json::to_string(&resp).expect("encode");
         for line in [text.clone(), format!("{{\"id\":3,\"resp\":{text}}}")] {
             assert!(assert_json_agree(&line, "control reply"));
         }
@@ -1050,16 +1049,14 @@ fn no_single_character_corruption_or_cut_separates_the_json_readers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Typed JSON encode is the tree's text, byte for byte, and the typed
-    /// reader gives the reply back, bare and tagged.
+    /// The typed reader agrees with the tree on the tree's text and gives
+    /// the reply back, bare and tagged.
     #[test]
     fn arbitrary_plan_replies_are_json_identical_and_roundtrip(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x150A_0000);
         let curve_len = rng.gen_range(0..40);
         let resp = Response::Plan(random_plan(&mut rng, curve_len));
-        let text = encode_json_response(&resp).expect("typed encode");
-        prop_assert!(text == serde_json::to_vec(&resp).expect("tree encode"), "seed {}", seed);
-        let text = String::from_utf8(text).expect("UTF-8");
+        let text = serde_json::to_string(&resp).expect("tree encode");
         let tagged = format!("{{\"id\":{seed},\"resp\":{text}}}");
         prop_assert_eq!(
             tagged.as_bytes(),
@@ -1160,7 +1157,7 @@ fn the_json_mutation_generator_produces_both_verdicts() {
 // ---------------------------------------------------------------------------
 
 /// The spill tier through the tree codec: a newtype serializes as the
-/// outcome it wraps and keeps `CacheValue`'s default (tree) methods.
+/// outcome it wraps and keeps `CacheValue`'s default (tree) reader.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ViaTree(PortfolioOutcome);
 
@@ -1183,14 +1180,27 @@ fn zoo_outcomes() -> Vec<PortfolioOutcome> {
         .collect()
 }
 
-/// A spill record around `body`, its layout written out by hand.
+/// A spill record around `body`, its layout written out by hand: the
+/// checksum is FNV-1a-64 over little-endian `u64` words, then over the
+/// tail bytes.
 fn seal(body: &[u8]) -> Vec<u8> {
-    let mut checksum = Fnv64::new();
-    checksum.write(body);
+    let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut at = 0;
+    while at < body.len() {
+        let unit = if body.len() - at >= 8 {
+            let word = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+            at += 8;
+            word
+        } else {
+            at += 1;
+            u64::from(body[at - 1])
+        };
+        checksum = (checksum ^ unit).wrapping_mul(0x100_0000_01b3);
+    }
     let mut record = b"QSPL".to_vec();
-    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&2u32.to_le_bytes());
     record.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    record.extend_from_slice(&checksum.finish().to_le_bytes());
+    record.extend_from_slice(&checksum.to_le_bytes());
     record.extend_from_slice(body);
     record
 }
@@ -1214,15 +1224,10 @@ fn typed_spill_records_are_the_trees_and_decode_to_its_outcome() {
     );
     for outcome in outcomes {
         let what = outcome.best.network.clone();
-        let typed = outcome.to_spill().expect("typed encode");
-        assert_eq!(
-            typed,
-            ViaTree(outcome.clone()).to_spill().expect("tree encode"),
-            "{what}"
-        );
-        assert_eq!(typed, seal(&encode_body(&outcome).unwrap()), "{what}");
-        let back = PortfolioOutcome::from_spill(&typed).expect("typed decode");
-        let tree = ViaTree::from_spill(&typed).expect("tree decode").0;
+        let record = outcome.to_spill().expect("tree encode");
+        assert_eq!(record, seal(&encode_body(&outcome).unwrap()), "{what}");
+        let back = PortfolioOutcome::from_spill(&record).expect("typed decode");
+        let tree = ViaTree::from_spill(&record).expect("tree decode").0;
         assert_eq!(back, tree, "{what}");
         assert_eq!(back, outcome, "{what}");
     }

@@ -444,14 +444,14 @@ fn client_binary_framing_survives_a_mid_frame_timeout() {
 }
 
 /// The client's side of the error contract for plan replies, which it
-/// decodes with the typed codec: a reply that is a well-formed frame
+/// decodes with the typed reader: a reply that is a well-formed frame
 /// around a body cut off inside its learning curve is a
 /// `ServeError::Protocol` naming the byte, and — the length prefix having
 /// kept the framing in sync — the next reply on the connection decodes.
 #[test]
 fn client_reports_a_torn_plan_reply_and_stays_in_sync() {
     use qsdnn_serve::protocol::{
-        encode_binary_frame, encode_response, read_binary_frame_resumable, PlanResponse,
+        encode_binary_frame, encode_body, read_binary_frame_resumable, PlanResponse,
         MAX_FRAME_BYTES,
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
@@ -492,7 +492,7 @@ fn client_reports_a_torn_plan_reply_and_stays_in_sync() {
                 .expect("tagged request")
                 .expect("open");
         }
-        let body = encode_response(&served).expect("encode");
+        let body = encode_body(&served).expect("encode");
         let torn = &body[..body.len() * 3 / 4];
         stream
             .write_all(&encode_binary_frame(Some(0), torn).expect("frame"))

@@ -26,9 +26,9 @@ use std::path::PathBuf;
 
 use qsdnn::engine::{Mode, Objective};
 use qsdnn_serve::protocol::{
-    decode_response, encode_response, read_binary_frame_resumable, write_binary_message,
-    write_message, FrameBuffer, PlanRequest, PlanResponse, Request, Response, StatsResponse,
-    TaggedRequest, TaggedResponse, TransferMode, MAX_FRAME_BYTES,
+    decode_response, encode_body, read_binary_frame_resumable, write_binary_message, write_message,
+    FrameBuffer, PlanRequest, PlanResponse, Request, Response, StatsResponse, TaggedRequest,
+    TaggedResponse, TransferMode, MAX_FRAME_BYTES,
 };
 use qsdnn_serve::{
     summary_curve, CacheStats, PlanClient, PlanServer, ServerConfig, SUMMARY_CURVE_POINTS,
@@ -154,7 +154,7 @@ fn without_trace(version: u32, bytes: &[u8]) -> Vec<u8> {
     match id {
         Some(id) => serde_json::to_string(&TaggedResponse { id, resp }).map(String::into_bytes),
         None if version == 1 => serde_json::to_string(&resp).map(String::into_bytes),
-        None => return encode_response(&resp).expect("render"),
+        None => return encode_body(&resp).expect("render"),
     }
     .expect("render")
 }
