@@ -5,11 +5,20 @@
 //! and counts them. Used to verify that *any* assignment computes the same
 //! function as the all-Vanilla reference (the searches only change *where*
 //! and *how fast*, never *what*).
+//!
+//! Layer weights come from the process-wide weights memo,
+//! [`qsdnn_primitives::weights::shared`], so repeated runs of a network
+//! generate them once. The memo is keyed by exactly what weight generation
+//! reads (seed, node id, layer parameters, input shapes), holds at most
+//! [`MEMO_BUDGET_BYTES`](qsdnn_primitives::weights::MEMO_BUDGET_BYTES),
+//! and never retains a layer larger than that. Each value is a pure
+//! function of its key, so outputs are bit-identical to generating the
+//! weights on every call; the `GOLDEN` fingerprints below pin that.
 
 use std::borrow::Cow;
 
 use qsdnn_nn::Network;
-use qsdnn_primitives::{execute_layer, generate_weights, Primitive, Processor};
+use qsdnn_primitives::{execute_layer, weights, Primitive, Processor};
 use qsdnn_tensor::{DataLayout, Tensor};
 
 use crate::{Assignment, CostLut};
@@ -27,8 +36,10 @@ pub struct ExecutionResult {
 
 /// Executes `net` with the primitives selected by `assignment` in `lut`.
 ///
-/// Weights are generated deterministically from `seed`; `input` is the
-/// network input tensor (any layout).
+/// Weights are generated deterministically from `seed` and taken from the
+/// weights memo ([`weights::shared`]), so only the first run of a network
+/// and seed pays for generating them. `input` is the network input tensor
+/// (any layout).
 ///
 /// # Panics
 ///
@@ -51,7 +62,7 @@ pub fn run_network(
     for node in net.layers() {
         let prim: Primitive = lut.candidates(node.id.0)[assignment[node.id.0]];
         let in_shapes = net.input_shapes(node.id);
-        let weights = generate_weights(node, &in_shapes, seed);
+        let weights = weights::shared(node, &in_shapes, seed);
         // Inputs already in the primitive's layout are borrowed, not copied.
         let gathered: Vec<Cow<'_, Tensor>> = if node.inputs.is_empty() {
             if input.layout() != prim.layout {
@@ -279,6 +290,115 @@ mod tests {
             })
             .collect();
         assert_eq!(got, GOLDEN, "executed outputs moved; now:\n{table}");
+    }
+
+    /// `run_network` with every layer's weights freshly generated: the
+    /// reference the memo must reproduce bit for bit.
+    fn run_with_fresh_weights(
+        net: &Network,
+        lut: &CostLut,
+        assignment: &Assignment,
+        input: &Tensor,
+        seed: u64,
+    ) -> Tensor {
+        let mut activations: Vec<Tensor> = Vec::new();
+        for node in net.layers() {
+            let prim = lut.candidates(node.id.0)[assignment[node.id.0]];
+            let in_shapes = net.input_shapes(node.id);
+            let weights = qsdnn_primitives::generate_weights(node, &in_shapes, seed);
+            let gathered: Vec<Tensor> = if node.inputs.is_empty() {
+                vec![input.to_layout(prim.layout)]
+            } else {
+                node.inputs
+                    .iter()
+                    .map(|&p| activations[p.0].to_layout(prim.layout))
+                    .collect()
+            };
+            let refs: Vec<&Tensor> = gathered.iter().collect();
+            activations.push(execute_layer(node, &prim, &refs, &weights));
+        }
+        activations
+            .pop()
+            .expect("non-empty network")
+            .into_layout(DataLayout::Nchw)
+    }
+
+    fn output_bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn same_named_networks_with_different_layers_get_their_own_weights() {
+        // lenet5's name, ids and shapes, with sparse convolutions: a memo
+        // keyed by network name and layer id would serve one twin's
+        // weights to the other.
+        use qsdnn_nn::{ConvParams, FcParams, NetworkBuilder, PoolKind, PoolParams};
+        let dense = zoo::lenet5(1);
+        let conv = |oc| ConvParams::square(oc, 5, 1, 0).with_density(0.5);
+        let pool = PoolParams::square(PoolKind::Max, 2, 2, 0);
+        let mut b = NetworkBuilder::new("lenet5");
+        let x = b.input(qsdnn_tensor::Shape::new(1, 1, 28, 28));
+        let x = b.conv("conv1", x, conv(20)).expect("fits");
+        let x = b.pool("pool1", x, pool).expect("fits");
+        let x = b.conv("conv2", x, conv(50)).expect("fits");
+        let x = b.pool("pool2", x, pool).expect("fits");
+        let x = b.fc("ip1", x, FcParams::new(500)).expect("fits");
+        let x = b.relu("relu1", x);
+        let x = b.fc("ip2", x, FcParams::new(10)).expect("fits");
+        b.softmax("prob", x);
+        let sparse = b.build().expect("sparse lenet5");
+        let outline = |net: &Network| -> Vec<_> {
+            net.layers()
+                .iter()
+                .map(|n| (n.desc.name.clone(), n.output_shape))
+                .collect()
+        };
+        assert_eq!(outline(&sparse), outline(&dense));
+        assert_ne!(sparse, dense);
+        let seed = 0x7_1715;
+        let conv1 = &dense.layers()[1];
+        let shapes = dense.input_shapes(conv1.id);
+        assert_ne!(
+            weights::shared(conv1, &shapes, seed).w,
+            weights::shared(&sparse.layers()[1], &shapes, seed).w
+        );
+        for net in [&dense, &sparse, &dense, &sparse] {
+            let lut = lut_for(net, Mode::Cpu);
+            let input = Tensor::random(net.layers()[0].output_shape, DataLayout::Nchw, 5);
+            let assignment = lut.greedy_assignment();
+            let ran = run_network(net, &lut, &assignment, &input, seed).output;
+            let fresh = run_with_fresh_weights(net, &lut, &assignment, &input, seed);
+            assert_eq!(output_bits(&ran), output_bits(&fresh));
+        }
+    }
+
+    #[test]
+    fn two_threads_running_one_network_agree() {
+        let net = zoo::lenet5(1);
+        let lut = lut_for(&net, Mode::Cpu);
+        let assignment = lut.greedy_assignment();
+        let input = Tensor::random(net.layers()[0].output_shape, DataLayout::Nchw, 5);
+        // A seed no other test uses, so both threads start on a cold memo
+        // and race to fill it.
+        let seed = 0x2_7EAD;
+        let start = std::sync::Barrier::new(2);
+        let outputs: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        output_bits(&run_network(&net, &lut, &assignment, &input, seed).output)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("run_network thread"))
+                .collect()
+        });
+        let fresh = run_with_fresh_weights(&net, &lut, &assignment, &input, seed);
+        assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0], output_bits(&fresh));
     }
 
     #[test]

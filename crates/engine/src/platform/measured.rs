@@ -1,10 +1,12 @@
 //! Wall-clock platform: times the real Rust kernels on the host CPU.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use qsdnn_nn::{Network, Node};
-use qsdnn_primitives::{execute_layer, generate_weights, LayerWeights, Primitive, Processor};
+use qsdnn_primitives::{execute_layer, weights, LayerWeights, Primitive, Processor};
 use qsdnn_tensor::{Shape, Tensor};
 
 use super::{AnalyticalPlatform, Platform, PlatformSpec};
@@ -19,8 +21,10 @@ use super::{AnalyticalPlatform, Platform, PlatformSpec};
 /// the search consumes.
 pub struct MeasuredPlatform {
     analytical: AnalyticalPlatform,
-    inputs: HashMap<(String, usize), Vec<Tensor>>,
-    weights: HashMap<(String, usize), LayerWeights>,
+    /// Synthetic input tensors per `(node id, input shapes)`: a function of
+    /// the key and the spec's seed, so one platform can profile the same
+    /// network at several batch sizes.
+    inputs: HashMap<(usize, Vec<Shape>), Vec<Tensor>>,
 }
 
 impl MeasuredPlatform {
@@ -42,22 +46,25 @@ impl MeasuredPlatform {
         MeasuredPlatform {
             analytical: AnalyticalPlatform::from_spec(spec),
             inputs: HashMap::new(),
-            weights: HashMap::new(),
         }
     }
 
-    fn fixture(&mut self, net: &Network, node: &Node) -> (Vec<Tensor>, LayerWeights) {
-        let key = (net.name().to_string(), node.id.0);
+    /// The input tensors and weights `node` is timed on. Inputs are kept
+    /// here and borrowed; weights come from the process-wide weights memo
+    /// ([`weights::shared`]), which bounds them in bytes.
+    fn fixture(&mut self, net: &Network, node: &Node) -> (&[Tensor], Arc<LayerWeights>) {
         let seed = self.analytical.spec().seed;
+        let in_shapes = net.input_shapes(node.id);
+        let weights = weights::shared(node, &in_shapes, seed);
+        let shapes = if node.inputs.is_empty() {
+            vec![node.output_shape]
+        } else {
+            in_shapes
+        };
         let inputs = self
             .inputs
-            .entry(key.clone())
-            .or_insert_with(|| {
-                let shapes: Vec<Shape> = if node.inputs.is_empty() {
-                    vec![node.output_shape]
-                } else {
-                    net.input_shapes(node.id)
-                };
+            .entry((node.id.0, shapes))
+            .or_insert_with_key(|(_, shapes)| {
                 shapes
                     .iter()
                     .enumerate()
@@ -69,13 +76,7 @@ impl MeasuredPlatform {
                         )
                     })
                     .collect()
-            })
-            .clone();
-        let weights = self
-            .weights
-            .entry(key)
-            .or_insert_with(|| generate_weights(node, &net.input_shapes(node.id), seed))
-            .clone();
+            });
         (inputs, weights)
     }
 }
@@ -86,8 +87,9 @@ impl Platform for MeasuredPlatform {
             return self.analytical.layer_time_ms(net, node, prim);
         }
         let (inputs, weights) = self.fixture(net, node);
-        let converted: Vec<Tensor> = inputs.iter().map(|t| t.to_layout(prim.layout)).collect();
-        let refs: Vec<&Tensor> = converted.iter().collect();
+        let converted: Vec<Cow<'_, Tensor>> =
+            inputs.iter().map(|t| t.as_layout(prim.layout)).collect();
+        let refs: Vec<&Tensor> = converted.iter().map(|t| t.as_ref()).collect();
         let start = Instant::now();
         let out = execute_layer(node, prim, &refs, &weights);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
@@ -222,6 +224,25 @@ mod tests {
                 via_spec.conversion_time_ms(shape, &from, &to).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn one_platform_profiles_a_network_at_two_batch_sizes() {
+        // Fixtures must follow the input shapes: batch-4 kernels handed
+        // the batch-1 tensors index past their end.
+        let shape = |lut: &crate::CostLut| -> Vec<(String, Vec<Primitive>)> {
+            lut.layers()
+                .iter()
+                .map(|l| (l.name.clone(), l.candidates.clone()))
+                .collect()
+        };
+        let mut reused = crate::Profiler::with_repeats(MeasuredPlatform::new(3), 1);
+        reused.profile(&zoo::tiny_cnn(1), crate::Mode::Cpu);
+        let batch4 = reused.profile(&zoo::tiny_cnn(4), crate::Mode::Cpu);
+        let fresh = crate::Profiler::with_repeats(MeasuredPlatform::new(3), 1)
+            .profile(&zoo::tiny_cnn(4), crate::Mode::Cpu);
+        batch4.validate().expect("batch-4 LUT is well-formed");
+        assert_eq!(shape(&batch4), shape(&fresh));
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// profiled number; the objective and portfolio fingerprints cover what the
 /// search will do with them. `platform` is `Some((name, spec_fingerprint))`
 /// only when the request *engaged* a non-default platform (see
-/// [`write_platform`]).
+/// `write_platform`).
 pub fn plan_key(
     lut_fingerprint: u64,
     objective: &Objective,
