@@ -26,8 +26,11 @@
 //! plan reply's learning curve is down-sampled ([`crate::summary_curve`]);
 //! a v2 connection fetches the whole curve.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use qsdnn::engine::{CostLut, Objective};
@@ -38,6 +41,7 @@ use crate::protocol::{
     ProfileResponse, Request, Response, ResponseFrame, SearchRequest, StatsResponse, TaggedRequest,
     WireMode, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
+use crate::reactor::{poll, PollFd};
 use crate::ServeError;
 
 /// Default sliding-window size for [`PlanClient::plan_many`]: how many
@@ -63,6 +67,9 @@ impl Ticket {
 /// requests ([`PlanClient::submit`]) multiplex over the same connection.
 pub struct PlanClient {
     stream: TcpStream,
+    /// Read timeout, per read: see `TimedRead`. Kept here rather than
+    /// as `SO_RCVTIMEO`, which some kernels round up to scheduler ticks.
+    read_timeout: Cell<Option<Duration>>,
     /// Received bytes not yet consumed, in either framing: a half-read
     /// reply survives a read timeout here, and bytes that follow the v3
     /// pong are already in place for the binary reader.
@@ -104,6 +111,7 @@ impl PlanClient {
         stream.set_nodelay(true).ok();
         let mut client = PlanClient {
             stream,
+            read_timeout: Cell::new(None),
             frames: FrameBuffer::new(),
             mode: WireMode::Json,
             next_id: 0,
@@ -132,21 +140,30 @@ impl PlanClient {
         self.mode == WireMode::Binary
     }
 
-    /// Sets read/write timeouts on the underlying socket. A timeout
-    /// surfacing mid-response keeps the received bytes, so framing never
-    /// desyncs. On the pipelined path the interrupted read is fully
-    /// recoverable — call [`PlanClient::wait`] on the same ticket again.
-    /// The synchronous wrappers ([`PlanClient::plan`] etc.) have no
+    /// Sets the read and write timeouts (`None` blocks forever). Each
+    /// read from the socket that finds no byte within the timeout fails
+    /// with `WouldBlock`. Reads wait with `poll(2)`, so they end within
+    /// about a millisecond of the timeout (it is rounded up to whole
+    /// milliseconds), not at the next scheduler tick. Writes still use the
+    /// socket's `SO_SNDTIMEO`, because a blocking write can block even
+    /// after the socket polled writable.
+    ///
+    /// A timeout surfacing mid-response keeps the received bytes, so
+    /// framing never desyncs. On the pipelined path the interrupted read
+    /// is fully recoverable — call [`PlanClient::wait`] on the same ticket
+    /// again. The synchronous wrappers ([`PlanClient::plan`] etc.) have no
     /// read-only retry: re-calling one *resends* the request, and the
     /// connection then carries one unconsumed reply — prefer
     /// [`PlanClient::submit`]/[`PlanClient::wait`] when using timeouts.
     ///
     /// # Errors
     ///
-    /// Propagates socket option failures.
+    /// A zero timeout is an `InvalidInput` I/O error, as it is for
+    /// [`TcpStream::set_read_timeout`]; other socket option failures
+    /// propagate. Either way the timeouts stay as they were.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), ServeError> {
-        self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)?;
+        self.read_timeout.set(timeout);
         Ok(())
     }
 
@@ -161,12 +178,16 @@ impl PlanClient {
     /// framing.
     fn read_frame(&mut self) -> Result<ResponseFrame, ServeError> {
         let closed = || ServeError::Protocol("server closed the connection".into());
+        let mut stream = TimedRead {
+            stream: &mut self.stream,
+            timeout: self.read_timeout.get(),
+        };
         match self.mode {
             WireMode::Json => loop {
                 if let Some(line) = self.frames.next_frame() {
                     return parse_json_line(&line);
                 }
-                if self.frames.fill_from(&mut self.stream)? == 0 {
+                if self.frames.fill_from(&mut stream)? == 0 {
                     // EOF mid-line hands over what arrived; it fails to
                     // parse unless the server merely omitted the `\n`.
                     return match self.frames.take_partial() {
@@ -176,11 +197,7 @@ impl PlanClient {
                 }
             },
             WireMode::Binary => {
-                match read_binary_frame_resumable(
-                    &mut self.stream,
-                    &mut self.frames,
-                    MAX_FRAME_BYTES,
-                )? {
+                match read_binary_frame_resumable(&mut stream, &mut self.frames, MAX_FRAME_BYTES)? {
                     Some(frame) => parse_binary_response(&frame),
                     None => Err(closed()),
                 }
@@ -536,6 +553,27 @@ impl PlanClient {
             Response::Error { message } => Err(ServeError::Remote(message)),
             other => Err(ServeError::Protocol(format!("unexpected reply {other:?}"))),
         }
+    }
+}
+
+/// The client's socket as a reader. With a timeout, each `read` first
+/// waits for readability with `poll(2)` and fails with `WouldBlock` if
+/// none comes in time: the error kind `SO_RCVTIMEO` gives, per read as
+/// with it, so a half-read frame stays buffered for the retry.
+struct TimedRead<'a> {
+    stream: &'a mut TcpStream,
+    timeout: Option<Duration>,
+}
+
+impl Read for TimedRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(timeout) = self.timeout {
+            let mut fds = [PollFd::readable(self.stream.as_raw_fd())];
+            if poll(&mut fds, timeout)? == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+        }
+        self.stream.read(buf)
     }
 }
 

@@ -25,7 +25,8 @@
 //! FFI: no vendored libc for one syscall. `poll` rescans every fd per
 //! wait, so a cached round trip slows as idle connections pile up (about
 //! 80 µs p50 at 1000, see the serve README); the benchmark workloads
-//! hold two.
+//! hold two. The one binding, behind the safe [`poll`], also times
+//! [`crate::PlanClient`]'s reads.
 
 #![allow(unsafe_code)]
 
@@ -130,14 +131,52 @@ type NfdsT = std::os::raw::c_uint;
 
 /// `struct pollfd`, identical on every unix.
 #[repr(C)]
-struct PollFd {
+pub(crate) struct PollFd {
     fd: c_int,
     events: c_short,
     revents: c_short,
 }
 
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+impl PollFd {
+    /// `fd` watched for readability.
+    pub(crate) fn readable(fd: RawFd) -> PollFd {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+}
+
+mod sys {
+    use super::{c_int, NfdsT, PollFd};
+
+    extern "C" {
+        pub(super) fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+}
+
+/// Blocks until an fd in `fds` is ready for what it is watched for, or
+/// has hung up, or `timeout` passes; returns how many fds report events
+/// (0 when the timeout passed). `poll` counts whole milliseconds, and the
+/// timeout is rounded *up* to them, so a wait never ends before it is due.
+///
+/// # Errors
+///
+/// The OS error, `Interrupted` included.
+pub(crate) fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    let timeout_ms = timeout
+        .as_nanos()
+        .div_ceil(1_000_000)
+        .min(c_int::MAX as u128) as c_int;
+    // SAFETY: the pointer and length describe `fds`, live and exclusively
+    // borrowed for the call; the kernel reads each entry and writes only
+    // its `revents`.
+    let ready = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+    if ready < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(ready as usize)
 }
 
 /// A level-triggered readiness set over raw fds, each registered under
@@ -198,19 +237,13 @@ impl PollSet {
         Ok(())
     }
 
-    /// Blocks until something is ready or `timeout` passes, then
-    /// replaces the contents of `ready` with every fd that is ready for
-    /// what it is watched for, or has hung up (whatever its interest).
-    /// An interrupted wait reports nothing.
+    /// Blocks until something is ready or `timeout` (rounded up to whole
+    /// milliseconds) passes, then replaces the contents of `ready` with
+    /// every fd that is ready for what it is watched for, or has hung up
+    /// (whatever its interest). An interrupted wait reports nothing.
     fn wait(&mut self, ready: &mut Vec<(u64, Ready)>, timeout: Duration) -> io::Result<()> {
         ready.clear();
-        let nfds = self.fds.len() as NfdsT;
-        let timeout_ms = timeout.as_millis().min(c_int::MAX as u128) as c_int;
-        // SAFETY: the pointer and length describe `self.fds`, live and
-        // exclusively borrowed for the call; the kernel reads each
-        // entry and writes only its `revents`.
-        if unsafe { poll(self.fds.as_mut_ptr(), nfds, timeout_ms) } < 0 {
-            let e = io::Error::last_os_error();
+        if let Err(e) = poll(&mut self.fds, timeout) {
             return match e.kind() {
                 io::ErrorKind::Interrupted => Ok(()),
                 _ => Err(e),
@@ -797,6 +830,27 @@ mod tests {
             "a peer close must report readable EOF or a hang-up: {closed:?}"
         );
         assert_eq!(a.read(&mut buf).expect("read at EOF"), 0);
+    }
+
+    /// `poll` counts whole milliseconds: a timeout truncated to them woke
+    /// a 1.9 ms wait after 1 ms, for an empty loop turn. Rounded up, an
+    /// idle wait never ends before it is due.
+    #[test]
+    fn an_idle_wait_never_ends_before_its_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (_peer, ours) = connected(&listener);
+        let mut set = PollSet::new();
+        set.add(ours.as_raw_fd(), 10, Interest::READ).expect("add");
+        let timeout = Duration::from_micros(1500);
+        for _ in 0..5 {
+            let started = Instant::now();
+            assert_eq!(step(&mut set, timeout), [], "idle");
+            let waited = started.elapsed();
+            assert!(
+                waited >= timeout,
+                "a wait of {timeout:?} ended after {waited:?}"
+            );
+        }
     }
 
     /// What the script above does not reach: registering twice, touching

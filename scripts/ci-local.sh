@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Runs locally, in .github/workflows/ci.yml order, every step of the CI
-# jobs `fmt + clippy`, `qsdnn-lint`, `build + test` and `kernels (release)`
-# (none of them needs the network), and stops at the first failing step.
-# Each command is the job's own, unchanged. Not run here: the jobs that
-# start a CLI server on fixed ports (`non-default platform e2e`, `metrics
-# exposition smoke`, `flight recorder smoke`) and `qsbench smoke`, which is
-# `bench/smoke.sh`. tests/ci_local.rs holds the step names, order, commands
-# and environments here to those in ci.yml.
+# jobs `fmt + clippy`, `qsdnn-lint`, `build + test`, `kernels (release)`
+# and `qsbench smoke` (none of them needs the network), and stops at the
+# first failing step. Each command is the job's own, unchanged. Not run
+# here: the jobs that start a CLI server on fixed ports (`non-default
+# platform e2e`, `metrics exposition smoke`, `flight recorder smoke`).
+# tests/ci_local.rs holds the step names, order, commands and environments
+# here to those in ci.yml.
 #
 # Usage: scripts/ci-local.sh
-# A full run builds the workspace in debug and release; allow 15-30 min on
-# two cores. The REPRODUCTION.json step rewrites that file in the working
+# A full run builds the workspace in debug and release and the separate
+# bench/ workspace in release; allow 20-35 min on two cores. The REPRODUCTION.json step rewrites that file in the working
 # tree, as CI does in its checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,5 +56,8 @@ step "docs" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # kernels (release)
 step "test tensor, primitives and engine (release)" \
     cargo test --release -q -p qsdnn-tensor -p qsdnn-primitives -p qsdnn-engine
+
+# qsbench smoke
+step "every workload for one second, traced and verified" bench/smoke.sh
 
 echo "ci-local: all steps passed"

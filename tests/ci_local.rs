@@ -1,17 +1,19 @@
-//! `scripts/ci-local.sh` mirrors four CI jobs step for step. For each of
-//! `fmt + clippy`, `qsdnn-lint`, `build + test` and `kernels (release)` in
-//! `.github/workflows/ci.yml`, the script runs every step, in order, under
-//! the step's own name, with the step's own command and environment. A
-//! change to one of those jobs that the script does not follow fails here.
+//! `scripts/ci-local.sh` mirrors five CI jobs step for step. For each of
+//! `fmt + clippy`, `qsdnn-lint`, `build + test`, `kernels (release)` and
+//! `qsbench smoke` in `.github/workflows/ci.yml`, the script runs every
+//! step, in order, under the step's own name, with the step's own command
+//! and environment. A change to one of those jobs that the script does not
+//! follow fails here.
 
 use std::path::{Path, PathBuf};
 
 /// The CI jobs the script mirrors, by job name, in `ci.yml` order.
-const MIRRORED: [&str; 4] = [
+const MIRRORED: [&str; 5] = [
     "fmt + clippy",
     "qsdnn-lint",
     "build + test",
     "kernels (release)",
+    "qsbench smoke",
 ];
 
 /// One CI step.
